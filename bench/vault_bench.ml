@@ -21,13 +21,13 @@ module Os = Komodo_os.Os
 module Errors = Komodo_core.Errors
 module Vault = Komodo_user.Vault
 module Vaultdrive = Komodo_fault.Vaultdrive
-module Campaign = Komodo_campaign.Campaign
+module Vault_campaign = Komodo_campaign.Campaign.Make (Vaultdrive)
 
 let trials = 40
 let seed = 42
 
 let campaign ~jobs ~classes =
-  let o = Campaign.vault ~jobs ~classes ~trials ~seed () in
+  let o = Vault_campaign.run ~jobs { Vaultdrive.default with classes } ~trials ~seed in
   (match o.Vaultdrive.violation with
   | None -> ()
   | Some (tseed, _, v) ->

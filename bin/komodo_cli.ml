@@ -460,34 +460,33 @@ let asm_cmd =
 
 (* -- campaign observability ---------------------------------------------
 
-   --progress / --progress-out / --profile-out on `check` and `fault`.
-   Progress renders to stderr and/or mirrors JSONL snapshots; profiles
-   aggregate per-trial span trees into a komodo-profile/1 JSON file.
-   Both are pure observers: stdout (and the campaign report) stays
-   byte-identical whether they are on or off. *)
+   --progress / --progress-out on every campaign subcommand, and
+   --profile-out on `check` and `fault`. Progress renders to stderr
+   and/or mirrors JSONL snapshots; profiles aggregate per-trial span
+   trees into a komodo-profile/1 JSON file. Both are pure observers:
+   stdout (and the campaign report) stays byte-identical whether they
+   are on or off. *)
+
+let int_arg name (default, doc) ~docv = Arg.(value & opt int default & info [ name ] ~docv ~doc)
+let file_arg name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
 
 let progress_arg =
   Arg.(
     value & flag
     & info [ "progress" ]
         ~doc:
-          "Stream live campaign progress to stderr: trials done, trials/sec,            coverage growth, fault-class hit counts. Never touches stdout.")
+          "Stream live campaign progress to stderr: units done, units/sec and the \
+           campaign's own counters (ops, injections, lock spins, ...). Never touches \
+           stdout.")
 
 let progress_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "progress-out" ] ~docv:"FILE"
-        ~doc:
-          "Mirror progress snapshots to $(docv), one komodo-progress/1 JSON            object per line.")
+  file_arg "progress-out"
+    "Mirror progress snapshots to $(docv), one komodo-progress/1 JSON object per line."
 
 let profile_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile-out" ] ~docv:"FILE"
-        ~doc:
-          "Record per-trial span trees (monitor call -> validate/commit ->            hash/ptwalk/exec) and write the aggregated profile to $(docv) as            komodo-profile/1 JSON.")
+  file_arg "profile-out"
+    "Record per-trial span trees (monitor call -> validate/commit -> hash/ptwalk/exec) \
+     and write the aggregated profile to $(docv) as komodo-profile/1 JSON."
 
 let progress_setup ~progress ~progress_out ~label ~total =
   if (not progress) && progress_out = None then (None, fun () -> ())
@@ -559,9 +558,7 @@ let write_json_file path j =
 let write_profile ~path ~label ~seed ~trials spans =
   write_json_file path (profile_json ~label ~seed ~trials spans)
 
-(* -- check -------------------------------------------------------------- *)
-
-(* -j/--jobs for the two campaign subcommands: 0 (the default) means
+(* -j/--jobs for the campaign subcommands: 0 (the default) means
    one worker per recommended domain. Whatever the value, the report
    is byte-identical — parallelism only changes wallclock. *)
 let jobs_arg =
@@ -574,181 +571,256 @@ let jobs_arg =
            derived from (seed, trial index), failures report the lowest failing \
            trial, and coverage merges are order-insensitive.")
 
-(* Sniff the first non-blank line for the komodo-check-trace/1 schema
-   tag, routing `check --replay` between explore counterexamples and
-   telemetry traces. *)
-let is_explore_trace path =
-  match open_in path with
-  | exception Sys_error _ -> false
-  | ic ->
-      let rec first () =
-        match input_line ic with
-        | line when String.trim line = "" -> first ()
-        | line -> Some line
-        | exception End_of_file -> None
-      in
-      let l = first () in
-      close_in ic;
-      (match l with Some l -> Komodo_spec.Explore.is_trace l | None -> false)
+(* -- seeded campaigns: check, fault, vault, smp ----------------------------
+
+   One builder over a Campaign.DRIVER makes all four subcommands. It
+   owns the shared flags (--trials --ops --seed --pages, the armed
+   --bug/--mutate, -j, --progress), their validation, --replay,
+   --save-trace and --profile-out where a kind has them, and the exit
+   codes; each kind passes its defaults, docs and result wording in as
+   data. A usage error (bad flag, unreadable or malformed trace) prints
+   one "komodo <cmd>: <reason>" line and exits 2. *)
+
+module Trace = Komodo_campaign.Trace
+module Diff = Komodo_spec.Diff
+module Explore = Komodo_spec.Explore
+module Vaultdrive = Komodo_fault.Vaultdrive
+module Smpdrive = Komodo_fault.Smpdrive
+
+let usage_error cmd msg =
+  Printf.eprintf "komodo %s: %s\n" cmd msg;
+  exit 2
+
+let ( let* ) = Result.bind
+
+(* An optional flag naming a bug or mutation. *)
+let named what of_string = function
+  | None -> Ok None
+  | Some s -> (
+      match of_string s with
+      | Some v -> Ok (Some v)
+      | None -> Error (Printf.sprintf "unknown %s %S" what s))
+
+(* A comma-separated class list. *)
+let name_list what of_string s =
+  let parts = String.split_on_char ',' s in
+  match List.find_opt (fun x -> of_string (String.trim x) = None) parts with
+  | Some bad -> Error (Printf.sprintf "unknown %s %S" what bad)
+  | None -> Ok (List.filter_map (fun x -> of_string (String.trim x)) parts)
+
+type ('cfg, 'op, 'fail, 'outcome) kind = {
+  name : string;
+  doc : string;
+  trials : int * string;  (** default and doc, as for [ops] and [pages] *)
+  ops : int * string;
+  seed_doc : string;
+  pages : int * string;
+  armed : string * string;  (** the self-test flag (bug or mutate) and its doc *)
+  config :
+    (pages:int -> ops:int -> armed:string option -> profile:bool ->
+    ('cfg, string) result)
+    Term.t;  (** the kind's own flags, building its config *)
+  summary : 'cfg -> 'outcome -> unit;  (** the report's count lines *)
+  finding : 'outcome -> (int * 'op list * 'fail) option;
+  pp_op : 'op -> string;
+  pp_failure : 'fail -> string;
+  found : string * string;  (** heading and op noun of a shrunk finding *)
+  clean : string list;
+  survived : string list;  (** printed when the armed bug survives (exit 1) *)
+  caught : string;
+  finding_exit : int;  (** an unarmed finding's exit code *)
+  replay :
+    [ `Trace of 'cfg -> seed:int -> 'op list -> (string, 'fail) result
+    | `Custom of string * (pages:int -> string -> int) ];
+      (** --replay: re-run the kind's own traces (which --save-trace then
+          writes), reporting a clean run's line; or a custom doc and run *)
+  spans : ('outcome -> Span.node list) option;  (** enables --profile-out *)
+}
+
+let campaign_cmd (type c o f r)
+    (module D : Campaign.DRIVER
+      with type config = c
+       and type op = o
+       and type failure = f
+       and type outcome = r) (k : (c, o, f, r) kind) =
+  let module C = Campaign.Make (D) in
+  let armed =
+    Arg.(value & opt (some string) None & info [ fst k.armed ] ~docv:"NAME" ~doc:(snd k.armed))
+  in
+  let save, replay_doc =
+    match k.replay with
+    | `Trace _ ->
+        ( file_arg "save-trace"
+            "On violation, save the shrunk campaign as a replayable JSONL trace.",
+          Printf.sprintf "Re-run the %s campaign trace in $(docv) instead of generating trials."
+            k.name )
+    | `Custom (doc, _) -> (Term.const None, doc)
+  in
+  let profile_out = if k.spans = None then Term.const None else profile_out_arg in
+  let run level trials ops seed pages armed replay save profile_out mk jobs progress
+      progress_out =
+    setup_logs level;
+    let fail msg = usage_error k.name msg in
+    match (replay, k.replay) with
+    | Some path, `Custom (_, run) -> run ~pages path
+    | Some path, `Trace rerun -> (
+        match Result.bind (Trace.load path) C.of_trace with
+        | Error e -> fail (Printf.sprintf "cannot replay %s: %s" path e)
+        | Ok (seed, cfg, ops) -> (
+            match rerun cfg ~seed ops with
+            | Ok line ->
+                print_endline line;
+                0
+            | Error v ->
+                Printf.printf "replayed campaign VIOLATION:\n%s\n" (k.pp_failure v);
+                4))
+    | None, _ -> (
+        if trials < 0 then fail (Printf.sprintf "trials must be non-negative, got %d" trials);
+        let cfg =
+          Result.fold ~ok:Fun.id ~error:fail
+            (mk ~pages ~ops ~armed ~profile:(profile_out <> None))
+        in
+        Result.iter_error fail (D.validate cfg);
+        let prog, prog_close =
+          progress_setup ~progress ~progress_out ~label:k.name ~total:trials
+        in
+        let o = C.run ?progress:prog ~jobs cfg ~trials ~seed in
+        prog_close ();
+        (match (profile_out, k.spans) with
+        | Some path, Some spans -> write_profile ~path ~label:k.name ~seed ~trials (spans o)
+        | _ -> ());
+        k.summary cfg o;
+        let armed = armed <> None in
+        match k.finding o with
+        | None ->
+            List.iter print_endline (if armed then k.survived else k.clean);
+            if armed then 1 else 0
+        | Some (tseed, shrunk, f) ->
+            Printf.printf "%s (trial seed %d), shrunk to %d %s:\n" (fst k.found) tseed
+              (List.length shrunk) (snd k.found);
+            List.iteri (fun i op -> Printf.printf "  %2d. %s\n" i (k.pp_op op)) shrunk;
+            print_endline (k.pp_failure f);
+            Option.iter
+              (fun path ->
+                match Trace.save path (C.to_trace ~seed:tseed cfg shrunk) with
+                | Ok () -> Printf.printf "shrunk campaign saved to %s\n" path
+                | Error e -> fail (Printf.sprintf "cannot write %s: %s" path e))
+              save;
+            if armed then (
+              print_endline k.caught;
+              0)
+            else k.finding_exit)
+  in
+  Cmd.v (Cmd.info k.name ~doc:k.doc)
+    Term.(
+      const run $ verbosity $ int_arg "trials" k.trials ~docv:"N" $ int_arg "ops" k.ops ~docv:"N"
+      $ int_arg "seed" (42, k.seed_doc) ~docv:"SEED" $ int_arg "pages" k.pages ~docv:"N"
+      $ armed $ file_arg "replay" replay_doc $ save $ profile_out $ k.config $ jobs_arg
+      $ progress_arg $ progress_out_arg)
+
+(* check --replay takes an explore counterexample (a komodo-trace/1
+   file) or a telemetry trace from `komodo trace`. *)
+let replay_check ~pages path =
+  let cannot e = usage_error "check" (Printf.sprintf "cannot replay %s: %s" path e) in
+  match Trace.load path with
+  | Error e -> cannot e
+  | Ok lines when Trace.is_trace lines -> (
+      (* Replay the counterexample in differential lockstep against a
+         fresh concrete world, under the trace's own mutation, so an
+         abstract counterexample must reproduce as a divergence. *)
+      match Campaign.replay_explore_trace lines with
+      | Error e -> cannot e
+      | Ok (Explore.Clean n) ->
+          Printf.printf "replayed %d explore ops in differential lockstep: no divergence\n" n;
+          print_endline "trace refines the spec";
+          0
+      | Ok (Explore.Diverged d) ->
+          Printf.printf "replayed explore counterexample DIVERGENCE:\n%s\n" (Diff.pp_divergence d);
+          4)
+  | Ok _ -> (
+      match Komodo_spec.Trace_check.replay_file ~npages:pages path with
+      | Error e -> cannot e
+      | Ok r ->
+          Printf.printf "replayed %d events (%d monitor calls) against the spec\n"
+            r.Komodo_spec.Trace_check.events r.Komodo_spec.Trace_check.calls;
+          List.iter
+            (fun (i, msg) -> Printf.printf "event %d: VIOLATION: %s\n" i msg)
+            r.Komodo_spec.Trace_check.violations;
+          if r.Komodo_spec.Trace_check.violations = [] then (
+            print_endline "trace refines the spec";
+            0)
+          else 1)
 
 let check_cmd =
-  let trials =
-    Arg.(value & opt int 100 & info [ "trials" ] ~docv:"N" ~doc:"Differential trials to run.")
-  in
-  let ops =
-    Arg.(value & opt int 40 & info [ "ops" ] ~docv:"N" ~doc:"Adversarial ops per trial.")
-  in
-  let check_seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Generation seed.")
-  in
-  let check_pages =
-    Arg.(
-      value & opt int 40
-      & info [ "pages" ] ~docv:"N"
-          ~doc:"Secure pages per trial world (and expected by --replay).")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Instead of generating trials, re-check the JSONL telemetry trace in $(docv) against the spec.")
-  in
-  let mutate =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "mutate" ] ~docv:"NAME"
-          ~doc:
-            "Run against a deliberately broken spec variant (self-test; expects a divergence). \
-             One of: no-alias-check, no-monitor-image-check, drop-refcount.")
-  in
-  let run level trials ops seed pages replay mutate jobs metrics progress
-      progress_out profile_out =
-    setup_logs level;
-    match replay with
-    | Some path when is_explore_trace path -> (
-        (* A komodo-check-trace/1 counterexample from `komodo explore`:
-           replay it in differential lockstep against a fresh concrete
-           world (under the trace's own mutation, so an abstract
-           counterexample must reproduce as a divergence). *)
-        match Komodo_spec.Explore.replay_file path with
-        | Error e ->
-            Printf.eprintf "komodo check: cannot replay %s: %s\n" path e;
-            2
-        | Ok (Komodo_spec.Explore.Clean n) ->
-            Printf.printf
-              "replayed %d explore ops in differential lockstep: no divergence\n"
-              n;
-            print_endline "trace refines the spec";
-            0
-        | Ok (Komodo_spec.Explore.Diverged d) ->
-            Printf.printf "replayed explore counterexample DIVERGENCE:\n%s\n"
-              (Komodo_spec.Diff.pp_divergence d);
-            4)
-    | Some path -> (
-        match Komodo_spec.Trace_check.replay_file ~npages:pages path with
-        | Error e ->
-            Printf.eprintf "komodo check: cannot replay %s: %s\n" path e;
-            2
-        | Ok r ->
-            Printf.printf "replayed %d events (%d monitor calls) against the spec\n"
-              r.Komodo_spec.Trace_check.events r.Komodo_spec.Trace_check.calls;
-            List.iter
-              (fun (i, msg) -> Printf.printf "event %d: VIOLATION: %s\n" i msg)
-              r.Komodo_spec.Trace_check.violations;
-            if r.Komodo_spec.Trace_check.violations = [] then (
-              print_endline "trace refines the spec";
-              0)
-            else 1)
-    | None -> (
-        let mutate =
-          match mutate with
-          | None -> None
-          | Some name -> (
-              match Komodo_spec.Aspec.mutation_of_string name with
-              | Some m -> Some m
-              | None ->
-                  Printf.eprintf "komodo check: unknown mutation %S\n" name;
-                  exit 2)
-        in
-        let prog, prog_close =
-          progress_setup ~progress ~progress_out ~label:"check" ~total:trials
-        in
-        let o =
-          Komodo_campaign.Campaign.check ?mutate ~npages:pages ~ops_per_trial:ops
-            ~metrics
-            ~profile:(profile_out <> None)
-            ?progress:prog ~jobs ~trials ~seed ()
-        in
-        prog_close ();
-        (match profile_out with
-        | Some path ->
-            write_profile ~path ~label:"check" ~seed ~trials
-              o.Komodo_spec.Diff.spans
-        | None -> ());
-        Printf.printf "%d trials, %d lockstep ops checked\n"
-          o.Komodo_spec.Diff.trials_run o.Komodo_spec.Diff.ops_run;
-        List.iter print_endline (Komodo_spec.Cover.report o.Komodo_spec.Diff.cover);
-        (match o.Komodo_spec.Diff.metrics with
-        | Some reg -> print_endline (Json.to_string (Metrics.dump reg))
-        | None -> ());
-        match o.Komodo_spec.Diff.divergence with
-        | None ->
-            print_endline "no divergence: implementation refines the spec";
-            if mutate <> None then (
-              print_endline "MUTATION SURVIVED: the checker failed its self-test";
-              1)
-            else 0
-        | Some (tseed, shrunk, d) ->
-            Printf.printf "DIVERGENCE (trial seed %d), shrunk to %d calls:\n" tseed
-              (List.length shrunk);
-            List.iteri
-              (fun i op -> Printf.printf "  %2d. %s\n" i (Komodo_spec.Diff.pp_op op))
-              shrunk;
-            print_endline (Komodo_spec.Diff.pp_divergence d);
-            if mutate <> None then (
-              print_endline "mutation caught: checker self-test passed";
-              0)
-            else 1)
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Differentially check the monitor against the abstract spec (adversarial call \
-          sequences, lockstep comparison, shrinking), or --replay a telemetry trace. \
-          Campaigns run trials on a domain pool (-j) with byte-identical reports at any \
-          worker count.")
-    Term.(
-      const run $ verbosity $ trials $ ops $ check_seed $ check_pages $ replay $ mutate
-      $ jobs_arg $ metrics_arg $ progress_arg $ progress_out_arg $ profile_out_arg)
+  campaign_cmd
+    (module Diff)
+    {
+      name = "check";
+      doc =
+        "Differentially check the monitor against the abstract spec (adversarial call \
+         sequences, lockstep comparison, shrinking), or --replay a telemetry trace. \
+         Campaigns run trials on a domain pool (-j) with byte-identical reports at any \
+         worker count.";
+      trials = (100, "Differential trials to run.");
+      ops = (Diff.default.ops_per_trial, "Adversarial ops per trial.");
+      seed_doc = "Generation seed.";
+      pages =
+        (Diff.default.npages, "Secure pages per trial world (and expected by --replay).");
+      armed =
+        ( "mutate",
+          "Run against a deliberately broken spec variant (self-test; expects a divergence). \
+           One of: no-alias-check, no-monitor-image-check, drop-refcount." );
+      config =
+        Term.(
+          const (fun metrics ~pages ~ops ~armed ~profile ->
+              let* mutate = named "mutation" Komodo_spec.Aspec.mutation_of_string armed in
+              let clock = None in
+              Ok { Diff.mutate; npages = pages; ops_per_trial = ops; metrics; profile; clock })
+          $ metrics_arg);
+      summary =
+        (fun _ o ->
+          Printf.printf "%d trials, %d lockstep ops checked\n" o.Diff.trials_run o.Diff.ops_run;
+          List.iter print_endline (Komodo_spec.Cover.report o.Diff.cover);
+          Option.iter
+            (fun reg -> print_endline (Json.to_string (Metrics.dump reg)))
+            o.Diff.metrics);
+      finding = (fun o -> o.Diff.divergence);
+      pp_op = Diff.pp_op;
+      pp_failure = Diff.pp_divergence;
+      found = ("DIVERGENCE", "calls");
+      clean = [ "no divergence: implementation refines the spec" ];
+      survived =
+        [
+          "no divergence: implementation refines the spec";
+          "MUTATION SURVIVED: the checker failed its self-test";
+        ];
+      caught = "mutation caught: checker self-test passed";
+      finding_exit = 1;
+      replay =
+        `Custom
+          ( "Instead of generating trials, re-check the JSONL telemetry trace in $(docv) \
+             against the spec.",
+            replay_check );
+      spans = Some (fun o -> o.Diff.spans);
+    }
 
 (* -- explore ------------------------------------------------------------ *)
 
 let explore_cmd =
-  let module Explore = Komodo_spec.Explore in
   let pages =
-    Arg.(
-      value & opt int 6
-      & info [ "pages" ] ~docv:"N"
-          ~doc:
-            "Secure pages in the explored world (at least 6 — the prelude \
-             occupies pages 0-5; worlds above 10 pages use a symmetry-reduced \
-             page-argument pool).")
+    int_arg "pages" ~docv:"N"
+      ( 6,
+        "Secure pages in the explored world (at least 6 — the prelude occupies pages \
+         0-5; worlds above 10 pages use a symmetry-reduced page-argument pool)." )
   in
   let depth =
-    Arg.(
-      value & opt int 6
-      & info [ "depth" ] ~docv:"N"
-          ~doc:"BFS depth bound, in monitor calls beyond the prelude.")
+    int_arg "depth" ~docv:"N" (6, "BFS depth bound, in monitor calls beyond the prelude.")
   in
   let explore_seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Concrete-replay seed stamped into counterexample traces (the \
-             search itself is exhaustive, not randomised).")
+    int_arg "seed" ~docv:"SEED"
+      ( 42,
+        "Concrete-replay seed stamped into counterexample traces (the search itself is \
+         exhaustive, not randomised)." )
   in
   let mutate =
     Arg.(
@@ -761,26 +833,15 @@ let explore_cmd =
              drop-refcount.")
   in
   let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-trace" ] ~docv:"FILE"
-          ~doc:
-            "On violation, save the shortest counterexample as a \
-             komodo-check-trace/1 JSONL file, replayable with komodo check \
-             --replay (exit 4 on the reproduced divergence).")
+    file_arg "save-trace"
+      "On violation, save the shortest counterexample as a komodo-trace/1 JSONL file, \
+       replayable with komodo check --replay (exit 4 on the reproduced divergence)."
   in
   let run level pages depth seed mutate save jobs progress progress_out =
     setup_logs level;
     let mutate =
-      match mutate with
-      | None -> None
-      | Some name -> (
-          match Komodo_spec.Aspec.mutation_of_string name with
-          | Some m -> Some m
-          | None ->
-              Printf.eprintf "komodo explore: unknown mutation %S\n" name;
-              exit 2)
+      Result.fold ~ok:Fun.id ~error:(usage_error "explore")
+        (named "mutation" Komodo_spec.Aspec.mutation_of_string mutate)
     in
     let config = { Explore.pages; depth; seed; mutate } in
     let prog, prog_close =
@@ -789,9 +850,7 @@ let explore_cmd =
     let r =
       match Komodo_campaign.Campaign.explore ?progress:prog ~jobs ~config () with
       | r -> r
-      | exception Invalid_argument msg ->
-          Printf.eprintf "komodo explore: %s\n" msg;
-          exit 2
+      | exception Invalid_argument msg -> usage_error "explore" msg
     in
     prog_close ();
     Printf.printf "explored %d states, %d edges checked (%d pages, depth %d)\n"
@@ -809,22 +868,12 @@ let explore_cmd =
         else 0
     | Some v ->
         List.iter print_endline (Explore.render_violation v);
-        (match save with
-        | Some path -> (
-            match
-              let oc = open_out path in
-              List.iter
-                (fun l ->
-                  output_string oc l;
-                  output_char oc '\n')
-                (Explore.trace_lines config v);
-              close_out oc
-            with
-            | () -> Printf.eprintf "[wrote %s]\n%!" path
-            | exception Sys_error e ->
-                Printf.eprintf "komodo explore: cannot write %s: %s\n" path e;
-                exit 2)
-        | None -> ());
+        Option.iter
+          (fun path ->
+            match Trace.save path (Campaign.explore_trace config v) with
+            | Ok () -> Printf.eprintf "[wrote %s]\n%!" path
+            | Error e -> usage_error "explore" (Printf.sprintf "cannot write %s: %s" path e))
+          save;
         if mutate <> None then (
           print_endline "mutation caught: explorer self-test passed";
           0)
@@ -844,470 +893,191 @@ let explore_cmd =
       const run $ verbosity $ pages $ depth $ explore_seed $ mutate $ save
       $ jobs_arg $ progress_arg $ progress_out_arg)
 
-(* -- fault -------------------------------------------------------------- *)
-
 let fault_cmd =
-  let module Drive = Komodo_fault.Drive in
-  let trials =
-    Arg.(value & opt int 25 & info [ "trials" ] ~docv:"N" ~doc:"Fault-injection trials to run.")
-  in
-  let ops =
-    Arg.(value & opt int 40 & info [ "ops" ] ~docv:"N" ~doc:"Adversarial ops per trial (before fault decoration).")
-  in
-  let fseed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign seed.") in
-  let fpages =
-    Arg.(value & opt int 40 & info [ "pages" ] ~docv:"N" ~doc:"Secure pages per trial world.")
-  in
-  let faults =
-    Arg.(
-      value
-      & opt string "irq,mem,rng,storm,crash"
-      & info [ "faults" ] ~docv:"CLASSES"
-          ~doc:"Comma-separated fault classes to arm: irq, mem, rng, storm, crash.")
-  in
-  let bug =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bug" ] ~docv:"NAME"
-          ~doc:
-            "Re-enable a deliberate partial-mutation bug in the monitor (self-test; \
-             expects the campaign to catch it). One of: partial_map_secure, partial_remove.")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Re-run the fault campaign trace in $(docv) instead of generating trials.")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-trace" ] ~docv:"FILE"
-          ~doc:"On violation, save the shrunk campaign as a replayable JSONL trace.")
-  in
-  let run level trials ops seed pages faults bug replay save jobs progress
-      progress_out profile_out =
-    setup_logs level;
-    match replay with
-    | Some path -> (
-        let ic = open_in path in
-        let rec read acc =
-          match input_line ic with
-          | line -> read (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        let lines = read [] in
-        close_in ic;
-        match Drive.trace_parse lines with
-        | Error e ->
-            Printf.eprintf "komodo fault: cannot replay %s: %s\n" path e;
-            2
-        | Ok (h, fops) -> (
-            match Drive.replay h fops with
-            | Ok st ->
-                Printf.printf "replayed %d fops (%d faults fired): no violation\n"
-                  st.Drive.fops_run st.Drive.injections;
-                0
-            | Error v ->
-                Printf.printf "replayed campaign VIOLATION:\n%s\n" (Drive.pp_violation v);
-                4))
-    | None -> (
-        let faults =
-          List.map
-            (fun s ->
-              match Drive.class_of_string (String.trim s) with
-              | Some c -> c
-              | None ->
-                  Printf.eprintf "komodo fault: unknown fault class %S\n" s;
-                  exit 2)
-            (String.split_on_char ',' faults)
-        in
-        let bug =
-          match bug with
-          | None -> None
-          | Some name -> (
-              match Monitor.bug_of_string name with
-              | Some b -> Some b
-              | None ->
-                  Printf.eprintf "komodo fault: unknown bug %S\n" name;
-                  exit 2)
-        in
-        let prog, prog_close =
-          progress_setup ~progress ~progress_out ~label:"fault" ~total:trials
-        in
-        let o =
-          Komodo_campaign.Campaign.fault ~npages:pages ~ops_per_trial:ops
-            ~profile:(profile_out <> None)
-            ?progress:prog ?bug ~jobs ~faults ~trials ~seed ()
-        in
-        prog_close ();
-        (match profile_out with
-        | Some path ->
-            write_profile ~path ~label:"fault" ~seed ~trials o.Drive.spans
-        | None -> ());
-        Printf.printf "%d trials, %d fault-decorated ops, %d faults fired\n"
-          o.Drive.trials_run o.Drive.total_fops o.Drive.total_injections;
-        Printf.printf "worst interrupt blackout: %d cycles (%.3f ms at 900 MHz)\n"
-          o.Drive.blackout
-          (Komodo_machine.Cost.cycles_to_ms o.Drive.blackout);
-        match o.Drive.violation with
-        | None ->
-            if bug <> None then (
-              print_endline "BUG SURVIVED: the fault campaign failed its self-test";
-              1)
-            else (
-              print_endline "no violation: every call stayed atomic under injected faults";
-              0)
-        | Some (tseed, shrunk, v) ->
-            Printf.printf "VIOLATION (trial seed %d), shrunk to %d fops:\n" tseed
-              (List.length shrunk);
-            List.iteri (fun i f -> Printf.printf "  %2d. %s\n" i (Drive.pp_fop f)) shrunk;
-            print_endline (Drive.pp_violation v);
-            (match save with
-            | None -> ()
-            | Some file ->
-                let oc = open_out file in
-                List.iter
-                  (fun l -> output_string oc (l ^ "\n"))
-                  (Drive.trace_lines ~seed:tseed ~npages:pages ~bug shrunk);
-                close_out oc;
-                Printf.printf "shrunk campaign saved to %s\n" file);
-            if bug <> None then (
-              print_endline "bug caught: fault-campaign self-test passed";
-              0)
-            else 4)
-  in
-  Cmd.v
-    (Cmd.info "fault"
-       ~doc:
-         "Inject adversarial faults (spurious interrupts, concurrent-core memory writes, \
-          entropy exhaustion, SMC storms, OS crash/restarts) while differentially checking \
-          the monitor, asserting PageDB invariants and transactional atomicity after every \
-          call. Trials run on a domain pool (-j) with byte-identical reports at any worker \
-          count. Exits 0 on a clean campaign, 4 on an atomicity/invariant violation.")
-    Term.(
-      const run $ verbosity $ trials $ ops $ fseed $ fpages $ faults $ bug $ replay $ save
-      $ jobs_arg $ progress_arg $ progress_out_arg $ profile_out_arg)
-
-(* -- vault --------------------------------------------------------------- *)
+  campaign_cmd
+    (module Drive)
+    {
+      name = "fault";
+      doc =
+        "Inject adversarial faults (spurious interrupts, concurrent-core memory writes, \
+         entropy exhaustion, SMC storms, OS crash/restarts) while differentially checking \
+         the monitor, asserting PageDB invariants and transactional atomicity after every \
+         call. Trials run on a domain pool (-j) with byte-identical reports at any worker \
+         count. Exits 0 on a clean campaign, 4 on an atomicity/invariant violation.";
+      trials = (25, "Fault-injection trials to run.");
+      ops = (Drive.default.ops_per_trial, "Adversarial ops per trial (before fault decoration).");
+      seed_doc = "Campaign seed.";
+      pages = (Drive.default.npages, "Secure pages per trial world.");
+      armed =
+        ( "bug",
+          "Re-enable a deliberate partial-mutation bug in the monitor (self-test; expects the \
+           campaign to catch it). One of: partial_map_secure, partial_remove." );
+      config =
+        Term.(
+          const (fun faults ~pages ~ops ~armed ~profile ->
+              let* faults = name_list "fault class" Drive.class_of_string faults in
+              let* bug = named "bug" Monitor.bug_of_string armed in
+              Ok { Drive.npages = pages; ops_per_trial = ops; profile; clock = None; bug; faults })
+          $ Arg.(
+              value
+              & opt string "irq,mem,rng,storm,crash"
+              & info [ "faults" ] ~docv:"CLASSES"
+                  ~doc:"Comma-separated fault classes to arm: irq, mem, rng, storm, crash."));
+      summary =
+        (fun _ o ->
+          Printf.printf "%d trials, %d fault-decorated ops, %d faults fired\n" o.Drive.trials_run
+            o.Drive.total_fops o.Drive.total_injections;
+          Printf.printf "worst interrupt blackout: %d cycles (%.3f ms at 900 MHz)\n"
+            o.Drive.blackout
+            (Komodo_machine.Cost.cycles_to_ms o.Drive.blackout));
+      finding = (fun o -> o.Drive.violation);
+      pp_op = Drive.pp_fop;
+      pp_failure = Drive.pp_violation;
+      found = ("VIOLATION", "fops");
+      clean = [ "no violation: every call stayed atomic under injected faults" ];
+      survived = [ "BUG SURVIVED: the fault campaign failed its self-test" ];
+      caught = "bug caught: fault-campaign self-test passed";
+      finding_exit = 4;
+      replay =
+        `Trace
+          (fun cfg ~seed ops ->
+            Result.map
+              (fun st ->
+                Printf.sprintf "replayed %d fops (%d faults fired): no violation"
+                  st.Drive.fops_run st.Drive.injections)
+              (Drive.replay cfg ~seed ops));
+      spans = Some (fun o -> o.Drive.spans);
+    }
 
 let vault_cmd =
-  let module Vaultdrive = Komodo_fault.Vaultdrive in
-  let module Vault = Komodo_user.Vault in
-  let trials =
-    Arg.(value & opt int 100 & info [ "trials" ] ~docv:"N" ~doc:"Storage-fault trials to run.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 24
-      & info [ "ops" ] ~docv:"N"
-          ~doc:"Vault operations per trial (before storage-fault decoration).")
-  in
-  let vseed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign seed.") in
-  let vpages =
-    Arg.(value & opt int 48 & info [ "pages" ] ~docv:"N" ~doc:"Secure pages per trial world.")
-  in
-  let classes =
-    Arg.(
-      value
-      & opt string "tamper,replay,crash"
-      & info [ "classes" ] ~docv:"CLASSES"
-          ~doc:"Comma-separated storage fault classes to arm: tamper, replay, crash.")
-  in
-  let bug =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bug" ] ~docv:"NAME"
-          ~doc:
-            "Re-enable a deliberate detection-disable bug in the vault enclave \
-             (self-test; expects the campaign to catch it). One of: \
-             accept_tampered, accept_stale.")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Re-run the vault campaign trace in $(docv) instead of generating trials.")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-trace" ] ~docv:"FILE"
-          ~doc:"On violation, save the shrunk campaign as a replayable JSONL trace.")
-  in
-  let run level trials ops seed pages classes bug replay save jobs progress
-      progress_out =
-    setup_logs level;
-    match replay with
-    | Some path -> (
-        let ic = open_in path in
-        let rec read acc =
-          match input_line ic with
-          | line -> read (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        let lines = read [] in
-        close_in ic;
-        match Vaultdrive.trace_parse lines with
-        | Error e ->
-            Printf.eprintf "komodo vault: cannot replay %s: %s\n" path e;
-            2
-        | Ok (h, sops) -> (
-            match Vaultdrive.replay h sops with
-            | Ok st ->
-                Printf.printf
-                  "replayed %d sops (%d probes, %d detected, %d accepted): no \
-                   violation\n"
-                  st.Vaultdrive.sops_run st.Vaultdrive.probes
-                  st.Vaultdrive.detected st.Vaultdrive.accepted;
-                0
-            | Error v ->
-                Printf.printf "replayed campaign VIOLATION:\n%s\n"
-                  (Vaultdrive.pp_violation v);
-                4))
-    | None -> (
-        let classes =
-          List.map
-            (fun s ->
-              match Vaultdrive.class_of_string (String.trim s) with
-              | Some c -> c
-              | None ->
-                  Printf.eprintf "komodo vault: unknown storage class %S\n" s;
-                  exit 2)
-            (String.split_on_char ',' classes)
-        in
-        let bug =
-          match bug with
-          | None -> None
-          | Some name -> (
-              match Vault.bug_of_string name with
-              | Some b -> Some b
-              | None ->
-                  Printf.eprintf "komodo vault: unknown bug %S\n" name;
-                  exit 2)
-        in
-        let prog, prog_close =
-          progress_setup ~progress ~progress_out ~label:"vault" ~total:trials
-        in
-        let o =
-          Komodo_campaign.Campaign.vault ~npages:pages ~ops_per_trial:ops
-            ?progress:prog ?bug ~jobs ~classes ~trials ~seed ()
-        in
-        prog_close ();
-        Printf.printf "%d trials, %d storage-fault-decorated vault ops\n"
-          o.Vaultdrive.trials_run o.Vaultdrive.total_sops;
-        Printf.printf "%d unseal probes: %d detected (tampered/stale), %d accepted\n"
-          o.Vaultdrive.total_probes o.Vaultdrive.total_detected
-          o.Vaultdrive.total_accepted;
-        match o.Vaultdrive.violation with
-        | None ->
-            if bug <> None then (
-              print_endline "BUG SURVIVED: the vault campaign failed its self-test";
-              1)
-            else (
-              print_endline
-                "no violation: every corruption detected, every rollback \
-                 refused, no false unseals";
-              0)
-        | Some (tseed, shrunk, v) ->
-            Printf.printf "VIOLATION (trial seed %d), shrunk to %d sops:\n" tseed
-              (List.length shrunk);
-            List.iteri
-              (fun i s -> Printf.printf "  %2d. %s\n" i (Vaultdrive.pp_sop s))
-              shrunk;
-            print_endline (Vaultdrive.pp_violation v);
-            (match save with
-            | None -> ()
-            | Some file ->
-                let oc = open_out file in
-                List.iter
-                  (fun l -> output_string oc (l ^ "\n"))
-                  (Vaultdrive.trace_lines ~seed:tseed ~npages:pages ~bug shrunk);
-                close_out oc;
-                Printf.printf "shrunk campaign saved to %s\n" file);
-            if bug <> None then (
-              print_endline "bug caught: vault-campaign self-test passed";
-              0)
-            else 4)
-  in
-  Cmd.v
-    (Cmd.info "vault"
-       ~doc:
-         "Run sealed-storage fault campaigns: a vault enclave seals its state \
-          to an adversarial block store which the campaign corrupts, rolls \
-          back, reorders, truncates and wipes — across OS crashes and full \
-          reboots — judging every unseal against the sealed-storage theorem. \
-          Trials run on a domain pool (-j) with byte-identical reports at any \
-          worker count. Exits 0 on a clean campaign, 4 on a violation (silent \
-          corruption, false unseal, undetected rollback), 1 when an armed \
-          --bug survives, 2 on setup errors.")
-    Term.(
-      const run $ verbosity $ trials $ ops $ vseed $ vpages $ classes $ bug
-      $ replay $ save $ jobs_arg $ progress_arg $ progress_out_arg)
-
-(* -- smp ----------------------------------------------------------------- *)
+  campaign_cmd
+    (module Vaultdrive)
+    {
+      name = "vault";
+      doc =
+        "Run sealed-storage fault campaigns: a vault enclave seals its state to an \
+         adversarial block store which the campaign corrupts, rolls back, reorders, \
+         truncates and wipes — across OS crashes and full reboots — judging every unseal \
+         against the sealed-storage theorem. Trials run on a domain pool (-j) with \
+         byte-identical reports at any worker count. Exits 0 on a clean campaign, 4 on a \
+         violation (silent corruption, false unseal, undetected rollback), 1 when an armed \
+         --bug survives, 2 on setup errors.";
+      trials = (100, "Storage-fault trials to run.");
+      ops =
+        ( Vaultdrive.default.ops_per_trial,
+          "Vault operations per trial (before storage-fault decoration)." );
+      seed_doc = "Campaign seed.";
+      pages = (Vaultdrive.default.npages, "Secure pages per trial world.");
+      armed =
+        ( "bug",
+          "Re-enable a deliberate detection-disable bug in the vault enclave (self-test; \
+           expects the campaign to catch it). One of: accept_tampered, accept_stale." );
+      config =
+        Term.(
+          const (fun classes ~pages ~ops ~armed ~profile:_ ->
+              let* classes = name_list "storage class" Vaultdrive.class_of_string classes in
+              let* bug = named "bug" Komodo_user.Vault.bug_of_string armed in
+              Ok { Vaultdrive.npages = pages; ops_per_trial = ops; bug; classes })
+          $ Arg.(
+              value
+              & opt string "tamper,replay,crash"
+              & info [ "classes" ] ~docv:"CLASSES"
+                  ~doc:"Comma-separated storage fault classes to arm: tamper, replay, crash."));
+      summary =
+        (fun _ o ->
+          Printf.printf "%d trials, %d storage-fault-decorated vault ops\n"
+            o.Vaultdrive.trials_run o.Vaultdrive.total_sops;
+          Printf.printf "%d unseal probes: %d detected (tampered/stale), %d accepted\n"
+            o.Vaultdrive.total_probes o.Vaultdrive.total_detected o.Vaultdrive.total_accepted);
+      finding = (fun o -> o.Vaultdrive.violation);
+      pp_op = Vaultdrive.pp_sop;
+      pp_failure = Vaultdrive.pp_violation;
+      found = ("VIOLATION", "sops");
+      clean =
+        [ "no violation: every corruption detected, every rollback refused, no false unseals" ];
+      survived = [ "BUG SURVIVED: the vault campaign failed its self-test" ];
+      caught = "bug caught: vault-campaign self-test passed";
+      finding_exit = 4;
+      replay =
+        `Trace
+          (fun cfg ~seed ops ->
+            Result.map
+              (fun st ->
+                Printf.sprintf
+                  "replayed %d sops (%d probes, %d detected, %d accepted): no violation"
+                  st.Vaultdrive.sops_run st.Vaultdrive.probes st.Vaultdrive.detected
+                  st.Vaultdrive.accepted)
+              (Vaultdrive.replay cfg ~seed ops));
+      spans = None;
+    }
 
 let smp_cmd =
-  let module Smpdrive = Komodo_fault.Smpdrive in
-  let module Smp = Komodo_os.Smp in
-  let trials =
-    Arg.(value & opt int 200 & info [ "trials" ] ~docv:"N" ~doc:"Multi-core trials to run.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 8
-      & info [ "ops" ] ~docv:"N" ~doc:"Monitor calls per CPU per trial.")
-  in
-  let sseed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign seed.") in
-  let cpus =
-    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N" ~doc:"Cores racing in each trial.")
-  in
-  let spages =
-    Arg.(value & opt int 32 & info [ "pages" ] ~docv:"N" ~doc:"Secure pages per trial world.")
-  in
-  let bug =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bug" ] ~docv:"NAME"
-          ~doc:
-            "Re-enable a deliberate lock-discipline bug in the stepper \
-             (self-test; expects the campaign to catch it). One of: \
-             missing_page_lock, lock_inversion.")
-  in
-  let faults =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:
-            "Also fire the fault injector at lock acquire/release boundaries \
-             (insecure-memory writes, interrupts, RNG glitches); the campaign \
-             must stay clean.")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Re-run the smp campaign trace in $(docv) instead of generating trials.")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-trace" ] ~docv:"FILE"
-          ~doc:"On violation, save the shrunk campaign as a replayable JSONL trace.")
-  in
-  let run level trials ops seed cpus pages bug faults replay save jobs progress
-      progress_out =
-    setup_logs level;
-    match replay with
-    | Some path -> (
-        let ic = open_in path in
-        let rec read acc =
-          match input_line ic with
-          | line -> read (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        let lines = read [] in
-        close_in ic;
-        match Smpdrive.trace_parse lines with
-        | Error e ->
-            Printf.eprintf "komodo smp: cannot replay %s: %s\n" path e;
-            2
-        | Ok (h, sops) -> (
-            match Smpdrive.replay h sops with
-            | Ok st ->
-                Printf.printf
-                  "replayed %d calls on %d cpus (%d contended, %d spins): no \
-                   violation\n"
-                  st.Smpdrive.calls h.Smpdrive.h_cpus st.Smpdrive.contended
-                  st.Smpdrive.spins;
-                0
-            | Error v ->
-                Printf.printf "replayed campaign VIOLATION:\n%s\n"
-                  (Smpdrive.pp_violation v);
-                4))
-    | None -> (
-        let bug =
-          match bug with
-          | None -> None
-          | Some name -> (
-              match Smp.bug_of_string name with
-              | Some b -> Some b
-              | None ->
-                  Printf.eprintf "komodo smp: unknown bug %S\n" name;
-                  exit 2)
-        in
-        let prog, prog_close =
-          progress_setup ~progress ~progress_out ~label:"smp" ~total:trials
-        in
-        let o =
-          Komodo_campaign.Campaign.smp ~npages:pages ~cpus ~ops_per_cpu:ops
-            ?progress:prog ?bug ~faults ~jobs ~trials ~seed ()
-        in
-        prog_close ();
-        Printf.printf "%d trials, %d racing calls on %d cpus\n"
-          o.Smpdrive.trials_run o.Smpdrive.total_calls cpus;
-        Printf.printf
-          "lock cycles %d: %d contended + %d uncontended acquisitions, %d \
-           spins, %d footprint retries, %d lock-boundary faults\n"
-          o.Smpdrive.total_lock_cycles o.Smpdrive.total_contended
-          o.Smpdrive.total_uncontended o.Smpdrive.total_spins
-          o.Smpdrive.total_retries o.Smpdrive.total_injections;
-        match o.Smpdrive.violation with
-        | None ->
-            if bug <> None then (
-              print_endline "BUG SURVIVED: the smp campaign failed its self-test";
-              1)
-            else (
-              print_endline
-                "no violation: every interleaving linearisable, no deadlock, \
-                 invariants held";
-              0)
-        | Some (tseed, shrunk, v) ->
-            Printf.printf "VIOLATION (trial seed %d), shrunk to %d calls:\n"
-              tseed (List.length shrunk);
-            List.iteri
-              (fun i s -> Printf.printf "  %2d. %s\n" i (Smpdrive.pp_sop s))
-              shrunk;
-            print_endline (Smpdrive.pp_violation v);
-            (match save with
-            | None -> ()
-            | Some file ->
-                let oc = open_out file in
-                List.iter
-                  (fun l -> output_string oc (l ^ "\n"))
-                  (Smpdrive.trace_lines ~seed:tseed ~npages:pages ~cpus ~bug
-                     shrunk);
-                close_out oc;
-                Printf.printf "shrunk campaign saved to %s\n" file);
-            if bug <> None then (
-              print_endline "bug caught: smp-campaign self-test passed";
-              0)
-            else 4)
-  in
-  Cmd.v
-    (Cmd.info "smp"
-       ~doc:
-         "Race seeded per-CPU monitor-call streams through the multi-core \
-          stepper (per-CPU register banks, fine-grained per-page locks, \
-          seeded interleaving scheduler) and judge every run with three \
-          oracles: deadlock freedom, PageDB invariants, and \
-          linearisability against the sequential abstract spec. Trials run \
-          on a domain pool (-j) with byte-identical reports at any worker \
-          count. Exits 0 on a clean campaign (or a caught --bug), 4 on a \
-          violation with a shrunk minimal trace, 1 when an armed --bug \
-          survives, 2 on setup errors.")
-    Term.(
-      const run $ verbosity $ trials $ ops $ sseed $ cpus $ spages $ bug
-      $ faults $ replay $ save $ jobs_arg $ progress_arg $ progress_out_arg)
+  campaign_cmd
+    (module Smpdrive)
+    {
+      name = "smp";
+      doc =
+        "Race seeded per-CPU monitor-call streams through the multi-core stepper (per-CPU \
+         register banks, fine-grained per-page locks, seeded interleaving scheduler) and \
+         judge every run with three oracles: deadlock freedom, PageDB invariants, and \
+         linearisability against the sequential abstract spec. Trials run on a domain pool \
+         (-j) with byte-identical reports at any worker count. Exits 0 on a clean campaign \
+         (or a caught --bug), 4 on a violation with a shrunk minimal trace, 1 when an armed \
+         --bug survives, 2 on setup errors.";
+      trials = (200, "Multi-core trials to run.");
+      ops = (Smpdrive.default.ops_per_cpu, "Monitor calls per CPU per trial.");
+      seed_doc = "Campaign seed.";
+      pages = (Smpdrive.default.npages, "Secure pages per trial world.");
+      armed =
+        ( "bug",
+          "Re-enable a deliberate lock-discipline bug in the stepper (self-test; expects the \
+           campaign to catch it). One of: missing_page_lock, lock_inversion." );
+      config =
+        Term.(
+          const (fun cpus faults ~pages ~ops ~armed ~profile:_ ->
+              let* bug = named "bug" Komodo_os.Smp.bug_of_string armed in
+              Ok { Smpdrive.npages = pages; cpus; ops_per_cpu = ops; bug; faults })
+          $ Arg.(
+              value
+              & opt int Smpdrive.default.cpus
+              & info [ "cpus" ] ~docv:"N" ~doc:"Cores racing in each trial.")
+          $ Arg.(
+              value & flag
+              & info [ "faults" ]
+                  ~doc:
+                    "Also fire the fault injector at lock acquire/release boundaries \
+                     (insecure-memory writes, interrupts, RNG glitches); the campaign must \
+                     stay clean."));
+      summary =
+        (fun cfg o ->
+          Printf.printf "%d trials, %d racing calls on %d cpus\n" o.Smpdrive.trials_run
+            o.Smpdrive.total_calls cfg.Smpdrive.cpus;
+          Printf.printf
+            "lock cycles %d: %d contended + %d uncontended acquisitions, %d spins, %d \
+             footprint retries, %d lock-boundary faults\n"
+            o.Smpdrive.total_lock_cycles o.Smpdrive.total_contended
+            o.Smpdrive.total_uncontended o.Smpdrive.total_spins o.Smpdrive.total_retries
+            o.Smpdrive.total_injections);
+      finding = (fun o -> o.Smpdrive.violation);
+      pp_op = Smpdrive.pp_sop;
+      pp_failure = Smpdrive.pp_violation;
+      found = ("VIOLATION", "calls");
+      clean =
+        [ "no violation: every interleaving linearisable, no deadlock, invariants held" ];
+      survived = [ "BUG SURVIVED: the smp campaign failed its self-test" ];
+      caught = "bug caught: smp-campaign self-test passed";
+      finding_exit = 4;
+      replay =
+        `Trace
+          (fun cfg ~seed ops ->
+            Result.map
+              (fun st ->
+                Printf.sprintf
+                  "replayed %d calls on %d cpus (%d contended, %d spins): no violation"
+                  st.Smpdrive.calls cfg.Smpdrive.cpus st.Smpdrive.contended st.Smpdrive.spins)
+              (Smpdrive.replay cfg ~seed ops));
+      spans = None;
+    }
 
 (* -- serve --------------------------------------------------------------- *)
 
@@ -1520,18 +1290,12 @@ let verify_cmd =
 (* -- profile ------------------------------------------------------------- *)
 
 let profile_cmd =
-  let trials =
-    Arg.(value & opt int 10 & info [ "trials" ] ~docv:"N" ~doc:"Trials in the profiled workload.")
-  in
-  let ops =
-    Arg.(value & opt int 40 & info [ "ops" ] ~docv:"N" ~doc:"Adversarial ops per trial.")
-  in
+  let trials = int_arg "trials" ~docv:"N" (10, "Trials in the profiled workload.") in
+  let ops = int_arg "ops" ~docv:"N" (40, "Adversarial ops per trial.") in
   let pseed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed (the whole profile is a function of it).")
+    int_arg "seed" ~docv:"SEED" (42, "Workload seed (the whole profile is a function of it).")
   in
-  let ppages =
-    Arg.(value & opt int 40 & info [ "pages" ] ~docv:"N" ~doc:"Secure pages per trial world.")
-  in
+  let ppages = int_arg "pages" ~docv:"N" (40, "Secure pages per trial world.") in
   let mode =
     Arg.(
       value
@@ -1548,12 +1312,7 @@ let profile_cmd =
             "Write folded stacks (one 'path;to;span cycles' line each) to \
              $(docv) — feed to flamegraph.pl or speedscope.")
   in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the komodo-profile/1 JSON profile to $(docv).")
-  in
+  let json_out = file_arg "json" "Also write the komodo-profile/1 JSON profile to $(docv)." in
   let wall =
     Arg.(
       value & flag

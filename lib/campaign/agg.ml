@@ -1,207 +1,16 @@
-(* Deterministic reduction of per-trial results into one campaign
-   report.
-
-   The contract that makes `-j N` byte-identical to `-j 1`: the report
-   is a function of the trial results for indices 0..k only, where k is
-   the lowest failing index (or trials-1 on a clean campaign) — exactly
-   the set a sequential run would have produced — and every merge used
-   here is order-insensitive (coverage and metrics counters are sums,
-   cycle histograms are multisets, blackout is a max). The failing
-   trial is reported by index, never by finish order, and its shrunk
-   trace is recomputed deterministically from its seed. *)
+(* Deterministic merges the campaign engine's loops share. A seeded
+   campaign's trials reduce through their driver ([Campaign.DRIVER]);
+   the explorer's BFS levels reduce here. Every merge is
+   order-insensitive or runs in slice order, so a parallel run's report
+   is byte-identical to the sequential one. *)
 
 module Cover = Komodo_spec.Cover
-module Metrics = Komodo_telemetry.Metrics
-module Diff = Komodo_spec.Diff
 module Explore = Komodo_spec.Explore
-module Drive = Komodo_fault.Drive
-module Vaultdrive = Komodo_fault.Vaultdrive
-module Smpdrive = Komodo_fault.Smpdrive
 
 let covers cs =
   let c = Cover.create () in
   List.iter (fun src -> Cover.merge_into c src) cs;
   c
-
-let metrics ms =
-  let m = Metrics.create () in
-  List.iter (fun src -> Metrics.merge_into m src) ms;
-  m
-
-let opt_metrics trials =
-  match List.filter_map Fun.id trials with [] -> None | ms -> Some (metrics ms)
-
-(* -- differential (check) campaigns -------------------------------------- *)
-
-type check_failure = {
-  cf_index : int;  (** lowest failing trial index *)
-  cf_seed : int;  (** that trial's derived seed *)
-  cf_trial : Diff.trial;
-  cf_shrunk : Diff.op list * Diff.divergence;
-}
-
-let check ~(prefix : Diff.trial array) ~(failure : check_failure option) :
-    Diff.outcome =
-  let all =
-    Array.to_list prefix
-    @ match failure with None -> [] | Some f -> [ f.cf_trial ]
-  in
-  let cover = covers (List.map (fun t -> t.Diff.t_cover) all) in
-  let metrics = opt_metrics (List.map (fun t -> t.Diff.t_metrics) all) in
-  let ops_run = List.fold_left (fun a t -> a + t.Diff.t_ops_run) 0 all in
-  let spans = List.concat_map (fun t -> t.Diff.t_spans) all in
-  match failure with
-  | None ->
-      {
-        Diff.trials_run = Array.length prefix;
-        ops_run;
-        divergence = None;
-        cover;
-        metrics;
-        spans;
-      }
-  | Some f ->
-      let shrunk, d = f.cf_shrunk in
-      {
-        Diff.trials_run = f.cf_index + 1;
-        ops_run;
-        divergence = Some (f.cf_seed, shrunk, d);
-        cover;
-        metrics;
-        spans;
-      }
-
-(* -- fault campaigns ----------------------------------------------------- *)
-
-(* -- vault (storage fault) campaigns ------------------------------------- *)
-
-type vault_failure = {
-  vf_index : int;
-  vf_seed : int;
-  vf_trial : Vaultdrive.trial;
-  vf_shrunk : Vaultdrive.sop list * Vaultdrive.violation;
-}
-
-let vault ~(prefix : Vaultdrive.trial array) ~(failure : vault_failure option) :
-    Vaultdrive.outcome =
-  let all =
-    Array.to_list prefix
-    @ match failure with None -> [] | Some f -> [ f.vf_trial ]
-  in
-  let sum f = List.fold_left (fun a t -> a + f t) 0 all in
-  let total_sops = sum (fun t -> t.Vaultdrive.t_sops_run) in
-  let total_probes = sum (fun t -> t.Vaultdrive.t_probes) in
-  let total_detected = sum (fun t -> t.Vaultdrive.t_detected) in
-  let total_accepted = sum (fun t -> t.Vaultdrive.t_accepted) in
-  match failure with
-  | None ->
-      {
-        Vaultdrive.trials_run = Array.length prefix;
-        total_sops;
-        total_probes;
-        total_detected;
-        total_accepted;
-        violation = None;
-      }
-  | Some f ->
-      let shrunk, v = f.vf_shrunk in
-      {
-        Vaultdrive.trials_run = f.vf_index + 1;
-        total_sops;
-        total_probes;
-        total_detected;
-        total_accepted;
-        violation = Some (f.vf_seed, shrunk, v);
-      }
-
-type fault_failure = {
-  ff_index : int;
-  ff_seed : int;
-  ff_trial : Drive.trial;
-  ff_shrunk : Drive.fop list * Drive.violation;
-}
-
-let fault ~(prefix : Drive.trial array) ~(failure : fault_failure option) :
-    Drive.outcome =
-  let all =
-    Array.to_list prefix
-    @ match failure with None -> [] | Some f -> [ f.ff_trial ]
-  in
-  let sum f = List.fold_left (fun a t -> a + f t) 0 all in
-  let total_fops = sum (fun t -> t.Drive.t_fops_run) in
-  let total_injections = sum (fun t -> t.Drive.t_injections) in
-  let blackout = List.fold_left (fun a t -> max a t.Drive.t_blackout) 0 all in
-  let spans = List.concat_map (fun t -> t.Drive.t_spans) all in
-  match failure with
-  | None ->
-      {
-        Drive.trials_run = Array.length prefix;
-        total_fops;
-        total_injections;
-        blackout;
-        violation = None;
-        spans;
-      }
-  | Some f ->
-      let shrunk, v = f.ff_shrunk in
-      {
-        Drive.trials_run = f.ff_index + 1;
-        total_fops;
-        total_injections;
-        blackout;
-        violation = Some (f.ff_seed, shrunk, v);
-        spans;
-      }
-
-(* -- multi-core (smp) campaigns ------------------------------------------ *)
-
-type smp_failure = {
-  sf_index : int;
-  sf_seed : int;
-  sf_trial : Smpdrive.trial;
-  sf_shrunk : Smpdrive.sop list * Smpdrive.violation;
-}
-
-let smp ~(prefix : Smpdrive.trial array) ~(failure : smp_failure option) :
-    Smpdrive.outcome =
-  let all =
-    Array.to_list prefix
-    @ match failure with None -> [] | Some f -> [ f.sf_trial ]
-  in
-  let sum f = List.fold_left (fun a t -> a + f t) 0 all in
-  let total_calls = sum (fun t -> t.Smpdrive.t_calls) in
-  let total_contended = sum (fun t -> t.Smpdrive.t_contended) in
-  let total_uncontended = sum (fun t -> t.Smpdrive.t_uncontended) in
-  let total_spins = sum (fun t -> t.Smpdrive.t_spins) in
-  let total_retries = sum (fun t -> t.Smpdrive.t_retries) in
-  let total_lock_cycles = sum (fun t -> t.Smpdrive.t_lock_cycles) in
-  let total_injections = sum (fun t -> t.Smpdrive.t_injections) in
-  match failure with
-  | None ->
-      {
-        Smpdrive.trials_run = Array.length prefix;
-        total_calls;
-        total_contended;
-        total_uncontended;
-        total_spins;
-        total_retries;
-        total_lock_cycles;
-        total_injections;
-        violation = None;
-      }
-  | Some f ->
-      let shrunk, v = f.sf_shrunk in
-      {
-        Smpdrive.trials_run = f.sf_index + 1;
-        total_calls;
-        total_contended;
-        total_uncontended;
-        total_spins;
-        total_retries;
-        total_lock_cycles;
-        total_injections;
-        violation = Some (f.sf_seed, shrunk, v);
-      }
 
 (* -- exhaustive-exploration (explore) levels ----------------------------- *)
 

@@ -1,80 +1,15 @@
-(** Deterministic reduction of per-trial results into one campaign
-    report.
-
-    Reduces exactly the trials a sequential run would have executed —
-    indices [0..k], [k] the lowest failing index — using only
-    order-insensitive merges (counter sums, histogram multisets, max),
-    so a parallel campaign's report is byte-identical to the
-    sequential one. *)
+(** Deterministic merges shared by the campaign engine's loops: the
+    explorer's per-level shard merge and a coverage merge. A seeded
+    campaign's trials reduce through their driver
+    ({!Campaign.DRIVER.reduce}). Every merge is order-insensitive or
+    runs in slice order, so a parallel run's report is byte-identical
+    to the sequential one. *)
 
 module Cover = Komodo_spec.Cover
-module Metrics = Komodo_telemetry.Metrics
-module Diff = Komodo_spec.Diff
 module Explore = Komodo_spec.Explore
-module Drive = Komodo_fault.Drive
-module Vaultdrive = Komodo_fault.Vaultdrive
-module Smpdrive = Komodo_fault.Smpdrive
 
 val covers : Cover.t list -> Cover.t
 (** Merge per-trial coverage tables into a fresh one. *)
-
-val metrics : Metrics.t list -> Metrics.t
-(** Merge per-trial telemetry registries into a fresh one. *)
-
-type check_failure = {
-  cf_index : int;  (** lowest failing trial index *)
-  cf_seed : int;  (** that trial's derived seed *)
-  cf_trial : Diff.trial;
-  cf_shrunk : Diff.op list * Diff.divergence;
-      (** recomputed from [cf_seed] on one domain *)
-}
-
-val check :
-  prefix:Diff.trial array -> failure:check_failure option -> Diff.outcome
-(** [prefix] is trials [0..k-1] in index order; the failing trial (if
-    any) rides in [failure]. Reproduces the sequential report exactly:
-    [trials_run = k+1], [ops_run] summed over trials [0..k], coverage
-    and metrics merged over the same set. *)
-
-type fault_failure = {
-  ff_index : int;
-  ff_seed : int;
-  ff_trial : Drive.trial;
-  ff_shrunk : Drive.fop list * Drive.violation;
-}
-
-val fault :
-  prefix:Drive.trial array -> failure:fault_failure option -> Drive.outcome
-(** Fault-campaign reduction: fop/injection totals are sums, blackout
-    is a max, the violation reports the lowest failing trial. *)
-
-type vault_failure = {
-  vf_index : int;
-  vf_seed : int;
-  vf_trial : Vaultdrive.trial;
-  vf_shrunk : Vaultdrive.sop list * Vaultdrive.violation;
-}
-
-val vault :
-  prefix:Vaultdrive.trial array ->
-  failure:vault_failure option ->
-  Vaultdrive.outcome
-(** Storage-campaign reduction: sop/probe/detected/accepted totals are
-    sums, the violation reports the lowest failing trial. *)
-
-type smp_failure = {
-  sf_index : int;
-  sf_seed : int;
-  sf_trial : Smpdrive.trial;
-  sf_shrunk : Smpdrive.sop list * Smpdrive.violation;
-}
-
-val smp :
-  prefix:Smpdrive.trial array ->
-  failure:smp_failure option ->
-  Smpdrive.outcome
-(** Multi-core campaign reduction: call/lock-statistic totals are sums,
-    the violation reports the lowest failing trial. *)
 
 (** One merged BFS level of the exhaustive explorer. *)
 type explore_level = {

@@ -1,169 +1,100 @@
-(* Domain-parallel campaign entry points for the two checking
-   campaigns (`komodo check`, `komodo fault`).
+(* The campaign engine (see the interface). Trials are independent
+   worlds keyed only by a seed, derived purely from (root_seed,
+   trial_index) via Seedsplit, run on a Pool of domains, and reduced by
+   the driver with sequential semantics. On failure, remaining
+   (higher-index) trials are cancelled and the lowest failing trial is
+   re-shrunk from its seed on the calling domain — shrinking is a
+   serial greedy loop and parallel workers would only race it. *)
 
-   Trials are independent worlds keyed only by a seed, derived purely
-   from (root_seed, trial_index) via Seedsplit, run on a Pool of
-   domains, and reduced by Agg with sequential semantics. On failure,
-   remaining (higher-index) trials are cancelled and the lowest failing
-   trial is re-shrunk from its seed on the calling domain — shrinking
-   is a serial greedy loop and parallel workers would only race it. *)
-
+module Json = Komodo_telemetry.Json
 module Diff = Komodo_spec.Diff
 module Drive = Komodo_fault.Drive
-module Vaultdrive = Komodo_fault.Vaultdrive
-module Smpdrive = Komodo_fault.Smpdrive
 
 let default_jobs = Pool.default_jobs
-let trial_seed ~root index = Seedsplit.derive ~root index
-
+let trial_seed ~root index = Komodo_rand.Seedsplit.derive ~root index
 let resolve_jobs = function Some j when j > 0 -> j | _ -> default_jobs ()
+let ( let* ) = Result.bind
 
-let label what tseed i = Printf.sprintf "%s trial %d (seed %d)" what i (tseed i)
+module type DRIVER = sig
+  val kind : string
 
-let check ?mutate ?npages ?ops_per_trial ?(metrics = false) ?(profile = false)
-    ?clock ?progress ?jobs ~trials ~seed () =
-  let jobs = resolve_jobs jobs in
-  let tseed = trial_seed ~root:seed in
-  let run i =
-    Diff.run_trial ?mutate ?npages ?ops_per_trial ~metrics ~profile ?clock
-      ~seed:(tseed i) ()
-  in
-  let on_trial = Option.map (fun p i t -> Progress.check_trial p i t) progress in
-  let finish r = Option.iter Progress.finish progress; r in
-  finish
-  @@
-  match
-    Pool.run ~label:(label "check" tseed) ?on_trial ~jobs ~trials
-      ~failed:(fun t -> t.Diff.t_divergence <> None)
-      run
-  with
-  | Pool.Completed prefix -> Agg.check ~prefix ~failure:None
-  | Pool.Stopped { prefix; index; failure } ->
-      let cf_seed = tseed index in
-      let cf_shrunk =
-        match Diff.shrink_trial ?mutate ?npages ?ops_per_trial ~seed:cf_seed () with
-        | Some r -> r
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "campaign: check trial %d (seed %d) diverged in the pool but \
-                  not when re-run for shrinking — the trial is not a pure \
-                  function of its seed"
-                 index cf_seed)
-      in
-      Agg.check ~prefix
-        ~failure:(Some { Agg.cf_index = index; cf_seed; cf_trial = failure; cf_shrunk })
+  type config
+  type op
+  type failure
+  type trial
+  type outcome
 
-let fault ?npages ?ops_per_trial ?(profile = false) ?clock ?progress ?bug ?jobs
-    ~faults ~trials ~seed () =
-  let jobs = resolve_jobs jobs in
-  let tseed = trial_seed ~root:seed in
-  let run i =
-    Drive.run_trial ?npages ?ops_per_trial ~profile ?clock ?bug ~faults
-      ~seed:(tseed i) ()
-  in
-  let on_trial = Option.map (fun p i t -> Progress.fault_trial p i t) progress in
-  let finish r = Option.iter Progress.finish progress; r in
-  finish
-  @@
-  match
-    Pool.run ~label:(label "fault" tseed) ?on_trial ~jobs ~trials
-      ~failed:(fun t -> t.Drive.t_violation <> None)
-      run
-  with
-  | Pool.Completed prefix -> Agg.fault ~prefix ~failure:None
-  | Pool.Stopped { prefix; index; failure } ->
-      let ff_seed = tseed index in
-      let ff_shrunk =
-        match
-          Drive.shrink_trial ?npages ?ops_per_trial ?bug ~faults ~seed:ff_seed ()
-        with
-        | Some r -> r
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "campaign: fault trial %d (seed %d) violated in the pool but \
-                  not when re-run for shrinking — the trial is not a pure \
-                  function of its seed"
-                 index ff_seed)
-      in
-      Agg.fault ~prefix
-        ~failure:(Some { Agg.ff_index = index; ff_seed; ff_trial = failure; ff_shrunk })
+  val validate : config -> (unit, string) result
+  val run_trial : config -> seed:int -> trial
+  val failed : trial -> bool
+  val shrink : config -> seed:int -> (op list * failure) option
+  val reduce : trial list -> (int * op list * failure) option -> outcome
+  val counters : trial -> (string * int) list
+  val header : config -> (string * Json.t) list
+  val of_header : Json.t -> (config, string) result
+  val op_to_json : op -> Json.t
+  val op_of_json : config -> Json.t -> (op, string) result
+end
 
-let vault ?npages ?ops_per_trial ?progress ?bug ?jobs ~classes ~trials ~seed ()
-    =
-  let jobs = resolve_jobs jobs in
-  let tseed = trial_seed ~root:seed in
-  let run i =
-    Vaultdrive.run_trial ?npages ?ops_per_trial ?bug ~classes ~seed:(tseed i) ()
-  in
-  let on_trial = Option.map (fun p i t -> Progress.vault_trial p i t) progress in
-  let finish r = Option.iter Progress.finish progress; r in
-  finish
-  @@
-  match
-    Pool.run ~label:(label "vault" tseed) ?on_trial ~jobs ~trials
-      ~failed:(fun t -> t.Vaultdrive.t_violation <> None)
-      run
-  with
-  | Pool.Completed prefix -> Agg.vault ~prefix ~failure:None
-  | Pool.Stopped { prefix; index; failure } ->
-      let vf_seed = tseed index in
-      let vf_shrunk =
-        match
-          Vaultdrive.shrink_trial ?npages ?ops_per_trial ?bug ~classes
-            ~seed:vf_seed ()
-        with
-        | Some r -> r
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "campaign: vault trial %d (seed %d) violated in the pool but \
-                  not when re-run for shrinking — the trial is not a pure \
-                  function of its seed"
-                 index vf_seed)
-      in
-      Agg.vault ~prefix
-        ~failure:(Some { Agg.vf_index = index; vf_seed; vf_trial = failure; vf_shrunk })
+module Make (D : DRIVER) = struct
+  let run ?progress ?jobs cfg ~trials ~seed =
+    let tseed = trial_seed ~root:seed in
+    let on_trial =
+      Option.map
+        (fun p _ t -> Progress.trial p ~failed:(D.failed t) (D.counters t))
+        progress
+    in
+    let report =
+      match
+        Pool.run
+          ~label:(fun i -> Printf.sprintf "%s trial %d (seed %d)" D.kind i (tseed i))
+          ?on_trial ~jobs:(resolve_jobs jobs) ~trials ~failed:D.failed
+          (fun i -> D.run_trial cfg ~seed:(tseed i))
+      with
+      | Pool.Completed all -> D.reduce (Array.to_list all) None
+      | Pool.Stopped { prefix; index; failure } -> (
+          let s = tseed index in
+          match D.shrink cfg ~seed:s with
+          | Some (ops, f) ->
+              D.reduce (Array.to_list prefix @ [ failure ]) (Some (s, ops, f))
+          | None ->
+              failwith
+                (Printf.sprintf
+                   "campaign: %s trial %d (seed %d) failed in the pool but \
+                    not when re-run for shrinking — the trial is not a pure \
+                    function of its seed"
+                   D.kind index s))
+    in
+    Option.iter Progress.finish progress;
+    report
 
-(* -- multi-core lock-discipline campaigns (komodo smp) ------------------- *)
+  let to_trace ~seed cfg ops =
+    Trace.to_lines ~kind:D.kind ~seed (D.header cfg) (List.map D.op_to_json ops)
 
-let smp ?npages ?cpus ?ops_per_cpu ?progress ?bug ?(faults = false) ?jobs
-    ~trials ~seed () =
-  let jobs = resolve_jobs jobs in
-  let tseed = trial_seed ~root:seed in
-  let run i =
-    Smpdrive.run_trial ?npages ?cpus ?ops_per_cpu ?bug ~faults ~seed:(tseed i)
-      ()
-  in
-  let on_trial = Option.map (fun p i t -> Progress.smp_trial p i t) progress in
-  let finish r = Option.iter Progress.finish progress; r in
-  finish
-  @@
-  match
-    Pool.run ~label:(label "smp" tseed) ?on_trial ~jobs ~trials
-      ~failed:(fun t -> t.Smpdrive.t_violation <> None)
-      run
-  with
-  | Pool.Completed prefix -> Agg.smp ~prefix ~failure:None
-  | Pool.Stopped { prefix; index; failure } ->
-      let sf_seed = tseed index in
-      let sf_shrunk =
-        match
-          Smpdrive.shrink_trial ?npages ?cpus ?ops_per_cpu ?bug ~faults
-            ~seed:sf_seed ()
-        with
-        | Some r -> r
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "campaign: smp trial %d (seed %d) violated in the pool but \
-                  not when re-run for shrinking — the trial is not a pure \
-                  function of its seed"
-                 index sf_seed)
-      in
-      Agg.smp ~prefix
-        ~failure:(Some { Agg.sf_index = index; sf_seed; sf_trial = failure; sf_shrunk })
+  let of_trace lines =
+    let* seed, h, ops = Trace.of_lines ~kind:D.kind lines in
+    let* cfg = D.of_header h in
+    let* () = D.validate cfg in
+    let* ops = Json.all ~what:"op" (D.op_of_json cfg) ops in
+    Ok (seed, cfg, ops)
+end
+
+module Check = Make (Diff)
+module Fault = Make (Drive)
+
+let check ?mutate ?(npages = Diff.default.npages)
+    ?(ops_per_trial = Diff.default.ops_per_trial) ?(metrics = false)
+    ?(profile = false) ?clock ?progress ?jobs ~trials ~seed () =
+  Check.run ?progress ?jobs
+    { Diff.mutate; npages; ops_per_trial; metrics; profile; clock }
+    ~trials ~seed
+
+let fault ?(npages = Drive.default.npages)
+    ?(ops_per_trial = Drive.default.ops_per_trial) ?(profile = false) ?clock
+    ?progress ?bug ?jobs ~faults ~trials ~seed () =
+  Fault.run ?progress ?jobs
+    { Drive.npages; ops_per_trial; profile; clock; bug; faults }
+    ~trials ~seed
 
 (* -- exhaustive exploration (komodo explore) ----------------------------- *)
 
@@ -246,11 +177,16 @@ let explore ?progress ?jobs ~(config : Explore.config) () : Explore.report =
             });
     frontier :=
       Array.of_list (List.map (fun (_, nd, _, _) -> nd) lvl.Agg.el_new);
+    (* The first level also carries the root state and the prelude's
+       edges, so the summed counters are the running totals. *)
+    let root, prelude = if !depth = 1 then (1, Explore.prelude_edges w) else (0, 0) in
     Option.iter
       (fun p ->
-        Progress.explore_level p ~depth:!depth
-          ~states:(Hashtbl.length visited) ~edges:!edges
-          ~violation:(lvl.Agg.el_violation <> None))
+        Progress.trial p ~failed:(lvl.Agg.el_violation <> None)
+          [
+            ("states", root + List.length lvl.Agg.el_new);
+            ("edges", prelude + lvl.Agg.el_edges);
+          ])
       progress
   done;
   Option.iter Progress.finish progress;
@@ -261,3 +197,23 @@ let explore ?progress ?jobs ~(config : Explore.config) () : Explore.report =
     x_cover = cover;
     x_violation = !violation;
   }
+
+(* -- explore counterexamples ------------------------------------------------ *)
+
+(* An explore trace reuses the differential checker's header fields and
+   op codec, plus the violation's depth and reason for the reader; only
+   its world (see Explore.replay) and its page floor differ. *)
+let explore_trace (cfg : Explore.config) (v : Explore.violation) =
+  let c = { Diff.default with npages = cfg.pages; mutate = cfg.mutate } in
+  let found = [ ("depth", Json.Int v.Explore.v_depth); ("reason", Json.Str v.Explore.v_reason) ] in
+  Trace.to_lines ~kind:"explore" ~seed:cfg.seed (Diff.header c @ found)
+    (List.map Explore.op_to_json v.Explore.v_ops)
+
+let replay_explore_trace lines =
+  let* seed, h, ops = Trace.of_lines ~kind:"explore" lines in
+  let* c = Diff.of_header h in
+  let* () =
+    Diff.check_npages ~min:Explore.min_pages ~why:"the prelude uses pages 0-5" c.npages
+  in
+  let* ops = Json.all ~what:"op" (Diff.op_of_json c) ops in
+  Ok (Explore.replay ~seed c ops)

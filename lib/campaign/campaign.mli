@@ -1,24 +1,97 @@
-(** Domain-parallel campaign engine for the two checking campaigns.
+(** The campaign engine: one {!Make} for every seeded-trial campaign
+    ([komodo check], [fault], [vault], [smp]), plus the exhaustive
+    explorer's level loop.
 
     A campaign of [trials] trials under root seed [seed] is the same
     mathematical object at any [jobs]: trial [i] runs on seed
-    [Seedsplit.derive ~root:seed i], the report covers trials [0..k]
-    where [k] is the lowest failing index, and all merges are
-    order-insensitive (see {!Agg}). [jobs] only chooses how many
-    domains race through the index queue — `-j 1` and `-j N` emit
-    byte-identical reports.
+    [trial_seed ~root:seed i], the report covers trials [0..k] where
+    [k] is the lowest failing index, and the driver's reduction is
+    order-insensitive. [jobs] only chooses how many domains race
+    through the index queue — `-j 1` and `-j N` emit byte-identical
+    reports.
 
-    On failure, higher-index trials are cancelled
-    ({!Pool}), and the lowest failing trial is shrunk once, serially,
-    on the calling domain. *)
+    On failure, higher-index trials are cancelled ({!Pool}), and the
+    lowest failing trial is shrunk once, serially, on the calling
+    domain. *)
+
+module Json = Komodo_telemetry.Json
+
+(** What a campaign kind supplies. {!Komodo_spec.Diff} (check),
+    {!Komodo_fault.Drive} (fault), {!Komodo_fault.Vaultdrive} (vault)
+    and {!Komodo_fault.Smpdrive} (smp) each meet it as they stand. *)
+module type DRIVER = sig
+  val kind : string
+  (** The subcommand, and the ["kind"] of the driver's traces. *)
+
+  type config
+  (** Everything a trial needs besides its seed. *)
+
+  type op
+  type failure
+  type trial
+  type outcome
+
+  val validate : config -> (unit, string) result
+  (** Reject a config no trial can run on (too few pages for the
+      driver's prelude, a negative op count, no CPUs). *)
+
+  val run_trial : config -> seed:int -> trial
+  (** One trial, a pure function of its seed. *)
+
+  val failed : trial -> bool
+
+  val shrink : config -> seed:int -> (op list * failure) option
+  (** Re-run a trial and shrink its failure to a 1-minimal op list;
+      [None] if it does not fail. *)
+
+  val reduce : trial list -> (int * op list * failure) option -> outcome
+  (** The report over trials [0..k] in index order; the option carries
+      the failing trial's seed and shrunk ops. *)
+
+  val counters : trial -> (string * int) list
+  (** Per-trial progress counters, summed by name into
+      {!Progress} snapshots. *)
+
+  val header : config -> (string * Json.t) list
+  (** The config's trace-header fields (page count, armed bug, ...). *)
+
+  val of_header : Json.t -> (config, string) result
+  (** Rebuild a replay config from a trace header. *)
+
+  val op_to_json : op -> Json.t
+  val op_of_json : config -> Json.t -> (op, string) result
+  (** Decode one op, range-checking every field a replay would trip
+      over against the config. *)
+end
+
+module Make (D : DRIVER) : sig
+  val run :
+    ?progress:Progress.t -> ?jobs:int -> D.config -> trials:int -> seed:int ->
+    D.outcome
+  (** Run a campaign. [progress] observes each finished trial; it never
+      changes the report. [jobs] defaults to {!default_jobs} (values
+      [<= 0] also mean the default).
+      @raise Pool.Trial_error if a trial raises, naming the lowest
+      raising trial and its seed.
+      @raise Failure if a failure does not reproduce when its trial is
+      re-run for shrinking (a determinism bug). *)
+
+  val to_trace : seed:int -> D.config -> D.op list -> string list
+  (** A shrunk failure as a {!Trace} file. *)
+
+  val of_trace : string list -> (int * D.config * D.op list, string) result
+  (** Read a trace of this kind: its seed, the header's config (held to
+      {!DRIVER.validate}) and the decoded ops. Never raises. *)
+end
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count], floored at 1 — the `-j`
     default. *)
 
 val trial_seed : root:int -> int -> int
-(** The seed trial [index] runs on under [root] (the {!Seedsplit}
-    derivation; exposed so reports and replays can name it). *)
+(** The seed trial [index] runs on under [root] (the
+    {!Komodo_rand.Seedsplit} derivation; exposed so reports and replays
+    can name it). *)
 
 val check :
   ?mutate:Komodo_spec.Aspec.mutation ->
@@ -33,18 +106,9 @@ val check :
   seed:int ->
   unit ->
   Komodo_spec.Diff.outcome
-(** The differential refinement campaign (`komodo check`). [metrics]
-    collects a per-trial telemetry registry and merges them into
-    [outcome.metrics]. [profile] records per-trial span trees,
-    concatenated in index order into [outcome.spans] (clock-free unless
-    [clock] is given, hence identical at any [-j]). [progress] streams
-    per-trial observations to a reporter; it only observes, so reports
-    are unchanged. [jobs] defaults to {!default_jobs} (values
-    [<= 0] also mean the default).
-    @raise Pool.Trial_error if a trial raises (e.g. a prelude
-    divergence), naming the lowest raising trial and its seed.
-    @raise Failure if a divergence does not reproduce when its trial
-    is re-run for shrinking (a determinism bug). *)
+(** The differential refinement campaign: {!Make} over
+    {!Komodo_spec.Diff} with {!Komodo_spec.Diff.default} for every
+    omitted field. *)
 
 val fault :
   ?npages:int ->
@@ -59,45 +123,19 @@ val fault :
   seed:int ->
   unit ->
   Komodo_fault.Drive.outcome
-(** The fault-injection campaign (`komodo fault`), same engine and
-    guarantees. *)
+(** The fault-injection campaign: {!Make} over {!Komodo_fault.Drive}. *)
 
-val vault :
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  ?progress:Progress.t ->
-  ?bug:Komodo_user.Vault.bug ->
-  ?jobs:int ->
-  classes:Komodo_fault.Vaultdrive.storage_class list ->
-  trials:int ->
-  seed:int ->
-  unit ->
-  Komodo_fault.Vaultdrive.outcome
-(** The sealed-storage fault campaign (`komodo vault`), same engine
-    and guarantees: each trial boots a vault world from its derived
-    seed, injects storage faults, and judges every unseal against
-    {!Komodo_spec.Sealspec}. [bug] arms a detection-disable bug in the
-    vault enclave (self-test). *)
+val explore_trace :
+  Komodo_spec.Explore.config -> Komodo_spec.Explore.violation -> string list
+(** An explore counterexample as a {!Trace} file of kind ["explore"]:
+    the header holds the world's page count and [mutate] (read back on
+    replay) and the violation's depth and reason (for the reader); the
+    ops are its full path from boot, prelude included. *)
 
-val smp :
-  ?npages:int ->
-  ?cpus:int ->
-  ?ops_per_cpu:int ->
-  ?progress:Progress.t ->
-  ?bug:Komodo_os.Smp.bug ->
-  ?faults:bool ->
-  ?jobs:int ->
-  trials:int ->
-  seed:int ->
-  unit ->
-  Komodo_fault.Smpdrive.outcome
-(** The multi-core lock-discipline campaign (`komodo smp`), same
-    engine and guarantees: each trial races seeded per-CPU call
-    streams through the interleaved stepper and judges the run with
-    the deadlock, PageDB-invariant, and linearisability oracles
-    ({!Komodo_fault.Smpdrive}). [bug] re-arms a seeded
-    lock-discipline bug (self-test); [faults] additionally fires the
-    injector at lock acquire/release boundaries. *)
+val replay_explore_trace :
+  string list -> (Komodo_spec.Explore.replayed, string) result
+(** Read an ["explore"] trace and replay it in differential lockstep
+    ({!Komodo_spec.Explore.replay}). Never raises on malformed input. *)
 
 val explore :
   ?progress:Progress.t ->

@@ -1,10 +1,10 @@
 (** Streaming campaign observability.
 
     A reporter fed from {!Pool}'s [on_trial] hook: each completed trial
-    updates shared counters (trials/sec, coverage growth, fault-class
-    hit counts, merged per-call cycle histograms when the campaign
-    collects metrics) under a mutex, and periodic snapshots go to a
-    live [\r]-rewritten stderr line and/or a JSONL mirror, one
+    updates shared counters (trials/sec, failures, and the campaign
+    driver's own per-trial counters such as ops, injections or lock
+    spins) under a mutex, and periodic snapshots go to a live
+    [\r]-rewritten stderr line and/or a JSONL mirror, one
     ["komodo-progress/1"] object per line.
 
     The reporter only observes: it never influences trial content or
@@ -31,39 +31,15 @@ val create :
     line; [jsonl] mirrors snapshots to a channel (flushed on
     {!finish}). [now] supplies wallclock seconds. *)
 
-val check_trial : t -> int -> Komodo_spec.Diff.trial -> unit
-(** Fold one finished differential trial in; thread-safe, made to be
-    passed as [Pool.run ~on_trial]. *)
-
-val fault_trial : t -> int -> Komodo_fault.Drive.trial -> unit
-
-val vault_trial : t -> int -> Komodo_fault.Vaultdrive.trial -> unit
-(** Fold one finished storage-fault trial in. Switches snapshots and
-    the live line to the vault rendering: probe/detected/accepted
-    totals, detection rate, per-class op counts. Check/fault/serve
-    snapshot output is unchanged. *)
-
-val smp_trial : t -> int -> Komodo_fault.Smpdrive.trial -> unit
-(** Fold one finished multi-core trial in. Switches snapshots and the
-    live line to the smp rendering: calls, lock cycles,
-    contended/uncontended acquisitions, spins, violations. Other
-    campaigns' snapshot output is unchanged. *)
-
-val serve_trial :
-  t ->
-  int ->
-  served:int ->
-  shed:int ->
-  warm:int ->
-  cold:int ->
-  enter:Komodo_telemetry.Hist.t ->
-  attest:Komodo_telemetry.Hist.t ->
-  unit
-(** Fold one finished serve shard in (scalars and histograms rather
-    than a serve report, keeping this library independent of
-    [komodo.serve]). Switches snapshots and the live line to the serve
-    rendering: sessions/sec, pool hit rate, p50/p99 enter and attest
-    latency. Check/fault snapshot output is unchanged. *)
+val trial :
+  t -> ?hists:(string * Komodo_telemetry.Hist.t) list -> failed:bool ->
+  (string * int) list -> unit
+(** Fold one finished unit (a campaign trial, a serve shard, an explore
+    level) in: its counters are summed by name and its histograms
+    merged by name (first-seen order) into the snapshot's top level —
+    a histogram as [<name>_p50] and [<name>_p99] — and the live line.
+    Thread-safe, made to be called from [Pool.run ~on_trial]; reads the
+    clock exactly once. *)
 
 val finish : t -> unit
 (** Emit a final snapshot unconditionally, terminate the live line,
@@ -71,11 +47,3 @@ val finish : t -> unit
 
 val snapshots : t -> int
 (** Snapshots emitted so far (tests). *)
-
-val explore_level :
-  t -> depth:int -> states:int -> edges:int -> violation:bool -> unit
-(** Fold one completed BFS level of the exhaustive explorer in
-    ([states]/[edges] are running totals, not deltas). Switches
-    snapshots and the live line to the explore rendering: depth versus
-    the bound, distinct states, edges checked. Check/fault/serve/vault
-    snapshot output is unchanged. *)

@@ -313,15 +313,41 @@ let gen_fops w ~faults ~seed ~n =
       pre @ crash @ [ Op { op; inj = inj_for op } ])
     base
 
-(* -- trials ------------------------------------------------------------- *)
+(* -- the campaign driver ---------------------------------------------------- *)
+
+let kind = "fault"
+
+type config = {
+  npages : int;
+  ops_per_trial : int;
+  profile : bool;
+  clock : Span.clock option;
+  bug : Monitor.bug option;
+  faults : fault_class list;
+}
+
+let default =
+  {
+    npages = 40;
+    ops_per_trial = 40;
+    profile = false;
+    clock = None;
+    bug = None;
+    faults = all_classes;
+  }
+
+(* A fault trial runs in a differential world: the same geometry rules
+   and the same op codec. *)
+let diff_config c = { Diff.default with npages = c.npages; ops_per_trial = c.ops_per_trial }
+let validate c = Diff.validate (diff_config c)
+
+type op = fop
+type failure = violation
 
 type trial = {
-  t_fops_run : int;
-  t_injections : int;
-  t_blackout : int;
+  t_run : (stats, violation) result;
   t_classes : (string * int) list;
   t_spans : Span.node list;
-  t_violation : violation option;
 }
 
 (* Armed-plan attribution for the progress reporter: which fault class
@@ -333,61 +359,48 @@ let class_of_action = function
   | Inject.Rng_reseed _ | Inject.Rng_exhaust -> F_rng
 
 let class_counts fops =
-  let counts = Array.make (List.length all_classes) 0 in
-  let bump c =
-    let i = ref 0 in
-    List.iteri (fun k c' -> if c' = c then i := k) all_classes;
-    counts.(!i) <- counts.(!i) + 1
+  let count c =
+    List.fold_left
+      (fun n -> function
+        | Crash _ -> if c = F_crash then n + 1 else n
+        | Op { inj; _ } ->
+            n + List.length (List.filter (fun it -> class_of_action it.Inject.action = c) inj))
+      0 fops
   in
-  List.iter
-    (function
-      | Crash _ -> bump F_crash
-      | Op { inj; _ } ->
-          List.iter (fun it -> bump (class_of_action it.Inject.action)) inj)
-    fops;
-  List.mapi (fun i c -> (class_name c, counts.(i))) all_classes
+  List.map (fun c -> (class_name c, count c)) all_classes
 
-let no_classes = List.map (fun c -> (class_name c, 0)) all_classes
+let world c ?spans ~seed () = Diff.make_world ~npages:c.npages ?spans ~seed ()
 
-let run_trial ?(npages = 40) ?(ops_per_trial = 40) ?(profile = false) ?clock
-    ?bug ~faults ~seed () =
-  let recorder = if profile then Span.create ?clock () else Span.null in
-  let spans = if profile then Some recorder else None in
-  let w = Diff.make_world ~npages ?spans ~seed () in
-  let campaign = gen_fops w ~faults ~seed ~n:ops_per_trial in
-  let r = run_fops ?bug w campaign in
-  let t_spans = Span.roots recorder in
-  match r with
-  | Ok st ->
-      {
-        t_fops_run = st.fops_run;
-        t_injections = st.injections;
-        t_blackout = st.worst_blackout;
-        t_classes = class_counts campaign;
-        t_spans;
-        t_violation = None;
-      }
-  | Error v ->
-      (* A violating trial contributes only its pre-violation fop count
-         to the campaign totals — injections and blackout stay out of
-         the report, exactly as the sequential driver always counted. *)
-      {
-        t_fops_run = v.index;
-        t_injections = 0;
-        t_blackout = 0;
-        t_classes = no_classes;
-        t_spans;
-        t_violation = Some v;
-      }
+let run_trial c ~seed =
+  let recorder = if c.profile then Span.create ?clock:c.clock () else Span.null in
+  let spans = if c.profile then Some recorder else None in
+  let w = world c ?spans ~seed () in
+  let campaign = gen_fops w ~faults:c.faults ~seed ~n:c.ops_per_trial in
+  let t_run = run_fops ?bug:c.bug w campaign in
+  {
+    t_run;
+    t_classes = class_counts (if Result.is_ok t_run then campaign else []);
+    t_spans = Span.roots recorder;
+  }
 
-let shrink_trial ?(npages = 40) ?(ops_per_trial = 40) ?bug ~faults ~seed () =
-  let w = Diff.make_world ~npages ~seed () in
-  let campaign = gen_fops w ~faults ~seed ~n:ops_per_trial in
-  match run_fops ?bug w campaign with
-  | Ok _ -> None
-  | Error _ ->
-      Some
-        (Diff.shrink_seq ~run:(run_fops ?bug w) ~index:(fun v -> v.index) campaign)
+let failed t = Result.is_error t.t_run
+
+(* A violating trial contributes only its pre-violation fop count to the
+   campaign totals — injections and blackout stay out of the report,
+   exactly as the sequential driver always counted. *)
+let stats t =
+  match t.t_run with
+  | Ok st -> st
+  | Error v -> { fops_run = v.index; injections = 0; worst_blackout = 0 }
+
+let shrink c ~seed =
+  let w = world c ~seed () in
+  Diff.shrink_seq ~run:(run_fops ?bug:c.bug w) ~index:(fun v -> v.index)
+    (gen_fops w ~faults:c.faults ~seed ~n:c.ops_per_trial)
+
+let counters t =
+  let s = stats t in
+  ("ops", s.fops_run) :: ("injections", s.injections) :: t.t_classes
 
 type outcome = {
   trials_run : int;
@@ -399,9 +412,29 @@ type outcome = {
       (** per-trial span trees concatenated in trial-index order *)
 }
 
-(* -- replay traces ------------------------------------------------------ *)
+let reduce trials violation =
+  let sum f = List.fold_left (fun a t -> a + f (stats t)) 0 trials in
+  {
+    trials_run = List.length trials;
+    total_fops = sum (fun s -> s.fops_run);
+    total_injections = sum (fun s -> s.injections);
+    blackout = List.fold_left (fun a t -> max a (stats t).worst_blackout) 0 trials;
+    violation;
+    spans = List.concat_map (fun t -> t.t_spans) trials;
+  }
 
-type header = { h_seed : int; h_npages : int; h_bug : Monitor.bug option }
+let replay c ~seed fops = run_fops ?bug:c.bug (world c ~seed ()) fops
+
+(* -- traces ------------------------------------------------------------- *)
+
+let ( let* ) = Result.bind
+
+let header c = [ ("npages", Json.Int c.npages); ("bug", Json.name Monitor.bug_name c.bug) ]
+
+let of_header h =
+  let* npages = Json.int_field "npages" h in
+  let* bug = Json.name_field "bug" Monitor.bug_of_string h in
+  Ok { default with npages; bug }
 
 let point_to_json = function
   | Inject.Commit -> Json.Str "commit"
@@ -416,152 +449,46 @@ let action_to_json = function
   | Inject.Rng_reseed n -> Json.Obj [ ("rng_reseed", Json.Int n) ]
   | Inject.Rng_exhaust -> Json.Str "rng_exhaust"
 
-let item_to_json (i : Inject.plan_item) =
-  Json.Obj [ ("point", point_to_json i.Inject.point); ("action", action_to_json i.Inject.action) ]
-
 let op_to_json = function
-  | Diff.Smc { call; args; budget } ->
-      Json.Obj
-        [
-          ("call", Json.Int call);
-          ("args", Json.List (List.map (fun a -> Json.Int a) args));
-          ("budget", match budget with None -> Json.Null | Some b -> Json.Int b);
-        ]
-  | Diff.Write_ins { addr; value } ->
-      Json.Obj
-        [ ("write_ins", Json.Obj [ ("addr", Json.Int addr); ("value", Json.Int value) ]) ]
-
-let fop_to_json = function
   | Crash { seed } -> Json.Obj [ ("crash", Json.Int seed) ]
   | Op { op; inj } ->
-      Json.Obj [ ("op", op_to_json op); ("inj", Json.List (List.map item_to_json inj)) ]
+      let item (i : Inject.plan_item) =
+        Json.Obj
+          [ ("point", point_to_json i.Inject.point); ("action", action_to_json i.Inject.action) ]
+      in
+      Json.Obj [ ("op", Diff.op_to_json op); ("inj", Json.List (List.map item inj)) ]
 
-let trace_lines ~seed ~npages ~bug fops =
-  let header =
-    Json.Obj
-      [
-        ("komodo_fault_trace", Json.Int 1);
-        ("seed", Json.Int seed);
-        ("npages", Json.Int npages);
-        ("bug", match bug with None -> Json.Null | Some b -> Json.Str (Monitor.bug_name b));
-      ]
-  in
-  Json.to_string header :: List.map (fun f -> Json.to_string (fop_to_json f)) fops
-
-let ( let* ) = Result.bind
-let req what = function Some v -> Ok v | None -> Error ("missing/ill-typed " ^ what)
-
-let int_field name j = req name (Option.bind (Json.member name j) Json.to_int_opt)
-
-let point_of_json j =
-  match j with
+let point_of_json = function
   | Json.Str "commit" -> Ok Inject.Commit
-  | Json.Obj _ -> (
-      match Option.bind (Json.member "insn" j) Json.to_int_opt with
-      | Some n -> Ok (Inject.Insn n)
-      | None ->
-          let* n = int_field "lock" j in
-          Ok (Inject.Lockstep n))
+  | Json.Obj _ as j -> (
+      match Json.int_field "insn" j with
+      | Ok n -> Ok (Inject.Insn n)
+      | Error _ -> Result.map (fun n -> Inject.Lockstep n) (Json.int_field "lock" j))
   | _ -> Error "bad injection point"
 
-let action_of_json j =
-  match j with
+let action_of_json = function
   | Json.Str "irq" -> Ok Inject.Irq
   | Json.Str "fiq" -> Ok Inject.Fiq
   | Json.Str "rng_exhaust" -> Ok Inject.Rng_exhaust
-  | Json.Obj _ -> (
+  | Json.Obj _ as j -> (
       match Json.member "mem_write" j with
       | Some mw ->
-          let* addr = int_field "addr" mw in
-          let* value = int_field "value" mw in
+          let* addr = Diff.word_addr "addr" mw in
+          let* value = Json.int_field "value" mw in
           Ok (Inject.Mem_write { addr; value })
-      | None ->
-          let* n = int_field "rng_reseed" j in
-          Ok (Inject.Rng_reseed n))
+      | None -> Result.map (fun n -> Inject.Rng_reseed n) (Json.int_field "rng_reseed" j))
   | _ -> Error "bad injection action"
 
 let item_of_json j =
-  let* pj = req "point" (Json.member "point" j) in
-  let* point = point_of_json pj in
-  let* aj = req "action" (Json.member "action" j) in
-  let* action = action_of_json aj in
+  let* point = Result.bind (Json.field "point" Option.some j) point_of_json in
+  let* action = Result.bind (Json.field "action" Option.some j) action_of_json in
   Ok { Inject.point; action }
 
-let op_of_json j =
-  match Json.member "write_ins" j with
-  | Some wi ->
-      let* addr = int_field "addr" wi in
-      let* value = int_field "value" wi in
-      Ok (Diff.Write_ins { addr; value })
-  | None ->
-      let* call = int_field "call" j in
-      let* args = req "args" (Option.bind (Json.member "args" j) Json.to_list_opt) in
-      let* args =
-        List.fold_left
-          (fun acc a ->
-            let* acc = acc in
-            let* n = req "arg" (Json.to_int_opt a) in
-            Ok (n :: acc))
-          (Ok []) args
-      in
-      let budget =
-        match Json.member "budget" j with
-        | Some (Json.Int b) -> Some b
-        | _ -> None
-      in
-      Ok (Diff.Smc { call; args = List.rev args; budget })
-
-let fop_of_json j =
+let op_of_json c j =
   match Json.member "crash" j with
-  | Some s ->
-      let* seed = req "crash seed" (Json.to_int_opt s) in
-      Ok (Crash { seed })
+  | Some _ -> Result.map (fun seed -> Crash { seed }) (Json.int_field "crash" j)
   | None ->
-      let* oj = req "op" (Json.member "op" j) in
-      let* op = op_of_json oj in
-      let* inj = req "inj" (Option.bind (Json.member "inj" j) Json.to_list_opt) in
-      let* inj =
-        List.fold_left
-          (fun acc i ->
-            let* acc = acc in
-            let* it = item_of_json i in
-            Ok (it :: acc))
-          (Ok []) inj
-      in
-      Ok (Op { op; inj = List.rev inj })
-
-let trace_parse lines =
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] -> Error "empty trace"
-  | hline :: rest ->
-      let* h = Result.map_error (fun e -> "header: " ^ e) (Json.parse hline) in
-      let* () =
-        match Json.member "komodo_fault_trace" h with
-        | Some (Json.Int 1) -> Ok ()
-        | _ -> Error "not a komodo fault trace (bad or missing magic)"
-      in
-      let* h_seed = int_field "seed" h in
-      let* h_npages = int_field "npages" h in
-      let* h_bug =
-        match Json.member "bug" h with
-        | None | Some Json.Null -> Ok None
-        | Some (Json.Str s) -> (
-            match Monitor.bug_of_string s with
-            | Some b -> Ok (Some b)
-            | None -> Error ("unknown bug " ^ s))
-        | Some _ -> Error "bad bug field"
-      in
-      let* fops =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* j = Result.map_error (fun e -> "fop: " ^ e) (Json.parse line) in
-            let* f = fop_of_json j in
-            Ok (f :: acc))
-          (Ok []) rest
-      in
-      Ok ({ h_seed; h_npages; h_bug }, List.rev fops)
-
-let replay h fops =
-  let w = Diff.make_world ~npages:h.h_npages ~seed:h.h_seed () in
-  run_fops ?bug:h.h_bug w fops
+      let* op = Result.bind (Json.field "op" Option.some j) (Diff.op_of_json (diff_config c)) in
+      let* inj = Json.field "inj" Json.to_list_opt j in
+      let* inj = Json.all ~what:"inj" item_of_json inj in
+      Ok (Op { op; inj })

@@ -69,51 +69,56 @@ val gen_fops :
 (** Decorate an adversarial op sequence with faults drawn from the
     enabled classes; deterministic in [seed]. *)
 
-(** {2 Campaign trials}
+(** {2 The campaign driver}
 
-    One fault trial is a pure function of its seed; the campaign loop
-    lives in [Komodo_campaign.Campaign] (seed-split trial derivation,
-    domain pool, deterministic reduction) — this module supplies the
-    per-trial unit. *)
+    One fault trial is a pure function of its seed. This module meets
+    [Komodo_campaign.Campaign.DRIVER]; the campaign loop (seed-split
+    trial derivation, domain pool, shrinking) lives there. *)
+
+val kind : string
+(** ["fault"]. *)
+
+type config = {
+  npages : int;  (** secure pages per trial world *)
+  ops_per_trial : int;  (** adversarial ops before fault decoration *)
+  profile : bool;  (** record per-trial span trees *)
+  clock : Span.clock option;
+      (** wallclock for profiles; without it a profile is a pure
+          function of the seed *)
+  bug : Monitor.bug option;  (** re-armed monitor bug (self-test) *)
+  faults : fault_class list;  (** the armed fault classes *)
+}
+
+val default : config
+(** 40 pages, 40 ops, every fault class, no bug, no profile. *)
+
+val validate : config -> (unit, string) result
+(** The differential world's rules ({!Komodo_spec.Diff.validate}). *)
+
+type op = fop
+type failure = violation
 
 type trial = {
-  t_fops_run : int;
-      (** fops stepped; on violation, only those before it *)
-  t_injections : int;  (** 0 on a violating trial (report convention) *)
-  t_blackout : int;  (** 0 on a violating trial *)
+  t_run : (stats, violation) result;
+      (** a violating trial counts only the fops before the violation:
+          no injections, no blackout (report convention) *)
   t_classes : (string * int) list;
       (** armed plan items per fault class (crash fops under ["crash"];
           storms are malformed ops, not injections, so ["storm"] stays
           0); all-zero on a violating trial *)
   t_spans : Span.node list;
       (** per-trial profile spans ([[]] unless profiling) *)
-  t_violation : violation option;
 }
 
-val run_trial :
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  ?profile:bool ->
-  ?clock:Span.clock ->
-  ?bug:Monitor.bug ->
-  faults:fault_class list ->
-  seed:int ->
-  unit ->
-  trial
-(** Run one fault-decorated trial, deterministically from [seed].
-    [profile] records a span tree into [t_spans]; without [clock] the
-    tree is a pure function of the seed. *)
+val run_trial : config -> seed:int -> trial
+val failed : trial -> bool
 
-val shrink_trial :
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  ?bug:Monitor.bug ->
-  faults:fault_class list ->
-  seed:int ->
-  unit ->
-  (fop list * violation) option
+val shrink : config -> seed:int -> (fop list * violation) option
 (** Regenerate trial [seed] and shrink its violation to a 1-minimal
     campaign; [None] if the trial does not actually violate. *)
+
+val counters : trial -> (string * int) list
+(** ops, injections, then {!trial.t_classes}. *)
 
 type outcome = {
   trials_run : int;
@@ -125,18 +130,18 @@ type outcome = {
   spans : Span.node list;
       (** per-trial span trees concatenated in trial-index order *)
 }
-(** A whole-campaign report, assembled by the campaign engine's
-    reducer with sequential semantics (lowest failing index wins). *)
 
-(* -- replay traces (JSONL) --------------------------------------------- *)
+val reduce : trial list -> (int * fop list * violation) option -> outcome
+(** fop/injection totals are sums, blackout is a max. *)
 
-type header = { h_seed : int; h_npages : int; h_bug : Monitor.bug option }
+val replay : config -> seed:int -> fop list -> (stats, violation) result
+(** Rebuild trial [seed]'s world and re-run a (shrunk) campaign. *)
 
-val trace_lines :
-  seed:int -> npages:int -> bug:Monitor.bug option -> fop list -> string list
-(** Serialise a campaign: a header line then one JSON object per fop. *)
+val header : config -> (string * Komodo_telemetry.Json.t) list
+(** Trace-header fields: ["npages"] and ["bug"]. *)
 
-val trace_parse : string list -> (header * fop list, string) result
-
-val replay : header -> fop list -> (stats, violation) result
-(** Rebuild the world from the header and re-run the campaign. *)
+val of_header : Komodo_telemetry.Json.t -> (config, string) result
+val op_to_json : fop -> Komodo_telemetry.Json.t
+val op_of_json : config -> Komodo_telemetry.Json.t -> (fop, string) result
+(** The lockstep op in {!Komodo_spec.Diff.op_of_json}'s codec; injected
+    stores must be word-aligned. *)

@@ -94,14 +94,16 @@ let spec_prelude st ~cpus =
       | _ -> failwith "Smpdrive: spec prelude failed")
     st (prelude_calls ~cpus)
 
+(* Each CPU's prelude takes pages, so [cpus <= npages] costs no valid
+   world and keeps [pool_base] from overflowing on an absurd count. *)
 let check_geometry ~npages ~cpus =
-  if cpus < 1 then invalid_arg "Smpdrive: cpus must be >= 1";
-  if npages < pool_base ~cpus + pool_pages then
-    invalid_arg "Smpdrive: npages too small for the per-cpu preludes"
-
-let boot_world ~seed ~npages ~cpus =
-  check_geometry ~npages ~cpus;
-  apply_prelude (Os.boot ~seed ~npages ()) ~cpus
+  if cpus < 1 then Error (Printf.sprintf "cpus must be at least 1, got %d" cpus)
+  else if cpus > npages then
+    Error (Printf.sprintf "cpus must be at most the page count %d, got %d" npages cpus)
+  else
+    Diff.check_npages ~min:(pool_base ~cpus + pool_pages)
+      ~why:(Printf.sprintf "the preludes and shared pool of %d cpus" cpus)
+      npages
 
 (* -- Fault plans at lock boundaries -------------------------------------- *)
 
@@ -152,13 +154,33 @@ type stats = {
   injections : int;
 }
 
-let run_sops ?bug ?(faults = false) ~seed ~npages ~cpus sops =
-  check_geometry ~npages ~cpus;
-  let os0 = Os.boot ~seed ~npages () in
+(* -- The campaign driver --------------------------------------------------- *)
+
+let kind = "smp"
+
+type config = {
+  npages : int;
+  cpus : int;
+  ops_per_cpu : int;
+  bug : Smp.bug option;
+  faults : bool;
+}
+
+let default = { npages = 32; cpus = 4; ops_per_cpu = 8; bug = None; faults = false }
+
+let validate c =
+  if c.ops_per_cpu < 0 then
+    Error (Printf.sprintf "ops must be non-negative, got %d" c.ops_per_cpu)
+  else check_geometry ~npages:c.npages ~cpus:c.cpus
+
+let replay c ~seed sops =
+  Result.iter_error invalid_arg (validate c);
+  let cpus = c.cpus in
+  let os0 = Os.boot ~seed ~npages:c.npages () in
   let init_abs = spec_prelude (Abs.abs os0.Os.mon) ~cpus in
   let os = apply_prelude os0 ~cpus in
   let os, inj =
-    if not faults then (os, None)
+    if not c.faults then (os, None)
     else begin
       let inj = Inject.create ~plat:os.Os.mon.Monitor.plat () in
       Inject.arm inj (gen_faults ~seed ~n:(List.length sops));
@@ -168,7 +190,7 @@ let run_sops ?bug ?(faults = false) ~seed ~npages ~cpus sops =
       ({ os with Os.mon }, Some inj)
     end
   in
-  let outcome = Smp.run ~seed ?bug os ~scripts:(scripts_of_sops ~cpus sops) in
+  let outcome = Smp.run ~seed ?bug:c.bug os ~scripts:(scripts_of_sops ~cpus sops) in
   let last = List.length sops - 1 in
   let fail kind reason = Error { index = last; kind; reason } in
   match outcome.Smp.deadlock with
@@ -217,8 +239,7 @@ let run_sops ?bug ?(faults = false) ~seed ~npages ~cpus sops =
 (* Weighted construction-call templates over the shared pool. MapSecure
    dominates (the racing-allocation shape both seeded bugs need);
    content is always 0 so the spec replay is exact. *)
-let gen_sops ~seed ~npages ~cpus ~ops_per_cpu =
-  ignore npages;
+let gen_sops ~seed ~cpus ~ops_per_cpu =
   let pb = pool_base ~cpus in
   List.concat
     (List.init cpus (fun c ->
@@ -247,57 +268,28 @@ let gen_sops ~seed ~npages ~cpus ~ops_per_cpu =
 
 (* -- Trials -------------------------------------------------------------- *)
 
-type trial = {
-  t_calls : int;
-  t_contended : int;
-  t_uncontended : int;
-  t_spins : int;
-  t_retries : int;
-  t_lock_cycles : int;
-  t_injections : int;
-  t_violation : violation option;
-}
+type op = sop
+type failure = violation
 
-let default_npages = 32
-let default_cpus = 4
-let default_ops = 8
+(* A violating trial contributes nothing to the campaign totals. *)
+type trial = (stats, violation) result
 
-let run_trial ?(npages = default_npages) ?(cpus = default_cpus)
-    ?(ops_per_cpu = default_ops) ?bug ?(faults = false) ~seed () =
-  let sops = gen_sops ~seed ~npages ~cpus ~ops_per_cpu in
-  match run_sops ?bug ~faults ~seed ~npages ~cpus sops with
+let run_trial c ~seed =
+  replay c ~seed (gen_sops ~seed ~cpus:c.cpus ~ops_per_cpu:c.ops_per_cpu)
+
+let failed = Result.is_error
+
+let shrink c ~seed =
+  Diff.shrink_seq ~run:(replay c ~seed) ~index:(fun v -> v.index)
+    (gen_sops ~seed ~cpus:c.cpus ~ops_per_cpu:c.ops_per_cpu)
+
+let counters = function
+  | Error _ -> []
   | Ok s ->
-      {
-        t_calls = s.calls;
-        t_contended = s.contended;
-        t_uncontended = s.uncontended;
-        t_spins = s.spins;
-        t_retries = s.retries;
-        t_lock_cycles = s.lock_cycles;
-        t_injections = s.injections;
-        t_violation = None;
-      }
-  | Error v ->
-      {
-        t_calls = 0;
-        t_contended = 0;
-        t_uncontended = 0;
-        t_spins = 0;
-        t_retries = 0;
-        t_lock_cycles = 0;
-        t_injections = 0;
-        t_violation = Some v;
-      }
-
-let shrink_trial ?(npages = default_npages) ?(cpus = default_cpus)
-    ?(ops_per_cpu = default_ops) ?bug ?(faults = false) ~seed () =
-  let sops = gen_sops ~seed ~npages ~cpus ~ops_per_cpu in
-  let run ops = run_sops ?bug ~faults ~seed ~npages ~cpus ops in
-  match run sops with
-  | Ok _ -> None
-  | Error _ ->
-      let shrunk, v = Diff.shrink_seq ~run ~index:(fun v -> v.index) sops in
-      Some (shrunk, v)
+      [
+        ("ops", s.calls); ("contended", s.contended); ("uncontended", s.uncontended);
+        ("spins", s.spins); ("lock_cycles", s.lock_cycles); ("injections", s.injections);
+      ]
 
 type outcome = {
   trials_run : int;
@@ -311,92 +303,49 @@ type outcome = {
   violation : (int * sop list * violation) option;
 }
 
-(* -- Replay traces (JSONL, like Drive's) --------------------------------- *)
+let reduce trials violation =
+  let ok = List.filter_map Result.to_option trials in
+  let sum f = List.fold_left (fun a s -> a + f s) 0 ok in
+  {
+    trials_run = List.length trials;
+    total_calls = sum (fun s -> s.calls);
+    total_contended = sum (fun s -> s.contended);
+    total_uncontended = sum (fun s -> s.uncontended);
+    total_spins = sum (fun s -> s.spins);
+    total_retries = sum (fun s -> s.retries);
+    total_lock_cycles = sum (fun s -> s.lock_cycles);
+    total_injections = sum (fun s -> s.injections);
+    violation;
+  }
 
-type header = {
-  h_seed : int;
-  h_npages : int;
-  h_cpus : int;
-  h_bug : Smp.bug option;
-}
+(* -- Traces ------------------------------------------------------------- *)
 
-let trace_lines ~seed ~npages ~cpus ~bug sops =
-  let header =
-    Json.Obj
-      [
-        ("komodo_smp_trace", Json.Int 1);
-        ("seed", Json.Int seed);
-        ("npages", Json.Int npages);
-        ("cpus", Json.Int cpus);
-        ( "bug",
-          match bug with
-          | None -> Json.Null
-          | Some b -> Json.Str (Smp.bug_name b) );
-      ]
-  in
-  let line s =
-    Json.Obj
-      [
-        ("cpu", Json.Int s.s_cpu);
-        ("call", Json.Int s.s_call);
-        ("args", Json.List (List.map (fun a -> Json.Int a) s.s_args));
-      ]
-  in
-  Json.to_string header :: List.map (fun s -> Json.to_string (line s)) sops
+let ( let* ) = Result.bind
 
-let trace_parse lines =
-  let ( let* ) = Result.bind in
-  let int_field obj name =
-    match Json.member name obj with
-    | Some (Json.Int n) -> Ok n
-    | _ -> Error (Printf.sprintf "missing int field %S" name)
-  in
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] -> Error "empty trace"
-  | hline :: rest ->
-      let* h = Json.parse hline in
-      let* () =
-        match Json.member "komodo_smp_trace" h with
-        | Some (Json.Int 1) -> Ok ()
-        | _ -> Error "not a komodo smp trace (bad header)"
-      in
-      let* h_seed = int_field h "seed" in
-      let* h_npages = int_field h "npages" in
-      let* h_cpus = int_field h "cpus" in
-      let* h_bug =
-        match Json.member "bug" h with
-        | Some Json.Null | None -> Ok None
-        | Some (Json.Str s) -> (
-            match Smp.bug_of_string s with
-            | Some b -> Ok (Some b)
-            | None -> Error (Printf.sprintf "unknown bug %S" s))
-        | Some _ -> Error "bad bug field"
-      in
-      let* sops =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* j = Json.parse line in
-            let* s_cpu = int_field j "cpu" in
-            let* s_call = int_field j "call" in
-            let* s_args =
-              match Json.member "args" j with
-              | Some (Json.List items) ->
-                  List.fold_left
-                    (fun acc item ->
-                      let* acc = acc in
-                      match item with
-                      | Json.Int n -> Ok (n :: acc)
-                      | _ -> Error "bad args element")
-                    (Ok []) items
-                  |> Result.map List.rev
-              | _ -> Error "missing args"
-            in
-            Ok ({ s_cpu; s_call; s_args } :: acc))
-          (Ok []) rest
-        |> Result.map List.rev
-      in
-      Ok ({ h_seed; h_npages; h_cpus; h_bug }, sops)
+let header c =
+  [
+    ("npages", Json.Int c.npages);
+    ("cpus", Json.Int c.cpus);
+    ("bug", Json.name Smp.bug_name c.bug);
+  ]
 
-let replay h sops =
-  run_sops ?bug:h.h_bug ~seed:h.h_seed ~npages:h.h_npages ~cpus:h.h_cpus sops
+let of_header h =
+  let* npages = Json.int_field "npages" h in
+  let* cpus = Json.int_field "cpus" h in
+  let* bug = Json.name_field "bug" Smp.bug_of_string h in
+  Ok { default with npages; cpus; bug }
+
+let op_to_json s =
+  Json.Obj
+    [
+      ("cpu", Json.Int s.s_cpu);
+      ("call", Json.Int s.s_call);
+      ("args", Json.List (List.map (fun a -> Json.Int a) s.s_args));
+    ]
+
+(* An op for a CPU the header does not have would never be scheduled. *)
+let op_of_json c j =
+  let* s_cpu = Json.int_field "cpu" j in
+  let* s_call, s_args = Diff.smc_of_json j in
+  if s_cpu >= 0 && s_cpu < c.cpus then Ok { s_cpu; s_call; s_args }
+  else Error (Printf.sprintf "cpu %d out of range [0, %d)" s_cpu c.cpus)

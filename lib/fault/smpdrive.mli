@@ -9,7 +9,7 @@
     {!Komodo_core.Pagedb.check} on the final shared state, and
     {!Komodo_spec.Linz.check} (some sequential order must explain the
     observed results and final abstract state). Violations shrink to a
-    1-minimal op list and serialise to JSONL replay traces. *)
+    1-minimal op list and serialise to replay traces. *)
 
 module Smp = Komodo_os.Smp
 
@@ -34,11 +34,6 @@ val pool_base : cpus:int -> int
 
 val pool_pages : int
 
-val boot_world : seed:int -> npages:int -> cpus:int -> Komodo_os.Os.t
-(** Boot and run the per-CPU preludes. Exposed for tests.
-    @raise Invalid_argument if [npages] cannot hold the preludes + pool.
-    @raise Failure if a prelude call fails (harness bug). *)
-
 val gen_faults : seed:int -> n:int -> Inject.plan_item list
 (** A seeded lock-boundary fault plan ({!Inject.Lockstep} points only):
     insecure-window writes, interrupts, RNG glitches. *)
@@ -53,53 +48,49 @@ type stats = {
   injections : int;  (** lock-boundary faults actually fired *)
 }
 
-val run_sops :
-  ?bug:Smp.bug ->
-  ?faults:bool ->
-  seed:int ->
-  npages:int ->
-  cpus:int ->
-  sop list ->
-  (stats, violation) result
-(** Deterministic: rebuilds the whole world from [seed] each call. *)
+val gen_sops : seed:int -> cpus:int -> ops_per_cpu:int -> sop list
 
-val gen_sops : seed:int -> npages:int -> cpus:int -> ops_per_cpu:int -> sop list
+(** {2 The campaign driver}
 
-type trial = {
-  t_calls : int;
-  t_contended : int;
-  t_uncontended : int;
-  t_spins : int;
-  t_retries : int;
-  t_lock_cycles : int;
-  t_injections : int;
-  t_violation : violation option;
+    Meets [Komodo_campaign.Campaign.DRIVER]. *)
+
+val kind : string
+(** ["smp"]. *)
+
+type config = {
+  npages : int;  (** secure pages per trial world *)
+  cpus : int;  (** cores racing in each trial *)
+  ops_per_cpu : int;  (** monitor calls per CPU per trial *)
+  bug : Smp.bug option;  (** re-armed lock-discipline bug (self-test) *)
+  faults : bool;  (** fire the injector at lock boundaries too *)
 }
 
-val default_npages : int
-val default_cpus : int
-val default_ops : int
+val default : config
+(** 32 pages, 4 CPUs, 8 calls each, no bug, no faults. *)
 
-val run_trial :
-  ?npages:int ->
-  ?cpus:int ->
-  ?ops_per_cpu:int ->
-  ?bug:Smp.bug ->
-  ?faults:bool ->
-  seed:int ->
-  unit ->
-  trial
+val validate : config -> (unit, string) result
+(** At least one CPU, a non-negative op count, and room for the per-CPU
+    preludes and the shared pool. *)
 
-val shrink_trial :
-  ?npages:int ->
-  ?cpus:int ->
-  ?ops_per_cpu:int ->
-  ?bug:Smp.bug ->
-  ?faults:bool ->
-  seed:int ->
-  unit ->
-  (sop list * violation) option
+val replay : config -> seed:int -> sop list -> (stats, violation) result
+(** Deterministic: rebuilds the whole world from [seed] each call.
+    @raise Invalid_argument on a config {!validate} rejects. *)
+
+type op = sop
+type failure = violation
+
+type trial = (stats, violation) result
+(** A violating trial contributes nothing to the campaign totals. *)
+
+val run_trial : config -> seed:int -> trial
+val failed : trial -> bool
+
+val shrink : config -> seed:int -> (sop list * violation) option
 (** [None] if the trial does not violate when re-run from its seed. *)
+
+val counters : trial -> (string * int) list
+(** ops (calls), contended, uncontended, spins, lock_cycles,
+    injections; none for a violating trial. *)
 
 type outcome = {
   trials_run : int;
@@ -113,18 +104,14 @@ type outcome = {
   violation : (int * sop list * violation) option;
 }
 
-(** {2 Replay traces} (JSONL, like {!Drive}'s) *)
+val reduce : trial list -> (int * sop list * violation) option -> outcome
 
-type header = {
-  h_seed : int;
-  h_npages : int;
-  h_cpus : int;
-  h_bug : Smp.bug option;
-}
+val header : config -> (string * Komodo_telemetry.Json.t) list
+(** Trace-header fields: ["npages"], ["cpus"] and ["bug"]. *)
 
-val trace_lines :
-  seed:int -> npages:int -> cpus:int -> bug:Smp.bug option -> sop list ->
-  string list
+val of_header : Komodo_telemetry.Json.t -> (config, string) result
+val op_to_json : sop -> Komodo_telemetry.Json.t
 
-val trace_parse : string list -> (header * sop list, string) result
-val replay : header -> sop list -> (stats, violation) result
+val op_of_json : config -> Komodo_telemetry.Json.t -> (sop, string) result
+(** The op's CPU must be one of the config's, and an SMC takes at most
+    four arguments. *)

@@ -137,7 +137,14 @@ let boot_vault ~seed ~npages ~bug =
       (Format.asprintf "vault init: %a (exit %d)" Errors.pp err (Word.to_int ret));
   (os, thread)
 
-type ctx = { boot_seed : int; npages : int; bug : Vault.bug option }
+type config = {
+  npages : int;
+  ops_per_trial : int;
+  bug : Vault.bug option;
+  classes : storage_class list;
+}
+
+let default = { npages = 48; ops_per_trial = 24; bug = None; classes = all_classes }
 
 let zero_state = String.make Vault.state_bytes '\x00'
 
@@ -225,7 +232,7 @@ let blob_blocks =
   let packed = 4 + Vault.blob_bytes in
   (packed + store_block_size - 1) / store_block_size
 
-let step ctx st ws i sop : (wstate, violation) result =
+let step c ~seed st ws i sop : (wstate, violation) result =
   let fail reason = Error { index = i; sop; reason } in
   let after ws = if is_fault sop then probe st ws i sop else Ok ws in
   match sop with
@@ -302,7 +309,7 @@ let step ctx st ws i sop : (wstate, violation) result =
       (* Volatile state dies; the disk and the NV counter are the
          only survivors. Same boot seed: same boot secret, so the
          same measurement derives the same seal key. *)
-      let os, thread = boot_vault ~seed:ctx.boot_seed ~npages:ctx.npages ~bug:ctx.bug in
+      let os, thread = boot_vault ~seed ~npages:c.npages ~bug:c.bug in
       after { ws with os; thread; mirror = zero_state }
 
 type stats = {
@@ -312,9 +319,8 @@ type stats = {
   accepted : int;
 }
 
-let run_sops ?bug ?(npages = 48) ~seed sops : (stats, violation) result =
-  let ctx = { boot_seed = seed; npages; bug } in
-  let os, thread = boot_vault ~seed ~npages ~bug in
+let replay c ~seed sops : (stats, violation) result =
+  let os, thread = boot_vault ~seed ~npages:c.npages ~bug:c.bug in
   let ws0 =
     {
       os;
@@ -337,7 +343,7 @@ let run_sops ?bug ?(npages = 48) ~seed sops : (stats, violation) result =
             accepted = st.accepted;
           }
     | sop :: rest -> (
-        match step ctx st ws i sop with
+        match step c ~seed st ws i sop with
         | Error v -> Error v
         | Ok ws' -> go ws' (i + 1) rest)
   in
@@ -396,16 +402,22 @@ let gen_sops ~classes ~seed ~n =
          in
          base @ faults_for ()))
 
-(* -- Trials --------------------------------------------------------------- *)
+(* -- The campaign driver ---------------------------------------------------- *)
 
-type trial = {
-  t_sops_run : int;
-  t_probes : int;
-  t_detected : int;
-  t_accepted : int;
-  t_classes : (string * int) list;
-  t_violation : violation option;
-}
+let kind = "vault"
+
+(* The world is the vault image loaded on a booted platform. *)
+let validate c =
+  if c.ops_per_trial < 0 then
+    Error (Printf.sprintf "ops must be non-negative, got %d" c.ops_per_trial)
+  else
+    Komodo_spec.Diff.check_npages ~min:(Image.pages_needed vault_image)
+      ~why:"the vault image's pages" c.npages
+
+type op = sop
+type failure = violation
+
+type trial = { t_run : (stats, violation) result; t_classes : (string * int) list }
 
 let class_of_sop = function
   | A_tamper _ | A_swap _ | A_truncate _ | A_wipe -> Some S_tamper
@@ -414,49 +426,34 @@ let class_of_sop = function
   | V_update _ | V_seal | V_probe -> None
 
 let class_counts sops =
-  let counts = Array.make (List.length all_classes) 0 in
-  let bump c =
-    List.iteri (fun k c' -> if c' = c then counts.(k) <- counts.(k) + 1) all_classes
-  in
-  List.iter (fun s -> Option.iter bump (class_of_sop s)) sops;
-  List.mapi (fun i c -> (class_name c, counts.(i))) all_classes
+  List.map
+    (fun c ->
+      (class_name c, List.length (List.filter (fun s -> class_of_sop s = Some c) sops)))
+    all_classes
 
-let no_classes = List.map (fun c -> (class_name c, 0)) all_classes
+let run_trial c ~seed =
+  let sops = gen_sops ~classes:c.classes ~seed ~n:c.ops_per_trial in
+  let t_run = replay c ~seed sops in
+  { t_run; t_classes = class_counts (if Result.is_ok t_run then sops else []) }
 
-let run_trial ?(npages = 48) ?(ops_per_trial = 24) ?bug ~classes ~seed () =
-  let sops = gen_sops ~classes ~seed ~n:ops_per_trial in
-  match run_sops ?bug ~npages ~seed sops with
-  | Ok st ->
-      {
-        t_sops_run = st.sops_run;
-        t_probes = st.probes;
-        t_detected = st.detected;
-        t_accepted = st.accepted;
-        t_classes = class_counts sops;
-        t_violation = None;
-      }
-  | Error v ->
-      (* A violating trial contributes only its pre-violation sop
-         count, as [Drive] does. *)
-      {
-        t_sops_run = v.index;
-        t_probes = 0;
-        t_detected = 0;
-        t_accepted = 0;
-        t_classes = no_classes;
-        t_violation = Some v;
-      }
+let failed t = Result.is_error t.t_run
 
-let shrink_trial ?(npages = 48) ?(ops_per_trial = 24) ?bug ~classes ~seed () =
-  let sops = gen_sops ~classes ~seed ~n:ops_per_trial in
-  match run_sops ?bug ~npages ~seed sops with
-  | Ok _ -> None
-  | Error _ ->
-      Some
-        (Komodo_spec.Diff.shrink_seq
-           ~run:(run_sops ?bug ~npages ~seed)
-           ~index:(fun (v : violation) -> v.index)
-           sops)
+(* A violating trial contributes only its pre-violation sop count, as
+   [Drive] does. *)
+let stats t =
+  match t.t_run with
+  | Ok st -> st
+  | Error v -> { sops_run = v.index; probes = 0; detected = 0; accepted = 0 }
+
+let shrink c ~seed =
+  Komodo_spec.Diff.shrink_seq ~run:(replay c ~seed)
+    ~index:(fun (v : violation) -> v.index)
+    (gen_sops ~classes:c.classes ~seed ~n:c.ops_per_trial)
+
+let counters t =
+  let s = stats t in
+  [ ("ops", s.sops_run); ("probes", s.probes); ("detected", s.detected); ("accepted", s.accepted) ]
+  @ t.t_classes
 
 type outcome = {
   trials_run : int;
@@ -467,125 +464,86 @@ type outcome = {
   violation : (int * sop list * violation) option;
 }
 
-(* -- Replay traces -------------------------------------------------------- *)
+let reduce trials violation =
+  let sum f = List.fold_left (fun a t -> a + f (stats t)) 0 trials in
+  {
+    trials_run = List.length trials;
+    total_sops = sum (fun s -> s.sops_run);
+    total_probes = sum (fun s -> s.probes);
+    total_detected = sum (fun s -> s.detected);
+    total_accepted = sum (fun s -> s.accepted);
+    violation;
+  }
 
-type header = { h_seed : int; h_npages : int; h_bug : Vault.bug option }
+(* -- Traces --------------------------------------------------------------- *)
 
-let sop_to_json = function
-  | V_update { index; value } ->
-      Json.Obj
-        [ ("update", Json.Obj [ ("index", Json.Int index); ("value", Json.Int value) ]) ]
+let ( let* ) = Result.bind
+
+let header c = [ ("npages", Json.Int c.npages); ("bug", Json.name Vault.bug_name c.bug) ]
+
+let of_header h =
+  let* npages = Json.int_field "npages" h in
+  let* bug = Json.name_field "bug" Vault.bug_of_string h in
+  Ok { default with npages; bug }
+
+let op_to_json =
+  let obj k fields =
+    Json.Obj [ (k, Json.Obj (List.map (fun (f, n) -> (f, Json.Int n)) fields)) ]
+  in
+  function
+  | V_update { index; value } -> obj "update" [ ("index", index); ("value", value) ]
   | V_seal -> Json.Str "seal"
   | V_probe -> Json.Str "probe"
   | A_tamper { block; byte; bit } ->
-      Json.Obj
-        [
-          ( "tamper",
-            Json.Obj
-              [ ("block", Json.Int block); ("byte", Json.Int byte); ("bit", Json.Int bit) ] );
-        ]
-  | A_rollback { block; depth } ->
-      Json.Obj
-        [ ("rollback", Json.Obj [ ("block", Json.Int block); ("depth", Json.Int depth) ]) ]
-  | A_rollback_blob { depth } ->
-      Json.Obj [ ("rollback_blob", Json.Obj [ ("depth", Json.Int depth) ]) ]
-  | A_swap { a; b } ->
-      Json.Obj [ ("swap", Json.Obj [ ("a", Json.Int a); ("b", Json.Int b) ]) ]
-  | A_truncate { keep } ->
-      Json.Obj [ ("truncate", Json.Obj [ ("keep", Json.Int keep) ]) ]
+      obj "tamper" [ ("block", block); ("byte", byte); ("bit", bit) ]
+  | A_rollback { block; depth } -> obj "rollback" [ ("block", block); ("depth", depth) ]
+  | A_rollback_blob { depth } -> obj "rollback_blob" [ ("depth", depth) ]
+  | A_swap { a; b } -> obj "swap" [ ("a", a); ("b", b) ]
+  | A_truncate { keep } -> obj "truncate" [ ("keep", keep) ]
   | A_wipe -> Json.Str "wipe"
   | V_crash_os { seed } -> Json.Obj [ ("crash", Json.Int seed) ]
   | V_reboot -> Json.Str "reboot"
 
-let trace_lines ~seed ~npages ~bug sops =
-  let header =
-    Json.Obj
-      [
-        ("komodo_vault_trace", Json.Int 1);
-        ("seed", Json.Int seed);
-        ("npages", Json.Int npages);
-        ( "bug",
-          match bug with None -> Json.Null | Some b -> Json.Str (Vault.bug_name b) );
-      ]
-  in
-  Json.to_string header :: List.map (fun s -> Json.to_string (sop_to_json s)) sops
+(* Store coordinates must name a real block, byte and bit (the block
+   store treats anything else as a harness bug and raises), and an
+   update a real state word (the vault refuses anything else, which
+   would read as a violation). *)
+let ranged name hi j =
+  let* n = Json.int_field name j in
+  if n >= 0 && n < hi then Ok n
+  else Error (Printf.sprintf "%s %d out of range [0, %d)" name n hi)
 
-let ( let* ) = Result.bind
-let req what = function Some v -> Ok v | None -> Error ("missing/ill-typed " ^ what)
-let int_field name j = req name (Option.bind (Json.member name j) Json.to_int_opt)
-
-let sop_of_json j =
+let op_of_json _ j =
   match j with
   | Json.Str "seal" -> Ok V_seal
   | Json.Str "probe" -> Ok V_probe
   | Json.Str "wipe" -> Ok A_wipe
   | Json.Str "reboot" -> Ok V_reboot
-  | Json.Obj _ -> (
-      let member name = Json.member name j in
-      match
-        ( member "update", member "tamper", member "rollback",
-          member "rollback_blob", member "swap", member "truncate",
-          member "crash" )
-      with
-      | Some u, _, _, _, _, _, _ ->
-          let* index = int_field "index" u in
-          let* value = int_field "value" u in
+  | Json.Obj [ (k, arg) ] -> (
+      match k with
+      | "update" ->
+          let* index = ranged "index" Vault.state_words arg in
+          let* value = Json.int_field "value" arg in
           Ok (V_update { index; value })
-      | _, Some t, _, _, _, _, _ ->
-          let* block = int_field "block" t in
-          let* byte = int_field "byte" t in
-          let* bit = int_field "bit" t in
+      | "tamper" ->
+          let* block = ranged "block" store_nblocks arg in
+          let* byte = ranged "byte" store_block_size arg in
+          let* bit = ranged "bit" 8 arg in
           Ok (A_tamper { block; byte; bit })
-      | _, _, Some r, _, _, _, _ ->
-          let* block = int_field "block" r in
-          let* depth = int_field "depth" r in
+      | "rollback" ->
+          let* block = ranged "block" store_nblocks arg in
+          let* depth = Json.int_field "depth" arg in
           Ok (A_rollback { block; depth })
-      | _, _, _, Some r, _, _, _ ->
-          let* depth = int_field "depth" r in
-          Ok (A_rollback_blob { depth })
-      | _, _, _, _, Some s, _, _ ->
-          let* a = int_field "a" s in
-          let* b = int_field "b" s in
+      | "rollback_blob" ->
+          Result.map (fun depth -> A_rollback_blob { depth }) (Json.int_field "depth" arg)
+      | "swap" ->
+          let* a = ranged "a" store_nblocks arg in
+          let* b = ranged "b" store_nblocks arg in
           Ok (A_swap { a; b })
-      | _, _, _, _, _, Some t, _ ->
-          let* keep = int_field "keep" t in
-          Ok (A_truncate { keep })
-      | _, _, _, _, _, _, Some c ->
-          let* seed = req "crash seed" (Json.to_int_opt c) in
-          Ok (V_crash_os { seed })
-      | _ -> Error "unknown vault sop")
-  | _ -> Error "bad vault sop"
-
-let trace_parse lines =
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] -> Error "empty trace"
-  | hline :: rest ->
-      let* h = Result.map_error (fun e -> "header: " ^ e) (Json.parse hline) in
-      let* () =
-        match Json.member "komodo_vault_trace" h with
-        | Some (Json.Int 1) -> Ok ()
-        | _ -> Error "not a komodo vault trace (bad or missing magic)"
-      in
-      let* h_seed = int_field "seed" h in
-      let* h_npages = int_field "npages" h in
-      let* h_bug =
-        match Json.member "bug" h with
-        | None | Some Json.Null -> Ok None
-        | Some (Json.Str s) -> (
-            match Vault.bug_of_string s with
-            | Some b -> Ok (Some b)
-            | None -> Error ("unknown bug " ^ s))
-        | Some _ -> Error "bad bug field"
-      in
-      let* sops =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* j = Result.map_error (fun e -> "sop: " ^ e) (Json.parse line) in
-            let* s = sop_of_json j in
-            Ok (s :: acc))
-          (Ok []) rest
-      in
-      Ok ({ h_seed; h_npages; h_bug }, List.rev sops)
-
-let replay h sops = run_sops ?bug:h.h_bug ~npages:h.h_npages ~seed:h.h_seed sops
+      | "truncate" -> Result.map (fun keep -> A_truncate { keep }) (Json.int_field "keep" arg)
+      | "crash" -> (
+          match arg with
+          | Json.Int seed -> Ok (V_crash_os { seed })
+          | _ -> Error "missing/ill-typed crash seed")
+      | _ -> Error ("unknown vault op " ^ k))
+  | _ -> Error "bad vault op"

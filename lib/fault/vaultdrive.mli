@@ -67,41 +67,50 @@ type stats = {
   accepted : int;  (** correctly accepted *)
 }
 
-val run_sops :
-  ?bug:Vault.bug -> ?npages:int -> seed:int -> sop list -> (stats, violation) result
-(** Deterministic: rebuilds the whole world from [seed] each call. *)
-
 val gen_sops : classes:storage_class list -> seed:int -> n:int -> sop list
 
-type trial = {
-  t_sops_run : int;
-  t_probes : int;
-  t_detected : int;
-  t_accepted : int;
-  t_classes : (string * int) list;
-  t_violation : violation option;
+(** {2 The campaign driver}
+
+    Meets [Komodo_campaign.Campaign.DRIVER]. *)
+
+val kind : string
+(** ["vault"]. *)
+
+type config = {
+  npages : int;  (** secure pages per trial world *)
+  ops_per_trial : int;  (** vault ops before storage-fault decoration *)
+  bug : Vault.bug option;  (** re-armed detection-disable bug *)
+  classes : storage_class list;  (** the armed storage fault classes *)
 }
 
-val class_counts : sop list -> (string * int) list
+val default : config
+(** 48 pages, 24 ops, every class, no bug. *)
 
-val run_trial :
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  ?bug:Vault.bug ->
-  classes:storage_class list ->
-  seed:int ->
-  unit ->
-  trial
+val validate : config -> (unit, string) result
+(** At least the pages the vault image needs
+    ({!Komodo_os.Image.pages_needed}), and a non-negative op count. *)
 
-val shrink_trial :
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  ?bug:Vault.bug ->
-  classes:storage_class list ->
-  seed:int ->
-  unit ->
-  (sop list * violation) option
+val replay : config -> seed:int -> sop list -> (stats, violation) result
+(** Boot trial [seed]'s world and run [sops]: deterministic, it
+    rebuilds the whole world each call. *)
+
+type op = sop
+type failure = violation
+
+type trial = {
+  t_run : (stats, violation) result;
+  t_classes : (string * int) list;
+      (** sops per storage class (all zero on a violating trial) *)
+}
+
+val run_trial : config -> seed:int -> trial
+val failed : trial -> bool
+
+val shrink : config -> seed:int -> (sop list * violation) option
 (** [None] if the trial does not violate when re-run from its seed. *)
+
+val counters : trial -> (string * int) list
+(** ops, probes, detected, accepted, then ops per storage class. *)
 
 type outcome = {
   trials_run : int;
@@ -112,12 +121,14 @@ type outcome = {
   violation : (int * sop list * violation) option;
 }
 
-(** {2 Replay traces} (JSONL, like {!Drive}'s) *)
+val reduce : trial list -> (int * sop list * violation) option -> outcome
 
-type header = { h_seed : int; h_npages : int; h_bug : Vault.bug option }
+val header : config -> (string * Komodo_telemetry.Json.t) list
+(** Trace-header fields: ["npages"] and ["bug"]. *)
 
-val trace_lines :
-  seed:int -> npages:int -> bug:Vault.bug option -> sop list -> string list
+val of_header : Komodo_telemetry.Json.t -> (config, string) result
+val op_to_json : sop -> Komodo_telemetry.Json.t
 
-val trace_parse : string list -> (header * sop list, string) result
-val replay : header -> sop list -> (stats, violation) result
+val op_of_json : config -> Komodo_telemetry.Json.t -> (sop, string) result
+(** Block, byte and bit coordinates must lie inside the store, and an
+    update's index inside the vault state. *)

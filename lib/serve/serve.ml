@@ -11,7 +11,7 @@
    contract `komodo check` and `komodo fault` honour. *)
 
 module Cpool = Komodo_campaign.Pool
-module Seedsplit = Komodo_campaign.Seedsplit
+module Seedsplit = Komodo_rand.Seedsplit
 module Progress = Komodo_campaign.Progress
 
 type cfg = {
@@ -83,10 +83,13 @@ let run ?progress ?jobs ~cfg ~seed () =
   let run_shard i = Engine.run (ecfg i) ~seed:(tseed i) in
   let on_trial =
     Option.map
-      (fun p i (r : Report.t) ->
-        Progress.serve_trial p i ~served:r.Report.served ~shed:(Report.shed r)
-          ~warm:r.Report.warm ~cold:r.Report.cold ~enter:r.Report.h_enter
-          ~attest:r.Report.h_attest)
+      (fun p _ (r : Report.t) ->
+        Progress.trial p ~failed:false
+          ~hists:[ ("enter", r.Report.h_enter); ("attest", r.Report.h_attest) ]
+          [
+            ("served", r.Report.served); ("shed", Report.shed r); ("warm", r.Report.warm);
+            ("cold", r.Report.cold);
+          ])
       progress
   in
   let finish r = Option.iter Progress.finish progress; r in

@@ -9,6 +9,7 @@ module Progs = Komodo_user.Progs
 module Attacks = Komodo_sec.Attacks
 module Metrics = Komodo_telemetry.Metrics
 module Span = Komodo_telemetry.Span
+module Json = Komodo_telemetry.Json
 
 type op =
   | Smc of { call : int; args : int list; budget : int option }
@@ -542,7 +543,7 @@ let truncate_at ops index = List.filteri (fun i _ -> i <= index) ops
 let shrink_seq ~(run : 'op list -> ('ok, 'bad) result) ~(index : 'bad -> int) ops
     =
   match run ops with
-  | Ok _ -> invalid_arg "Diff.shrink_seq: op sequence does not diverge"
+  | Ok _ -> None
   | Error d0 ->
       let rec fix ops d =
         let len = List.length ops in
@@ -558,9 +559,37 @@ let shrink_seq ~(run : 'op list -> ('ok, 'bad) result) ~(index : 'bad -> int) op
         | Some (ops', d') -> fix ops' d'
         | None -> (ops, d)
       in
-      fix (truncate_at ops (index d0)) d0
+      Some (fix (truncate_at ops (index d0)) d0)
 
-let shrink w ops = shrink_seq ~run:(run_ops w) ~index:(fun d -> d.index) ops
+(* -- campaign driver ------------------------------------------------------- *)
+
+let kind = "check"
+
+type config = {
+  mutate : Aspec.mutation option;
+  npages : int;
+  ops_per_trial : int;
+  metrics : bool;
+  profile : bool;
+  clock : Span.clock option;
+}
+
+let default =
+  { mutate = None; npages = 40; ops_per_trial = 40; metrics = false; profile = false; clock = None }
+
+let check_npages ~min ~why n =
+  if n < min then Error (Printf.sprintf "pages must be at least %d (%s), got %d" min why n)
+  else
+    match Komodo_tz.Platform.make ~npages:n () with
+    | _ -> Ok ()
+    | exception Invalid_argument e -> Error (Printf.sprintf "pages %d: %s" n e)
+
+let validate c =
+  if c.ops_per_trial < 0 then
+    Error (Printf.sprintf "ops must be non-negative, got %d" c.ops_per_trial)
+  else check_npages ~min:20 ~why:"the prelude builds its enclaves on pages 0-19" c.npages
+
+type failure = divergence
 
 type trial = {
   t_ops_run : int;
@@ -570,36 +599,31 @@ type trial = {
   t_divergence : divergence option;
 }
 
-let run_trial ?mutate ?(npages = 40) ?(ops_per_trial = 40) ?(metrics = false)
-    ?(profile = false) ?clock ~seed () =
-  let reg = if metrics then Some (Metrics.create ()) else None in
+let run_trial c ~seed =
+  let reg = if c.metrics then Some (Metrics.create ()) else None in
   let sink = Option.map Metrics.sink reg in
   (* Clock-free by default: without [clock] the recorded tree is a pure
      function of the seed (wallclock fields are 0), which is what makes
      profile output deterministic across -j levels. *)
-  let spans = if profile then Some (Span.create ?clock ()) else None in
-  let w = make_world ?mutate ~npages ?sink ?spans ~seed () in
+  let spans = if c.profile then Some (Span.create ?clock:c.clock ()) else None in
+  let w = make_world ?mutate:c.mutate ~npages:c.npages ?sink ?spans ~seed () in
   let cover = Cover.create () in
   Cover.merge_into cover (world_cover w);
-  let ops = gen_ops w ~seed ~n:ops_per_trial in
+  let ops = gen_ops w ~seed ~n:c.ops_per_trial in
   let result = run_ops ~cover w ops in
   let t_spans = match spans with None -> [] | Some r -> Span.roots r in
-  match result with
-  | Ok ran ->
-      { t_ops_run = ran; t_cover = cover; t_metrics = reg; t_spans; t_divergence = None }
-  | Error d ->
-      {
-        t_ops_run = d.index;
-        t_cover = cover;
-        t_metrics = reg;
-        t_spans;
-        t_divergence = Some d;
-      }
+  let t_ops_run, t_divergence =
+    match result with Ok ran -> (ran, None) | Error d -> (d.index, Some d)
+  in
+  { t_ops_run; t_cover = cover; t_metrics = reg; t_spans; t_divergence }
 
-let shrink_trial ?mutate ?(npages = 40) ?(ops_per_trial = 40) ~seed () =
-  let w = make_world ?mutate ~npages ~seed () in
-  let ops = gen_ops w ~seed ~n:ops_per_trial in
-  match run_ops w ops with Ok _ -> None | Error _ -> Some (shrink w ops)
+let failed t = t.t_divergence <> None
+
+let shrink c ~seed =
+  let w = make_world ?mutate:c.mutate ~npages:c.npages ~seed () in
+  shrink_seq ~run:(run_ops w) ~index:(fun d -> d.index) (gen_ops w ~seed ~n:c.ops_per_trial)
+
+let counters t = [ ("ops", t.t_ops_run) ]
 
 type outcome = {
   trials_run : int;
@@ -609,3 +633,70 @@ type outcome = {
   metrics : Metrics.t option;
   spans : Span.node list;
 }
+
+let reduce trials divergence =
+  let cover = Cover.create () in
+  List.iter (fun t -> Cover.merge_into cover t.t_cover) trials;
+  let metrics =
+    match List.filter_map (fun t -> t.t_metrics) trials with
+    | [] -> None
+    | ms ->
+        let m = Metrics.create () in
+        List.iter (Metrics.merge_into m) ms;
+        Some m
+  in
+  {
+    trials_run = List.length trials;
+    ops_run = List.fold_left (fun a t -> a + t.t_ops_run) 0 trials;
+    divergence;
+    cover;
+    metrics;
+    spans = List.concat_map (fun t -> t.t_spans) trials;
+  }
+
+(* -- traces ----------------------------------------------------------------- *)
+
+let ( let* ) = Result.bind
+
+let header c =
+  [ ("npages", Json.Int c.npages); ("mutate", Json.name Aspec.mutation_name c.mutate) ]
+
+let of_header h =
+  let* npages = Json.int_field "npages" h in
+  let* mutate = Json.name_field "mutate" Aspec.mutation_of_string h in
+  Ok { default with npages; mutate }
+
+let op_to_json = function
+  | Smc { call; args; budget } ->
+      Json.Obj
+        [
+          ("call", Json.Int call);
+          ("args", Json.List (List.map (fun a -> Json.Int a) args));
+          ("budget", match budget with None -> Json.Null | Some b -> Json.Int b);
+        ]
+  | Write_ins { addr; value } ->
+      Json.Obj
+        [ ("write_ins", Json.Obj [ ("addr", Json.Int addr); ("value", Json.Int value) ]) ]
+
+(* Memory holds words: a ragged store raises. *)
+let word_addr name j =
+  let* addr = Json.int_field name j in
+  if addr land 3 = 0 then Ok addr
+  else Error (Printf.sprintf "%s 0x%x is not word-aligned" name addr)
+
+(* The monitor call ABI has four argument registers, r1-r4. *)
+let smc_of_json j =
+  let* call = Json.int_field "call" j in
+  let* args = Json.ints_field "args" j in
+  if List.length args <= 4 then Ok (call, args) else Error "an SMC takes at most 4 arguments"
+
+let op_of_json _ j =
+  match Json.member "write_ins" j with
+  | Some wi ->
+      let* addr = word_addr "addr" wi in
+      let* value = Json.int_field "value" wi in
+      Ok (Write_ins { addr; value })
+  | None ->
+      let* call, args = smc_of_json j in
+      let budget = match Json.member "budget" j with Some (Json.Int b) -> Some b | _ -> None in
+      Ok (Smc { call; args; budget })

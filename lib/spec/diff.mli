@@ -112,25 +112,46 @@ val shrink_seq :
   run:('op list -> ('ok, 'bad) result) ->
   index:('bad -> int) ->
   'op list ->
-  'op list * 'bad
+  ('op list * 'bad) option
 (** Generic greedy 1-minimal shrinker: truncate at the first failure
     ([index] extracts its position), then repeatedly drop single ops
-    while the remainder still fails.
-    @raise Invalid_argument if [run ops] does not fail. *)
+    while the remainder still fails. [None] if [run ops] does not
+    fail. *)
 
-val shrink : world -> op list -> op list * divergence
-(** Truncate at the first divergence, then greedily delete ops while
-    the remainder still diverges. The result is 1-minimal: removing
-    any single op makes the divergence disappear.
-    @raise Invalid_argument if the ops do not diverge at all. *)
-
-(** {2 Campaign trials}
+(** {2 The campaign driver}
 
     One differential trial is a pure function of its seed: build a
-    world, generate an adversarial sequence, step it in lockstep. The
-    campaign loop itself lives in [Komodo_campaign.Campaign], which
-    derives per-trial seeds with a splittable PRNG and runs trials on
-    a domain pool — this module only supplies the per-trial unit. *)
+    world, generate an adversarial sequence, step it in lockstep. This
+    module meets [Komodo_campaign.Campaign.DRIVER]; the campaign loop
+    (seed derivation, domain pool, shrinking the lowest failing trial)
+    lives there. *)
+
+val kind : string
+(** ["check"]. *)
+
+type config = {
+  mutate : Aspec.mutation option;  (** run against a broken spec *)
+  npages : int;  (** secure pages per trial world *)
+  ops_per_trial : int;
+  metrics : bool;  (** collect a per-trial telemetry registry *)
+  profile : bool;  (** record per-trial span trees *)
+  clock : Komodo_telemetry.Span.clock option;
+      (** wallclock for profiles; without it a profile is a pure
+          function of the seed, so it diffs identically across [-j] *)
+}
+
+val default : config
+(** 40 pages, 40 ops, no mutation, metrics or profile. *)
+
+val check_npages : min:int -> why:string -> int -> (unit, string) result
+(** A campaign world's page count: at least [min] (a driver's prelude
+    needs, explained by [why]) and no more than the platform allows. *)
+
+val validate : config -> (unit, string) result
+(** {!check_npages} from 20 pages (the prelude builds its enclaves on
+    pages 0-19), and a non-negative op count. *)
+
+type failure = divergence
 
 type trial = {
   t_ops_run : int;
@@ -143,32 +164,20 @@ type trial = {
   t_divergence : divergence option;
 }
 
-val run_trial :
-  ?mutate:Aspec.mutation ->
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  ?metrics:bool ->
-  ?profile:bool ->
-  ?clock:Komodo_telemetry.Span.clock ->
-  seed:int ->
-  unit ->
-  trial
-(** Run one differential trial, deterministically from [seed]. No
-    shrinking — a campaign shrinks only its lowest failing trial, once,
-    on one domain (see {!shrink_trial}). [profile] records a span tree
-    into [t_spans]; without [clock] it is a pure function of the seed
-    (wallclock fields 0), so profiles diff identically across [-j]
-    levels. *)
+val run_trial : config -> seed:int -> trial
+(** One differential trial, deterministically from [seed]. No
+    shrinking: a campaign shrinks only its lowest failing trial. *)
 
-val shrink_trial :
-  ?mutate:Aspec.mutation ->
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  seed:int ->
-  unit ->
-  (op list * divergence) option
+val failed : trial -> bool
+
+val shrink : config -> seed:int -> (op list * divergence) option
 (** Regenerate trial [seed] and shrink its divergence to a 1-minimal
-    trace; [None] if the trial does not actually diverge. *)
+    trace: truncate at the first divergence, then greedily delete ops
+    while the remainder still diverges. [None] if the trial does not
+    diverge. *)
+
+val counters : trial -> (string * int) list
+(** [["ops", t_ops_run]]. *)
 
 type outcome = {
   trials_run : int;
@@ -182,7 +191,29 @@ type outcome = {
       (** per-trial span trees concatenated in trial-index order ([[]]
           unless profiling) *)
 }
-(** A whole-campaign report, assembled by the campaign engine's reducer
-    with sequential semantics: counts cover trials [0..k] where [k] is
-    the lowest failing index (or all trials), regardless of how many
-    domains ran the campaign. *)
+(** A whole-campaign report over trials [0..k], [k] the lowest failing
+    index (or all trials), regardless of how many domains ran it. *)
+
+val reduce : trial list -> (int * op list * divergence) option -> outcome
+(** Coverage and metrics merge order-insensitively, op counts sum,
+    spans concatenate in index order. *)
+
+val header : config -> (string * Komodo_telemetry.Json.t) list
+(** Trace-header fields: ["npages"] and ["mutate"]. *)
+
+val of_header : Komodo_telemetry.Json.t -> (config, string) result
+
+val op_to_json : op -> Komodo_telemetry.Json.t
+(** [{"call","args","budget"}] or [{"write_ins":{"addr","value"}}]. *)
+
+val op_of_json : config -> Komodo_telemetry.Json.t -> (op, string) result
+(** Rejects an unaligned store ({!word_addr}) and an over-long SMC
+    ({!smc_of_json}). *)
+
+val word_addr : string -> Komodo_telemetry.Json.t -> (int, string) result
+(** Member [name] as a store address: it must be word-aligned, since
+    memory holds words and a ragged store raises. *)
+
+val smc_of_json : Komodo_telemetry.Json.t -> (int * int list, string) result
+(** An object's ["call"] and ["args"]: the call ABI passes at most four
+    arguments (r1-r4). *)

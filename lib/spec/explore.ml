@@ -994,8 +994,9 @@ type report = {
 (* Counterexample traces.                                             *)
 (* ------------------------------------------------------------------ *)
 
-let schema = "komodo-check-trace/1"
-
+(* An op line is the differential checker's op codec plus, for a
+   forced opaque-run branch, an informational "forced" marker: Diff
+   resolves opaque runs from the implementation's observed outcome. *)
 let op_to_json x =
   Json.Obj
     ([
@@ -1008,137 +1009,32 @@ let op_to_json x =
     | None -> []
     | Some o -> [ ("forced", Json.Str (outcome_name o)) ])
 
-let trace_lines (cfg : config) v =
-  let header =
-    Json.Obj
-      [
-        ("schema", Json.Str schema);
-        ("seed", Json.Int cfg.seed);
-        ("pages", Json.Int cfg.pages);
-        ( "mutate",
-          match cfg.mutate with
-          | None -> Json.Null
-          | Some m -> Json.Str (Aspec.mutation_name m) );
-        ("prelude", Json.Int n_prelude);
-        ("depth", Json.Int v.v_depth);
-        ("reason", Json.Str v.v_reason);
-      ]
-  in
-  Json.to_string header :: List.map (fun x -> Json.to_string (op_to_json x)) v.v_ops
-
-let is_trace line =
-  match Json.parse line with
-  | Ok j -> (
-      match Json.member "schema" j with
-      | Some (Json.Str s) -> s = schema
-      | _ -> false)
-  | Error _ -> false
-
 type replayed = Clean of int | Diverged of Diff.divergence
 
-let ( let* ) = Result.bind
-
-let req what = function
-  | Some v -> Ok v
-  | None -> Error ("missing/ill-typed " ^ what)
-
-let int_field name j = req name (Option.bind (Json.member name j) Json.to_int_opt)
-
-let op_of_json j =
-  let* call = int_field "call" j in
-  let* raw = req "args" (Option.bind (Json.member "args" j) Json.to_list_opt) in
-  let* args =
-    List.fold_left
-      (fun acc a ->
-        let* acc = acc in
-        let* n = req "args element" (Json.to_int_opt a) in
-        Ok (n :: acc))
-      (Ok []) raw
-  in
-  let forced =
-    match Json.member "forced" j with
-    | Some (Json.Str "exit") -> Some `Exit
-    | Some (Json.Str "interrupted") -> Some `Interrupted
-    | Some (Json.Str "fault") -> Some `Fault
-    | _ -> None
-  in
-  Ok { call; args = List.rev args; forced }
-
-(* Replay a trace in differential lockstep against a freshly booted
+(* Replay a path in differential lockstep against a freshly booted
    concrete world: the probe image is staged before the prelude, and
    the staging window is zeroed once the prelude is done — exactly the
-   world the explorer's abstract contents oracle assumed. The forced
-   markers are informational: Diff resolves opaque runs from the
-   implementation's observed outcome. *)
-let replay_lines lines =
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] -> Error "empty trace"
-  | hline :: rest ->
-      let* h = Result.map_error (fun e -> "header: " ^ e) (Json.parse hline) in
-      let* () =
-        match Json.member "schema" h with
-        | Some (Json.Str s) when s = schema -> Ok ()
-        | _ -> Error "not a komodo check trace (bad or missing schema)"
-      in
-      let* seed = int_field "seed" h in
-      let* pages = int_field "pages" h in
-      let* nprel = int_field "prelude" h in
-      let* mutate =
-        match Json.member "mutate" h with
-        | None | Some Json.Null -> Ok None
-        | Some (Json.Str s) -> (
-            match Aspec.mutation_of_string s with
-            | Some m -> Ok (Some m)
-            | None -> Error ("unknown mutation " ^ s))
-        | Some _ -> Error "ill-typed mutate field"
-      in
-      let* ops =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* j = Result.map_error (fun e -> "op: " ^ e) (Json.parse line) in
-            let* x = op_of_json j in
-            Ok (x :: acc))
-          (Ok []) rest
-      in
-      let ops = List.rev ops in
-      let os = Os.boot ~seed ~npages:pages () in
-      let os = Os.write_bytes os Os.staging_base (page_image Progs.svc_probe) in
-      let rs0 =
-        {
-          Diff.os;
-          spec = Abs.abs os.Os.mon;
-          probe_ok = true;
-          abs_cache = Abs.cache ();
-        }
-      in
-      let rec go rs i = function
-        | [] -> Ok (Clean i)
-        | x :: rest -> (
-            let rs =
-              if i = nprel then
-                {
-                  rs with
-                  Diff.os =
-                    Os.write_bytes rs.Diff.os Os.staging_base
-                      (String.make 0x4000 '\000');
-                }
-              else rs
-            in
-            let op = Diff.Smc { call = x.call; args = x.args; budget = None } in
-            match Diff.apply_op ?mutate rs i op with
-            | Ok rs' -> go rs' (i + 1) rest
-            | Error d -> Ok (Diverged d))
-      in
-      go rs0 0 ops
-
-let replay_file path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  replay_lines (List.rev !lines)
+   world the explorer's abstract contents oracle assumed. *)
+let replay ~seed (c : Diff.config) ops =
+  let os = Os.boot ~seed ~npages:c.Diff.npages () in
+  let os = Os.write_bytes os Os.staging_base (page_image Progs.svc_probe) in
+  let rs0 =
+    { Diff.os; spec = Abs.abs os.Os.mon; probe_ok = true; abs_cache = Abs.cache () }
+  in
+  let rec go rs i = function
+    | [] -> Clean i
+    | op :: rest -> (
+        let rs =
+          if i = n_prelude then
+            {
+              rs with
+              Diff.os =
+                Os.write_bytes rs.Diff.os Os.staging_base (String.make 0x4000 '\000');
+            }
+          else rs
+        in
+        match Diff.apply_op ?mutate:c.Diff.mutate rs i op with
+        | Ok rs' -> go rs' (i + 1) rest
+        | Error d -> Diverged d)
+  in
+  go rs0 0 ops

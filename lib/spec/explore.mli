@@ -147,28 +147,23 @@ type report = {
 
 (** {2 Counterexample traces}
 
-    A violation's shortest path is emitted as a ["komodo-check-trace/1"]
-    JSONL file and replayed through the PR-2 differential checker
+    A violation's shortest path is saved as a ["komodo-trace/1"] file
+    of kind ["explore"] and replayed through the differential checker
     ({!Diff.apply_op}) against a freshly booted concrete world, so every
-    abstract counterexample is immediately cross-validated against the
-    machine: under the same [mutate] the divergence must reproduce. *)
+    abstract counterexample is cross-validated against the machine:
+    under the same [mutate] the divergence must reproduce. *)
 
-val schema : string
-(** ["komodo-check-trace/1"]. *)
-
-val trace_lines : config -> violation -> string list
-val is_trace : string -> bool
-(** Does this first line carry the {!schema} magic? (Used by
-    [komodo check --replay] to route between trace kinds.) *)
+val op_to_json : xop -> Komodo_telemetry.Json.t
+(** {!Diff.op_to_json} of the SMC, plus an informational ["forced"]
+    outcome marker (replays decode ops with {!Diff.op_of_json}). *)
 
 type replayed =
   | Clean of int  (** all ops matched; op count *)
   | Diverged of Diff.divergence
 
-val replay_lines : string list -> (replayed, string) result
-val replay_file : string -> (replayed, string) result
-(** Parse and replay a trace: boot [Os] from the header's seed and page
-    count, stage the probe image, run every op in differential lockstep
-    (under the header's [mutate], so a mutation counterexample must
-    diverge), zeroing the staging window after the prelude exactly as
-    the explorer's abstract contents oracle assumes. *)
+val replay : seed:int -> Diff.config -> Diff.op list -> replayed
+(** Boot [Os] from [seed] and the config's page count, stage the probe
+    image, run every op in differential lockstep (under the config's
+    [mutate], so a mutation counterexample must diverge), zeroing the
+    staging window after the {!n_prelude} prelude ops exactly as the
+    explorer's abstract contents oracle assumes. *)

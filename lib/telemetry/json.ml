@@ -135,7 +135,16 @@ let parse_exn s =
                | 'u' ->
                    advance ();
                    if !pos + 4 > n then fail "truncated \\u escape";
-                   let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+                   let hex = String.sub s !pos 4 in
+                   let is_hex = function
+                     | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                     | _ -> false
+                   in
+                   let code =
+                     match int_of_string_opt ("0x" ^ hex) with
+                     | Some c when String.for_all is_hex hex -> c
+                     | _ -> fail (Printf.sprintf "bad \\u escape %S" hex)
+                   in
                    pos := !pos + 4;
                    (* {!write} only emits \u00XX (single bytes), which
                       must decode back to that byte for round-tripping;
@@ -257,3 +266,39 @@ let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_list_opt = function List xs -> Some xs | _ -> None
+
+(* -- Decoders ------------------------------------------------------------ *)
+
+let ( let* ) = Result.bind
+
+let field k conv j =
+  match Option.bind (member k j) conv with
+  | Some v -> Ok v
+  | None -> Error ("missing/ill-typed " ^ k)
+
+let int_field k j = field k to_int_opt j
+
+let all ~what dec xs =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+        match dec x with
+        | Ok v -> go (i + 1) (v :: acc) rest
+        | Error e -> Error (Printf.sprintf "%s %d: %s" what i e))
+  in
+  go 0 [] xs
+
+let ints_field k j =
+  let* l = field k to_list_opt j in
+  all ~what:(k ^ " element") (fun x -> Option.to_result ~none:"not an int" (to_int_opt x)) l
+
+let name_field k of_string j =
+  match member k j with
+  | None | Some Null -> Ok None
+  | Some (Str s) -> (
+      match of_string s with
+      | Some v -> Ok (Some v)
+      | None -> Error (Printf.sprintf "unknown %s %S" k s))
+  | Some _ -> Error ("ill-typed " ^ k)
+
+let name to_string = function None -> Null | Some v -> Str (to_string v)

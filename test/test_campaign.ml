@@ -18,6 +18,7 @@ module Campaign = Komodo_campaign.Campaign
 module Progress = Komodo_campaign.Progress
 module Span = Komodo_telemetry.Span
 module Hist = Komodo_telemetry.Hist
+module Fault_campaign = Campaign.Make (Drive)
 
 (* -- check campaigns: -j 1 vs -j 4 ------------------------------------- *)
 
@@ -79,8 +80,7 @@ let fault_violation_str = function
   | Some (tseed, fops, v) ->
       (* the full reproducibility contract: the shrunk campaign
          serialises to the same JSONL trace *)
-      String.concat "\n"
-        (Drive.trace_lines ~seed:tseed ~npages:40 ~bug:None fops)
+      String.concat "\n" (Fault_campaign.to_trace ~seed:tseed Drive.default fops)
       ^ "\n" ^ Drive.pp_violation v
 
 let same_fault_outcome name (a : Drive.outcome) (b : Drive.outcome) =
@@ -208,8 +208,9 @@ let test_cover_merge_order_insensitive () =
   (* Two covers with different (overlapping) content, merged in both
      orders: identical tables and byte-identical reports. This is the
      property that lets per-worker covers merge in completion order. *)
-  let a = (Diff.run_trial ~ops_per_trial:25 ~seed:7 ()).Diff.t_cover in
-  let b = (Diff.run_trial ~ops_per_trial:25 ~seed:42 ()).Diff.t_cover in
+  let cfg = { Diff.default with ops_per_trial = 25 } in
+  let a = (Diff.run_trial cfg ~seed:7).Diff.t_cover in
+  let b = (Diff.run_trial cfg ~seed:42).Diff.t_cover in
   let ab = Cover.create () and ba = Cover.create () in
   Cover.merge_into ab a;
   Cover.merge_into ab b;
@@ -351,13 +352,12 @@ let test_progress_totals_schedule_independent () =
 
 module Smpdrive = Komodo_fault.Smpdrive
 module Smp = Komodo_os.Smp
+module Smp_campaign = Campaign.Make (Smpdrive)
 
 let smp_violation_str = function
   | None -> "none"
   | Some (tseed, sops, v) ->
-      String.concat "\n"
-        (Smpdrive.trace_lines ~seed:tseed ~npages:Smpdrive.default_npages
-           ~cpus:Smpdrive.default_cpus ~bug:None sops)
+      String.concat "\n" (Smp_campaign.to_trace ~seed:tseed Smpdrive.default sops)
       ^ "\n" ^ Smpdrive.pp_violation v
 
 let same_smp_outcome name (a : Smpdrive.outcome) (b : Smpdrive.outcome) =
@@ -377,7 +377,7 @@ let same_smp_outcome name (a : Smpdrive.outcome) (b : Smpdrive.outcome) =
     (smp_violation_str b.Smpdrive.violation)
 
 let test_smp_deterministic () =
-  let run jobs = Campaign.smp ~jobs ~trials:25 ~seed:7 () in
+  let run jobs = Smp_campaign.run ~jobs Smpdrive.default ~trials:25 ~seed:7 in
   let a = run 1 and b = run 4 in
   (match a.Smpdrive.violation with
   | Some _ -> Alcotest.fail "clean smp campaign violated"
@@ -388,14 +388,16 @@ let test_smp_faults_clean () =
   (* Lock-boundary fault injection: the construction-call alphabet
      cannot observe insecure-memory writes, interrupts, or RNG
      glitches, so the campaign must stay violation-free. *)
-  let o = Campaign.smp ~faults:true ~trials:25 ~seed:7 () in
+  let o = Smp_campaign.run { Smpdrive.default with faults = true } ~trials:25 ~seed:7 in
   Alcotest.(check bool) "no violation under lock-boundary faults" true
     (o.Smpdrive.violation = None);
   Alcotest.(check bool) "faults actually fired" true
     (o.Smpdrive.total_injections > 0)
 
 let test_smp_bug_same_shrunk_trace bug () =
-  let run jobs = Campaign.smp ~jobs ~trials:60 ~seed:42 ~bug () in
+  let run jobs =
+    Smp_campaign.run ~jobs { Smpdrive.default with bug = Some bug } ~trials:60 ~seed:42
+  in
   let a = run 1 and b = run 4 in
   (match a.Smpdrive.violation with
   | None ->
@@ -423,15 +425,192 @@ let test_smp_committed_trace_replays () =
       (fun l -> String.trim l <> "")
       (read_lines "traces/smp_lock_inversion.jsonl")
   in
-  match Smpdrive.trace_parse lines with
+  match Smp_campaign.of_trace lines with
   | Error e -> Alcotest.failf "committed trace unparseable: %s" e
-  | Ok (h, sops) -> (
+  | Ok (seed, cfg, sops) -> (
       Alcotest.(check bool) "trace carries the bug" true
-        (h.Smpdrive.h_bug = Some Smp.Lock_inversion);
-      match Smpdrive.replay h sops with
+        (cfg.Smpdrive.bug = Some Smp.Lock_inversion);
+      match Smpdrive.replay cfg ~seed sops with
       | Ok _ -> Alcotest.fail "committed violation no longer reproduces"
       | Error v ->
           Alcotest.(check string) "still a deadlock" "deadlock" v.Smpdrive.kind)
+
+(* -- the trace reader under fuzzing --------------------------------------- *)
+
+module Trace = Komodo_campaign.Trace
+module Explore = Komodo_spec.Explore
+module Vaultdrive = Komodo_fault.Vaultdrive
+module Vault_campaign = Campaign.Make (Vaultdrive)
+
+(* Every way a replay reads a trace. A reader may accept or reject its
+   input, but never raise; explore's also replays what it accepts. *)
+let readers =
+  [
+    ("fault", fun l -> Result.is_ok (Fault_campaign.of_trace l));
+    ("vault", fun l -> Result.is_ok (Vault_campaign.of_trace l));
+    ("smp", fun l -> Result.is_ok (Smp_campaign.of_trace l));
+    ("explore", fun l -> Result.is_ok (Campaign.replay_explore_trace l));
+  ]
+
+let explore_seed_trace () =
+  let cfg = { Explore.pages = 7; depth = 0; seed = 42; mutate = None } in
+  Campaign.explore_trace cfg
+    {
+      Explore.v_prelude = false;
+      v_depth = 0;
+      v_reason = "prelude";
+      v_ops = Explore.prelude_xops (Explore.make_world cfg);
+    }
+
+let seed_traces =
+  lazy
+    (explore_seed_trace ()
+    :: List.map
+         (fun f -> Result.get_ok (Trace.load ("traces/" ^ f)))
+         [ "partial_remove.jsonl"; "vault_rollback.jsonl"; "smp_lock_inversion.jsonl" ])
+
+(* Maximal runs of [-0-9]: the integer literals of a JSON line (and
+   some string contents, which is fine to mutate too). *)
+let digit_runs s =
+  let is_d c = c = '-' || (c >= '0' && c <= '9') in
+  let n = String.length s in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if is_d s.[i] then (
+      let j = ref i in
+      while !j < n && is_d s.[!j] do incr j done;
+      go !j ((i, !j - i) :: acc))
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let splice s (pos, len) by =
+  String.sub s 0 pos ^ by ^ String.sub s (pos + len) (String.length s - pos - len)
+
+let edit_line line =
+  let open QCheck.Gen in
+  let n = String.length line in
+  let truncate = map (fun p -> String.sub line 0 p) (int_bound n) in
+  let garble =
+    list_size (int_range 1 3)
+      (pair (int_bound (max 0 (n - 1)))
+         (oneofl [ '"'; '\\'; 'u'; 'z'; '{'; '}'; '['; ']'; ','; ':'; '0'; '-'; '\000'; '\255' ]))
+    >|= fun edits ->
+    let b = Bytes.of_string line in
+    List.iter (fun (i, c) -> if i < n then Bytes.set b i c) edits;
+    Bytes.to_string b
+  in
+  let any_int =
+    oneof
+      [
+        oneofl [ 0; 1; -1; 3; 4; 7; 8; 19; 99; 4096; 4097; 1 lsl 32; max_int; min_int ];
+        small_signed_int;
+        int;
+      ]
+  in
+  let new_int =
+    match digit_runs line with
+    | [] -> return line
+    | runs -> pair (oneofl runs) any_int >|= fun (r, v) -> splice line r (string_of_int v)
+  in
+  let flip_kind =
+    let key = "\"kind\":\"" in
+    let kl = String.length key in
+    let rec find i =
+      if i + kl > n then None
+      else if String.sub line i kl = key then Some (i + kl)
+      else find (i + 1)
+    in
+    match find 0 with
+    | None -> return line
+    | Some start ->
+        let stop = try String.index_from line start '"' with Not_found -> n in
+        oneofl [ "fault"; "vault"; "smp"; "explore"; "check"; ""; "\\uzzzz" ]
+        >|= fun k -> splice line (start, stop - start) k
+  in
+  frequency [ (1, truncate); (2, garble); (3, new_int); (1, flip_kind); (1, return "") ]
+
+let gen_mutated =
+  let open QCheck.Gen in
+  (* Delayed: the committed traces are read on first use. *)
+  unit >>= fun () ->
+  oneofl (Lazy.force seed_traces) >>= fun base ->
+  let edit lines =
+    int_bound (List.length lines - 1) >>= fun i ->
+    edit_line (List.nth lines i) >|= fun l -> List.mapi (fun j x -> if j = i then l else x) lines
+  in
+  int_range 1 3 >>= fun k ->
+  let rec go k lines = if k = 0 then return lines else edit lines >>= go (k - 1) in
+  go k base
+
+let prop_reader_never_raises =
+  QCheck.Test.make ~count:300 ~name:"trace readers return Ok or Error on mangled traces"
+    (QCheck.make ~print:(String.concat "\n") gen_mutated)
+    (fun lines ->
+      List.iter (fun (_, read) -> ignore (read lines)) readers;
+      true)
+
+(* Hand-found inputs that each crashed a replay before the readers
+   range-checked them: every one must now be a plain [Error]. *)
+let test_reader_regressions () =
+  let fault_h = {|{"schema":"komodo-trace/1","kind":"fault","seed":42,"npages":40,"bug":null}|} in
+  let vault_h = {|{"schema":"komodo-trace/1","kind":"vault","seed":5,"npages":48,"bug":null}|} in
+  let smp_h = {|{"schema":"komodo-trace/1","kind":"smp","seed":21,"npages":32,"cpus":4,"bug":null}|} in
+  let smc = {|{"op":{"call":1,"args":[],"budget":null},"inj":[]}|} in
+  let cases =
+    [
+      ("fault", [ fault_h; {|{"op":{"call":11,"args":["\uzzzz"],"budget":null},"inj":[]}|} ]);
+      ("explore",
+        [ {|{"schema":"komodo-trace/1","kind":"explore","seed":42,"npages":7,"mutate":"\uzzzz"}|} ]);
+      ("smp", [ {|{"schema":"komodo-trace/1","kind":"smp","seed":21,"npages":32,"cpus":0,"bug":null}|} ]);
+      ( "smp",
+        [
+          {|{"schema":"komodo-trace/1","kind":"smp","seed":21,"npages":32,"cpus":4611686018427387903,"bug":null}|};
+        ] );
+      ("vault", [ vault_h; {|{"tamper":{"block":99,"byte":0,"bit":0}}|} ]);
+      ("vault", [ vault_h; {|{"update":{"index":-1,"value":0}}|} ]);
+      ("smp", [ smp_h; {|{"cpu":7,"call":6,"args":[3,17,40963,0]}|} ]);
+      ("smp", [ smp_h; {|{"cpu":0,"call":6,"args":[1,2,3,4,5]}|} ]);
+      ("fault", Result.get_ok (Trace.load "traces/smp_lock_inversion.jsonl"));
+      ("fault", [ fault_h; {|{"op":{"call":0,"args":[0,0,0,0,0,0],"budget":null},"inj":[]}|} ]);
+      ("fault", [ fault_h; {|{"op":{"write_ins":{"addr":4294967295,"value":1}},"inj":[]}|} ]);
+      ("fault",
+        [ fault_h;
+          {|{"op":{"call":1,"args":[],"budget":null},"inj":[{"point":"commit","action":{"mem_write":{"addr":3,"value":1}}}]}|} ]);
+      ("fault", [ {|{"schema":"komodo-trace/1","kind":"fault","seed":1,"npages":100000,"bug":null}|}; smc ]);
+      ("fault", [ {|{"seed":42,"npages":40,"bug":null}|}; smc ]);
+    ]
+  in
+  List.iteri
+    (fun i (kind, lines) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "case %d (%s) rejected" i kind)
+        false
+        ((List.assoc kind readers) lines))
+    cases;
+  Alcotest.(check bool) "missing file" true (Result.is_error (Trace.load "/nonexistent"));
+  Alcotest.(check bool) "unwritable path" true
+    (Result.is_error (Trace.save "/nonexistent/dir/x.jsonl" []))
+
+(* The flag cases the CLI maps to exit 2, at the driver level. *)
+let test_validate_rejects () =
+  let rejected name r = Alcotest.(check bool) name true (Result.is_error r) in
+  rejected "check: 4 pages" (Diff.validate { Diff.default with npages = 4 });
+  rejected "fault: 4 pages" (Drive.validate { Drive.default with npages = 4 });
+  rejected "fault: -5 ops" (Drive.validate { Drive.default with ops_per_trial = -5 });
+  rejected "vault: 4 pages" (Vaultdrive.validate { Vaultdrive.default with npages = 4 });
+  rejected "vault: 5000 pages" (Vaultdrive.validate { Vaultdrive.default with npages = 5000 });
+  rejected "smp: 0 cpus" (Smpdrive.validate { Smpdrive.default with cpus = 0 });
+  rejected "smp: max_int cpus" (Smpdrive.validate { Smpdrive.default with cpus = max_int });
+  rejected "smp: 4 pages" (Smpdrive.validate { Smpdrive.default with npages = 4 });
+  List.iter
+    (fun (name, r) -> Alcotest.(check bool) (name ^ " default accepted") true (Result.is_ok r))
+    [
+      ("check", Diff.validate Diff.default);
+      ("fault", Drive.validate Drive.default);
+      ("vault", Vaultdrive.validate Vaultdrive.default);
+      ("smp", Smpdrive.validate Smpdrive.default);
+    ]
 
 let suite =
   [
@@ -478,4 +657,9 @@ let suite =
       (test_smp_bug_same_shrunk_trace Smp.Lock_inversion);
     Alcotest.test_case "smp: committed deadlock trace replays" `Quick
       test_smp_committed_trace_replays;
+    Testlib.qcheck prop_reader_never_raises;
+    Alcotest.test_case "trace: hand-found crashers are errors" `Quick
+      test_reader_regressions;
+    Alcotest.test_case "drivers: out-of-range configs rejected" `Quick
+      test_validate_rejects;
   ]

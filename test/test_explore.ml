@@ -170,11 +170,11 @@ let test_mutation_matrix () =
             (name ^ ": violates in the prelude") true v.Explore.v_prelude
       | _ ->
           Alcotest.(check int) (name ^ ": found at depth 1") 1 v.Explore.v_depth);
-      let lines = Explore.trace_lines cfg v in
+      let lines = Campaign.explore_trace cfg v in
       Alcotest.(check bool)
         (name ^ ": trace carries the schema tag") true
-        (Explore.is_trace (List.hd lines));
-      match Explore.replay_lines lines with
+        (Komodo_campaign.Trace.is_trace lines);
+      match Campaign.replay_explore_trace lines with
       | Error e -> Alcotest.failf "%s: trace does not replay: %s" name e
       | Ok (Explore.Clean n) ->
           Alcotest.failf
@@ -197,7 +197,7 @@ let test_clean_trace_replays () =
       v_ops = Explore.prelude_xops w;
     }
   in
-  match Explore.replay_lines (Explore.trace_lines cfg v) with
+  match Campaign.replay_explore_trace (Campaign.explore_trace cfg v) with
   | Ok (Explore.Clean n) -> Alcotest.(check int) "all prelude ops matched" 5 n
   | Ok (Explore.Diverged d) ->
       Alcotest.failf "clean prelude diverged: %s" (Diff.pp_divergence d)

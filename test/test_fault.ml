@@ -1,7 +1,7 @@
 (* The fault-injection subsystem: clean campaigns stay atomic, the
    checker self-tests catch the re-enabled partial-mutation bugs, the
    injector is bound by the TZASC, crash/reboot scrubs only OS-owned
-   memory, and shrunk campaigns round-trip through the JSONL trace
+   memory, and shrunk campaigns round-trip through the komodo-trace/1
    format (including the committed regression trace). *)
 
 module Word = Komodo_machine.Word
@@ -14,6 +14,7 @@ module Os = Komodo_os.Os
 module Inject = Komodo_fault.Inject
 module Drive = Komodo_fault.Drive
 module Campaign = Komodo_campaign.Campaign
+module Fault_campaign = Campaign.Make (Drive)
 
 let test_clean_campaign () =
   (* Every fault class armed, fixed seed: the monitor must absorb all
@@ -121,15 +122,15 @@ let test_crash_reboot () =
 let test_trace_roundtrip () =
   let w = Komodo_spec.Diff.make_world ~npages:40 ~seed:5 () in
   let fops = Drive.gen_fops w ~faults:Drive.all_classes ~seed:5 ~n:30 in
-  let lines = Drive.trace_lines ~seed:5 ~npages:40 ~bug:None fops in
-  match Drive.trace_parse lines with
+  let lines = Fault_campaign.to_trace ~seed:5 Drive.default fops in
+  match Fault_campaign.of_trace lines with
   | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok (h, fops') ->
-      Alcotest.(check int) "seed" 5 h.Drive.h_seed;
-      Alcotest.(check int) "npages" 40 h.Drive.h_npages;
-      Alcotest.(check bool) "no bug" true (h.Drive.h_bug = None);
+  | Ok (seed, cfg, fops') ->
+      Alcotest.(check int) "seed" 5 seed;
+      Alcotest.(check int) "npages" 40 cfg.Drive.npages;
+      Alcotest.(check bool) "no bug" true (cfg.Drive.bug = None);
       Alcotest.(check (list string)) "re-serialises identically" lines
-        (Drive.trace_lines ~seed:5 ~npages:40 ~bug:None fops')
+        (Fault_campaign.to_trace ~seed:5 cfg fops')
 
 let read_lines path =
   let ic = open_in path in
@@ -148,12 +149,12 @@ let test_committed_trace_replays () =
   let lines =
     List.filter (fun l -> String.trim l <> "") (read_lines "traces/partial_remove.jsonl")
   in
-  match Drive.trace_parse lines with
+  match Fault_campaign.of_trace lines with
   | Error e -> Alcotest.failf "committed trace unparseable: %s" e
-  | Ok (h, fops) -> (
+  | Ok (seed, cfg, fops) -> (
       Alcotest.(check bool) "trace carries the bug" true
-        (h.Drive.h_bug = Some Monitor.Bug_partial_remove);
-      match Drive.replay h fops with
+        (cfg.Drive.bug = Some Monitor.Bug_partial_remove);
+      match Drive.replay cfg ~seed fops with
       | Ok _ -> Alcotest.fail "committed violation no longer reproduces"
       | Error v ->
           Alcotest.(check bool) "violation names a reason" true

@@ -1,4 +1,4 @@
-(* The splittable seed derivation (lib/campaign/seedsplit). The
+(* The splittable seed derivation (lib/rand/seedsplit). The
    derivation is a frozen contract: every recorded trial — committed
    regression traces, CI diffs, BENCH_campaign.json — is keyed by
    [derive ~root index], so the golden values here must never change.
@@ -6,7 +6,7 @@
    derived seeds are non-negative, collision-free at campaign scale,
    and statistically independent across both index and root. *)
 
-module Seedsplit = Komodo_campaign.Seedsplit
+module Seedsplit = Komodo_rand.Seedsplit
 
 (* Frozen outputs of [derive]. If this test fails, the derivation
    changed and every committed seed in the repo silently refers to a

@@ -142,7 +142,7 @@ let prop_lockstep_random_seed =
   QCheck.Test.make ~count:15 ~name:"lockstep holds from arbitrary seeds"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let t = Diff.run_trial ~ops_per_trial:30 ~seed () in
+      let t = Diff.run_trial { Diff.default with ops_per_trial = 30 } ~seed in
       match t.Diff.t_divergence with
       | None -> true
       | Some d -> QCheck.Test.fail_report (Diff.pp_divergence d))

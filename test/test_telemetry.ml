@@ -110,9 +110,16 @@ let test_json_values () =
   (match Json.parse (Json.to_string v) with
   | Ok v' -> Alcotest.(check bool) "nested JSON round-trips" true (Json.equal v v')
   | Error e -> Alcotest.failf "parse failed: %s" e);
-  match Json.parse "{\"a\": [1, }" with
+  (match Json.parse "{\"a\": [1, }" with
   | Ok _ -> Alcotest.fail "malformed JSON accepted"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* A garbled \u escape is a parse error, not an exception. *)
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | Ok _ -> Alcotest.failf "bad escape accepted: %s" s
+      | Error _ -> ())
+    [ "\"\\uzzzz\""; "\"\\u_1_2\""; "\"\\u12\"" ]
 
 (* Every byte value — control characters, DEL, non-ASCII — must
    survive the \u00XX escaping used by the JSONL sinks. *)

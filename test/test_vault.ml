@@ -16,7 +16,7 @@ module Vault = Komodo_user.Vault
 module Sha256 = Komodo_crypto.Sha256
 module Sealspec = Komodo_spec.Sealspec
 module Vaultdrive = Komodo_fault.Vaultdrive
-module Campaign = Komodo_campaign.Campaign
+module Campaign = Komodo_campaign.Campaign.Make (Vaultdrive)
 
 let boot ?(seed = 5) ?bug () = Vaultdrive.boot_vault ~seed ~npages:48 ~bug
 
@@ -188,7 +188,7 @@ let test_bugs_disable_detection () =
 
 let test_clean_campaign () =
   let o =
-    Campaign.vault ~jobs:1 ~classes:Vaultdrive.all_classes ~trials:6 ~seed:42 ()
+    Campaign.run ~jobs:1 Vaultdrive.default ~trials:6 ~seed:42
   in
   (match o.Vaultdrive.violation with
   | None -> ()
@@ -203,15 +203,15 @@ let test_clean_campaign () =
 
 let test_campaign_deterministic () =
   let run jobs =
-    Campaign.vault ~jobs ~classes:Vaultdrive.all_classes ~trials:5 ~seed:7 ()
+    Campaign.run ~jobs Vaultdrive.default ~trials:5 ~seed:7
   in
   let a = run 1 and b = run 2 in
   Alcotest.(check bool) "identical outcome at -j 1 vs -j 2" true (a = b)
 
 let catch_bug bug =
   match
-    (Campaign.vault ~jobs:1 ~classes:Vaultdrive.all_classes ~trials:20 ~seed:42
-       ~bug ())
+    (Campaign.run ~jobs:1 { Vaultdrive.default with bug = Some bug } ~trials:20
+       ~seed:42)
       .Vaultdrive.violation
   with
   | None -> Alcotest.failf "bug %s survived the campaign" (Vault.bug_name bug)
@@ -230,15 +230,15 @@ let test_trace_roundtrip () =
   let sops =
     Vaultdrive.gen_sops ~classes:Vaultdrive.all_classes ~seed:11 ~n:30
   in
-  let lines = Vaultdrive.trace_lines ~seed:11 ~npages:48 ~bug:None sops in
-  match Vaultdrive.trace_parse lines with
+  let lines = Campaign.to_trace ~seed:11 Vaultdrive.default sops in
+  match Campaign.of_trace lines with
   | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok (h, sops') ->
-      Alcotest.(check int) "seed" 11 h.Vaultdrive.h_seed;
-      Alcotest.(check int) "npages" 48 h.Vaultdrive.h_npages;
-      Alcotest.(check bool) "no bug" true (h.Vaultdrive.h_bug = None);
+  | Ok (seed, cfg, sops') ->
+      Alcotest.(check int) "seed" 11 seed;
+      Alcotest.(check int) "npages" 48 cfg.Vaultdrive.npages;
+      Alcotest.(check bool) "no bug" true (cfg.Vaultdrive.bug = None);
       Alcotest.(check (list string)) "re-serialises identically" lines
-        (Vaultdrive.trace_lines ~seed:11 ~npages:48 ~bug:None sops')
+        (Campaign.to_trace ~seed:11 cfg sops')
 
 let read_lines path =
   let ic = open_in path in
@@ -260,12 +260,12 @@ let test_committed_trace_replays () =
       (fun l -> String.trim l <> "")
       (read_lines "traces/vault_rollback.jsonl")
   in
-  match Vaultdrive.trace_parse lines with
+  match Campaign.of_trace lines with
   | Error e -> Alcotest.failf "committed trace unparseable: %s" e
-  | Ok (h, sops) -> (
+  | Ok (seed, cfg, sops) -> (
       Alcotest.(check bool) "trace carries the bug" true
-        (h.Vaultdrive.h_bug = Some Vault.Bug_accept_stale);
-      match Vaultdrive.replay h sops with
+        (cfg.Vaultdrive.bug = Some Vault.Bug_accept_stale);
+      match Vaultdrive.replay cfg ~seed sops with
       | Ok _ -> Alcotest.fail "committed violation no longer reproduces"
       | Error v ->
           Alcotest.(check bool) "a rollback was silently accepted" true
