@@ -33,7 +33,7 @@ let run () =
     ~columns:[ "metric"; "value" ]
     [
       [ "trials"; string_of_int o.Diff.trials_run ];
-      [ "worker domains"; string_of_int jobs ];
+      [ "worker domains (host cores)"; string_of_int jobs ];
       [ "lockstep ops checked"; string_of_int o.Diff.ops_run ];
       [ "sequences/sec"; per_sec o.Diff.trials_run ];
       [ "ops/sec"; per_sec o.Diff.ops_run ];

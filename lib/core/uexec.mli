@@ -33,7 +33,7 @@ val concrete :
   ?fuel:int ->
   ?native:(int -> Exec.native option) ->
   ?probe:(steps:int -> unit) ->
-  ?inject:(State.t -> State.t * Exec.event option) ->
+  ?inject:Exec.inject ->
   unit ->
   t
 (** [probe] observes the instructions retired per burst — the machine

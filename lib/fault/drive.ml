@@ -458,12 +458,16 @@ let op_to_json = function
       in
       Json.Obj [ ("op", Diff.op_to_json op); ("inj", Json.List (List.map item inj)) ]
 
+(* Boundaries are counted from 0: a negative one would never fire. *)
 let point_of_json = function
   | Json.Str "commit" -> Ok Inject.Commit
-  | Json.Obj _ as j -> (
-      match Json.int_field "insn" j with
-      | Ok n -> Ok (Inject.Insn n)
-      | Error _ -> Result.map (fun n -> Inject.Lockstep n) (Json.int_field "lock" j))
+  | Json.Obj _ as j ->
+      let name, point =
+        if Option.is_some (Json.member "insn" j) then ("insn", fun n -> Inject.Insn n)
+        else ("lock", fun n -> Inject.Lockstep n)
+      in
+      let* n = Json.int_field name j in
+      if n >= 0 then Ok (point n) else Error (Printf.sprintf "%s %d: a negative boundary" name n)
   | _ -> Error "bad injection point"
 
 let action_of_json = function

@@ -143,35 +143,40 @@ let hook inj (p : Monitor.phase) (t : Monitor.t) =
 
 (* -- instruction-boundary firing --------------------------------------- *)
 
-let exec_inject inj (s : State.t) =
+let rec insn_due n = function
+  | [] -> false
+  | { point = Insn k; _ } :: rest -> k = n || insn_due n rest
+  | { point = Commit | Lockstep _; _ } :: rest -> insn_due n rest
+
+let exec_inject inj () =
   let n = inj.insns in
   inj.insns <- n + 1;
-  let hit = function Insn k -> k = n | Commit | Lockstep _ -> false in
-  let now, later = List.partition (fun i -> hit i.point) inj.armed in
-  match now with
-  | [] -> (s, None)
-  | _ ->
-      inj.armed <- later;
-      let point = Printf.sprintf "insn:%d" n in
-      let record what = inj.log <- (point, what) :: inj.log in
-      List.fold_left
-        (fun (s, forced) item ->
-          match item.action with
-          | Irq ->
-              record (action_name item.action);
-              (s, Some Exec.Ev_irq)
-          | Fiq ->
-              record (action_name item.action);
-              (s, Some Exec.Ev_fiq)
-          | Mem_write { addr; value } ->
-              let a = Word.of_int addr in
-              if Platform.normal_world_accessible inj.plat a then begin
+  if not (insn_due n inj.armed) then None
+  else
+    let now, later = List.partition (fun i -> i.point = Insn n) inj.armed in
+    inj.armed <- later;
+    let point = Printf.sprintf "insn:%d" n in
+    let record what = inj.log <- (point, what) :: inj.log in
+    Some
+      (fun s ->
+        List.fold_left
+          (fun (s, forced) item ->
+            match item.action with
+            | Irq ->
                 record (action_name item.action);
-                ({ s with State.mem = Komodo_machine.Memory.store s.State.mem a (Word.of_int value) }, forced)
-              end
-              else (s, forced)
-          | Rng_reseed _ | Rng_exhaust ->
-              (* The entropy source lives in the monitor, not the
-                 machine; these only make sense at commit points. *)
-              (s, forced))
-        (s, None) now
+                (s, Some Exec.Ev_irq)
+            | Fiq ->
+                record (action_name item.action);
+                (s, Some Exec.Ev_fiq)
+            | Mem_write { addr; value } ->
+                let a = Word.of_int addr in
+                if Platform.normal_world_accessible inj.plat a then begin
+                  record (action_name item.action);
+                  (State.store s a (Word.of_int value), forced)
+                end
+                else (s, forced)
+            | Rng_reseed _ | Rng_exhaust ->
+                (* The entropy source lives in the monitor, not the
+                   machine; these only make sense at commit points. *)
+                (s, forced))
+          (s, None) now)

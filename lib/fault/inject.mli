@@ -84,9 +84,11 @@ val hook : t -> Monitor.phase -> Monitor.t -> Monitor.t
     matching index, with identical action semantics (the TZASC gate
     applies at lock boundaries too). *)
 
-val exec_inject : t -> State.t -> State.t * Exec.event option
+val exec_inject : t -> Exec.inject
 (** The machine-layer hook for {!Komodo_machine.Exec.run}: counts
-    instruction boundaries and fires armed [Insn]-point actions.
-    [Irq]/[Fiq] force the corresponding event, ending the burst;
-    [Mem_write] perturbs insecure memory under the enclave's feet; RNG
-    actions are commit-point-only and ignored here. *)
+    instruction boundaries and answers [None], allocating nothing,
+    unless an [Insn]-point action is armed for this one. Then it fires
+    them on the state it is handed: [Irq]/[Fiq] force the corresponding
+    event, ending the burst; [Mem_write] perturbs insecure memory under
+    the enclave's feet; RNG actions are commit-point-only and ignored
+    here. *)

@@ -39,26 +39,31 @@ module Uview = struct
       Also usable by native programs, which keeps them honest: they can
       only touch memory their page table maps. *)
 
+  (* The check every data access makes: alignment, then translation
+     through the table at [ttbr], then (for stores) write permission.
+     The interpreter applies it to its burst-local memory. *)
+  let data_frame mem ~ttbr va ~write =
+    if not (Word.is_aligned va) then Error Alignment
+    else
+      match Ptable.translate mem ~ttbr va with
+      | None -> Error Translation
+      | Some f ->
+          if write && not f.Ptable.perms.Ptable.w then Error Permission else Ok f
+
   let translate s va =
     match Ptable.translate s.State.mem ~ttbr:s.State.ttbr0_s va with
     | None -> Error Translation
     | Some f -> Ok f
 
   let load s va =
-    if not (Word.is_aligned va) then Error Alignment
-    else
-      match translate s va with
-      | Error f -> Error f
-      | Ok f -> Ok (Memory.load s.State.mem f.Ptable.pa)
+    match data_frame s.State.mem ~ttbr:s.State.ttbr0_s va ~write:false with
+    | Error f -> Error f
+    | Ok f -> Ok (Memory.load s.State.mem f.Ptable.pa)
 
   let store s va v =
-    if not (Word.is_aligned va) then Error Alignment
-    else
-      match translate s va with
-      | Error f -> Error f
-      | Ok f ->
-          if not f.Ptable.perms.Ptable.w then Error Permission
-          else Ok (State.store s f.Ptable.pa v)
+    match data_frame s.State.mem ~ttbr:s.State.ttbr0_s va ~write:true with
+    | Error f -> Error f
+    | Ok f -> Ok (State.store s f.Ptable.pa v)
 
   (** Fetch one word with execute permission (instruction fetch). *)
   let fetch s va =
@@ -204,10 +209,6 @@ let fetch_image_cached cache s ~entry_va =
 
 (* -- Bytecode interpretation ------------------------------------------ *)
 
-let operand_value s = function
-  | Insn.Reg r -> State.read_reg s r
-  | Insn.Imm w -> w
-
 let add_with_flags a b =
   let result = Word.add a b in
   let carry = Word.to_int a + Word.to_int b > 0xFFFF_FFFF in
@@ -222,121 +223,129 @@ let sub_with_flags a b =
   let overflow = sa <> sb && sr <> sa in
   (result, carry, overflow)
 
-(** Execute one non-control instruction. [Ok] is the next state; SVC and
-    faults surface as [Error] carrying the event and the state at the
-    event (with the fault-address register set for data aborts). *)
-let step_insn s (i : Insn.insn) : (State.t, event * State.t) result =
-  let binop rd rn op f =
-    let v = f (State.read_reg s rn) (operand_value s op) in
-    Ok (State.write_reg s rd v)
-  in
-  let shift rd rn op f =
-    let amount = Word.to_int (operand_value s op) land 0xFF in
-    Ok (State.write_reg s rd (f (State.read_reg s rn) amount))
-  in
-  match i with
-  | Mov (rd, op) -> Ok (State.write_reg s rd (operand_value s op))
-  | Mvn (rd, op) -> Ok (State.write_reg s rd (Word.lognot (operand_value s op)))
-  | Add (rd, rn, op) -> binop rd rn op Word.add
-  | Sub (rd, rn, op) -> binop rd rn op Word.sub
-  | Rsb (rd, rn, op) ->
-      Ok (State.write_reg s rd (Word.sub (operand_value s op) (State.read_reg s rn)))
-  | Mul (rd, rn, rm) ->
-      Ok (State.write_reg s rd (Word.mul (State.read_reg s rn) (State.read_reg s rm)))
-  | And_ (rd, rn, op) -> binop rd rn op Word.logand
-  | Orr (rd, rn, op) -> binop rd rn op Word.logor
-  | Eor (rd, rn, op) -> binop rd rn op Word.logxor
-  | Bic (rd, rn, op) -> binop rd rn op (fun a b -> Word.logand a (Word.lognot b))
-  | Lsl (rd, rn, op) -> shift rd rn op Word.shift_left
-  | Lsr (rd, rn, op) -> shift rd rn op Word.shift_right_logical
-  | Asr (rd, rn, op) -> shift rd rn op Word.shift_right_arith
-  | Ror (rd, rn, op) -> shift rd rn op Word.rotate_right
-  | Cmp (rn, op) ->
-      let result, carry, overflow =
-        sub_with_flags (State.read_reg s rn) (operand_value s op)
-      in
-      Ok { s with State.cpsr = Psr.set_flags s.State.cpsr ~result ~carry ~overflow }
-  | Cmn (rn, op) ->
-      let result, carry, overflow =
-        add_with_flags (State.read_reg s rn) (operand_value s op)
-      in
-      Ok { s with State.cpsr = Psr.set_flags s.State.cpsr ~result ~carry ~overflow }
-  | Tst (rn, op) ->
-      let result = Word.logand (State.read_reg s rn) (operand_value s op) in
-      let cpsr =
-        Psr.set_flags s.State.cpsr ~result ~carry:s.State.cpsr.Psr.c
-          ~overflow:s.State.cpsr.Psr.v
-      in
-      Ok { s with State.cpsr }
-  | Ldr (rd, rn, op) -> (
-      let va = Word.add (State.read_reg s rn) (operand_value s op) in
-      match Uview.load s va with
-      | Error f -> Error (Ev_fault f, { s with State.far = va })
-      | Ok v -> Ok (State.write_reg s rd v))
-  | Str (rd, rn, op) -> (
-      let va = Word.add (State.read_reg s rn) (operand_value s op) in
-      match Uview.store s va (State.read_reg s rd) with
-      | Error f -> Error (Ev_fault f, { s with State.far = va })
-      | Ok s -> Ok s)
-  | Svc imm -> Error (Ev_svc imm, s)
-  | Udf -> Error (Ev_fault Undef_insn, s)
-  | Nop -> Ok s
+type inject = unit -> (State.t -> State.t * event option) option
 
-(** Run the bytecode program from flat index [start_pc] until an event.
-    [fuel] bounds total steps (exhaustion models a timer interrupt).
-    On return, [State.upc] holds the flat index at which execution
-    stopped — the resumption PC. [probe], if given, observes the number
-    of instructions retired in this burst — the machine layer's
-    telemetry hook (it never affects execution or cycle charging).
-    [inject] is the fault-injection hook, consulted at every
-    instruction boundary before the interrupt check: it may perturb
-    the machine state (modelling asynchronous hardware) and force an
-    event, which ends the burst exactly as a real interrupt would. *)
-let run_bytecode ?probe ?inject s (prog : Insn.fop array) ~start_pc ~fuel =
-  let retired = ref 0 in
-  let finish (s, ev) =
-    (match probe with Some f -> f ~steps:!retired | None -> ());
-    (s, ev)
-  in
+(* What a burst of user execution changes, held in place while it runs:
+   the 15 registers visible in the current mode, the CPSR, memory (still
+   copy-on-write per store), the cycle counter, the IRQ budget and the
+   retired-instruction count. Every other field comes from [base] when
+   the burst is folded back into a [State.t]: once when it ends, and
+   whenever an injection fires mid-burst. *)
+type burst = {
+  base : State.t;
+  regs : Word.t array;
+  mutable cpsr : Psr.t;
+  mutable mem : Memory.t;
+  mutable cycles : int;
+  mutable budget : int option;
+  mutable retired : int;
+}
+
+let enter s ~retired =
+  {
+    base = s;
+    regs = Regs.visible s.State.regs ~mode:(State.mode s);
+    cpsr = s.State.cpsr;
+    mem = s.State.mem;
+    cycles = s.State.cycles;
+    budget = s.State.irq_budget;
+    retired;
+  }
+
+let leave b ~upc ~far =
+  let s = b.base in
+  {
+    s with
+    State.regs = Regs.set_visible s.State.regs ~mode:(State.mode s) b.regs;
+    cpsr = b.cpsr;
+    mem = b.mem;
+    cycles = b.cycles;
+    irq_budget = b.budget;
+    upc;
+    far;
+  }
+
+let get b r = b.regs.(Regs.visible_index r)
+let set b r v = b.regs.(Regs.visible_index r) <- v
+let value b = function Insn.Reg r -> get b r | Insn.Imm w -> w
+let binop b rd rn o f = set b rd (f (get b rn) (value b o))
+let shift b rd rn o f = set b rd (f (get b rn) (Word.to_int (value b o) land 0xFF))
+let flags b (result, carry, overflow) = b.cpsr <- Psr.set_flags b.cpsr ~result ~carry ~overflow
+
+(** Run the bytecode program from flat index [start_pc] until an event
+    (see the interface). The burst's state lives in a {!burst}; [inject]
+    is only handed a [State.t] at a boundary where it has something due. *)
+let run_bytecode ?probe ?(inject : inject option) s (prog : Insn.fop array) ~start_pc
+    ~fuel =
   let n = Array.length prog in
-  let rec loop s pc fuel =
-    let s, forced =
-      match inject with None -> (s, None) | Some f -> f s
-    in
-    match forced with
-    | Some ev -> ({ s with State.upc = Word.of_int pc }, ev)
-    | None ->
-    if fuel <= 0 then ({ s with State.upc = Word.of_int pc }, Ev_irq)
+  let stop b pc ?(far = b.base.State.far) ev =
+    (match probe with Some f -> f ~steps:b.retired | None -> ());
+    (leave b ~upc:(Word.of_int pc) ~far, ev)
+  in
+  let rec boundary b pc fuel =
+    match match inject with None -> None | Some due -> due () with
+    | None -> step b pc fuel
+    | Some fire -> (
+        let s, forced = fire (leave b ~upc:b.base.State.upc ~far:b.base.State.far) in
+        let b = enter s ~retired:b.retired in
+        match forced with Some ev -> stop b pc ev | None -> step b pc fuel)
+  and step b pc fuel =
+    if fuel <= 0 then stop b pc Ev_irq
     else
-      match s.State.irq_budget with
-      | Some 0 -> ({ s with State.upc = Word.of_int pc }, Ev_irq)
-      | budget ->
-          let s = { s with State.irq_budget = Option.map (fun b -> b - 1) budget } in
-          if pc < 0 || pc >= n then
-            ({ s with State.upc = Word.of_int pc }, Ev_fault Prefetch)
+      match b.budget with
+      | Some 0 -> stop b pc Ev_irq
+      | budget -> (
+          (match budget with Some k -> b.budget <- Some (k - 1) | None -> ());
+          if pc < 0 || pc >= n then stop b pc (Ev_fault Prefetch)
           else
             let op = prog.(pc) in
-            let s = State.charge (Insn.fop_cost op) s in
-            incr retired;
-            (match op with
-            | Insn.FJmp t -> loop s t (fuel - 1)
-            | Insn.FJcc (c, t) ->
-                if Insn.holds c s.State.cpsr then loop s t (fuel - 1)
-                else loop s (pc + 1) (fuel - 1)
-            | Insn.FI i -> (
-                match step_insn s i with
-                | Ok s -> loop s (pc + 1) (fuel - 1)
-                | Error (ev, s) ->
-                    (* For SVC the banked PC points past the SVC so a
-                       return resumes after it; faults report the
-                       faulting instruction itself (so a dispatcher can
-                       fix the mapping and retry it). *)
-                    let resume_pc =
-                      match ev with Ev_svc _ -> pc + 1 | _ -> pc
-                    in
-                    ({ s with State.upc = Word.of_int resume_pc }, ev)))
+            b.cycles <- b.cycles + Insn.fop_cost op;
+            b.retired <- b.retired + 1;
+            let next = pc + 1 and fuel = fuel - 1 in
+            match op with
+            | Insn.FJmp t -> boundary b t fuel
+            | Insn.FJcc (c, t) -> boundary b (if Insn.holds c b.cpsr then t else next) fuel
+            (* The banked PC of an SVC points past it, so a return
+               resumes after it; a fault reports the faulting
+               instruction itself, so a dispatcher can fix the mapping
+               and retry it. *)
+            | Insn.FI (Svc imm) -> stop b next (Ev_svc imm)
+            | Insn.FI Udf -> stop b pc (Ev_fault Undef_insn)
+            | Insn.FI ((Ldr (rd, rn, o) | Str (rd, rn, o)) as i) -> (
+                let write = match i with Str _ -> true | _ -> false in
+                let va = Word.add (get b rn) (value b o) in
+                match Uview.data_frame b.mem ~ttbr:b.base.State.ttbr0_s va ~write with
+                | Error f -> stop b pc ~far:va (Ev_fault f)
+                | Ok f ->
+                    if write then b.mem <- Memory.store b.mem f.Ptable.pa (get b rd)
+                    else set b rd (Memory.load b.mem f.Ptable.pa);
+                    boundary b next fuel)
+            | Insn.FI i ->
+                (match i with
+                | Mov (rd, o) -> set b rd (value b o)
+                | Mvn (rd, o) -> set b rd (Word.lognot (value b o))
+                | Add (rd, rn, o) -> binop b rd rn o Word.add
+                | Sub (rd, rn, o) -> binop b rd rn o Word.sub
+                | Rsb (rd, rn, o) -> binop b rd rn o (fun a v -> Word.sub v a)
+                | Mul (rd, rn, rm) -> set b rd (Word.mul (get b rn) (get b rm))
+                | And_ (rd, rn, o) -> binop b rd rn o Word.logand
+                | Orr (rd, rn, o) -> binop b rd rn o Word.logor
+                | Eor (rd, rn, o) -> binop b rd rn o Word.logxor
+                | Bic (rd, rn, o) -> binop b rd rn o (fun a v -> Word.logand a (Word.lognot v))
+                | Lsl (rd, rn, o) -> shift b rd rn o Word.shift_left
+                | Lsr (rd, rn, o) -> shift b rd rn o Word.shift_right_logical
+                | Asr (rd, rn, o) -> shift b rd rn o Word.shift_right_arith
+                | Ror (rd, rn, o) -> shift b rd rn o Word.rotate_right
+                | Cmp (rn, o) -> flags b (sub_with_flags (get b rn) (value b o))
+                | Cmn (rn, o) -> flags b (add_with_flags (get b rn) (value b o))
+                | Tst (rn, o) ->
+                    let result = Word.logand (get b rn) (value b o) in
+                    b.cpsr <-
+                      Psr.set_flags b.cpsr ~result ~carry:b.cpsr.Psr.c ~overflow:b.cpsr.Psr.v
+                | Nop | Ldr _ | Str _ | Svc _ | Udf -> ());
+                boundary b next fuel)
   in
-  finish (loop s start_pc fuel)
+  boundary (enter s ~retired:0) start_pc fuel
 
 (** Execute user code at/under [entry_va] starting from flat index
     [start_pc], dispatching native services through [native]. [cache],

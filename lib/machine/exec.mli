@@ -71,9 +71,16 @@ type image_cache
 
 val image_cache : unit -> image_cache
 
+type inject = unit -> (State.t -> State.t * event option) option
+(** The fault-injection hook, asked at each instruction boundary
+    whether anything is due. Only on [Some fire] is the machine state
+    built and handed to [fire], which may perturb it (asynchronous
+    hardware writes to memory the attacker owns) and force an event
+    ending the burst, exactly as a real interrupt would. *)
+
 val run_bytecode :
   ?probe:(steps:int -> unit) ->
-  ?inject:(State.t -> State.t * event option) ->
+  ?inject:inject ->
   State.t ->
   Insn.fop array ->
   start_pc:int ->
@@ -85,15 +92,13 @@ val run_bytecode :
     resumption PC (for SVCs, past the SVC; for faults, the faulting
     instruction itself so it can be retried). [probe] observes the
     number of instructions retired in the burst (telemetry hook; never
-    affects execution or cycle charging). [inject] is the
-    fault-injection hook, consulted at every instruction boundary: it
-    may perturb the state (asynchronous hardware writes to memory the
-    attacker owns) and force an event ending the burst, exactly as a
-    real interrupt would. *)
+    affects execution or cycle charging). [inject] is asked once at the
+    top of every step, before the fuel, budget and pc checks — so also
+    at the step that ends the burst on one of them. *)
 
 val run :
   ?probe:(steps:int -> unit) ->
-  ?inject:(State.t -> State.t * event option) ->
+  ?inject:inject ->
   ?cache:image_cache ->
   State.t ->
   entry_va:Word.t ->

@@ -102,22 +102,27 @@ let write_sreg t sr v =
         invalid_arg "Regs.write_sreg: user mode has no SPSR";
       { t with spsr = Mode_map.add m v t.spsr }
 
-(** All user-visible registers (r0-r12, sp_usr, lr_usr) as a list, in
-    architectural order. Used when entering/leaving enclaves. *)
-let user_visible t =
-  Array.to_list t.gp @ [ Mode_map.find Mode.User t.sp; Mode_map.find Mode.User t.lr ]
+(** The 15 registers visible from [mode] — r0-r12, then that mode's SP
+    and LR — as a fresh array. *)
+let visible t ~mode =
+  Array.append t.gp [| Mode_map.find mode t.sp; Mode_map.find mode t.lr |]
 
-(** Replace every user-visible register. [values] must have length 15. *)
-let set_user_visible t values =
-  if List.length values <> 15 then invalid_arg "Regs.set_user_visible: need 15 words";
-  let gp = Array.of_list (List.filteri (fun i _ -> i < num_gp) values) in
-  let sp_usr = List.nth values 13 and lr_usr = List.nth values 14 in
+let visible_index = function R _ as r -> gp_index r | SP -> num_gp | LR -> num_gp + 1
+
+let set_visible t ~mode a =
+  if Array.length a <> num_gp + 2 then invalid_arg "Regs.set_visible: need 15 words";
   {
     t with
-    gp;
-    sp = Mode_map.add Mode.User sp_usr t.sp;
-    lr = Mode_map.add Mode.User lr_usr t.lr;
+    gp = Array.sub a 0 num_gp;
+    sp = Mode_map.add mode a.(num_gp) t.sp;
+    lr = Mode_map.add mode a.(num_gp + 1) t.lr;
   }
+
+(** All user-visible registers (r0-r12, sp_usr, lr_usr) as a list, in
+    architectural order. Used when entering/leaving enclaves. *)
+let user_visible t = Array.to_list (visible t ~mode:Mode.User)
+
+let set_user_visible t values = set_visible t ~mode:Mode.User (Array.of_list values)
 
 (** Zero r0-r12 and user SP/LR; entry state for a freshly started enclave
     thread (non-argument registers are cleared to prevent leaks). *)

@@ -50,6 +50,17 @@ val read_sreg : t -> sreg -> Word.t
 
 val write_sreg : t -> sreg -> Word.t -> t
 
+val visible : t -> mode:Mode.t -> Word.t array
+(** The 15 registers visible from [mode] (r0-r12, that mode's SP and
+    LR) as a fresh array, indexed by {!visible_index}. *)
+
+val visible_index : reg -> int
+(** @raise Invalid_argument for general registers outside r0-r12. *)
+
+val set_visible : t -> mode:Mode.t -> Word.t array -> t
+(** Write back a {!visible} array (copied, not retained).
+    @raise Invalid_argument unless given exactly 15 words. *)
+
 val user_visible : t -> Word.t list
 (** The 15 user-visible registers (r0-r12, SP_usr, LR_usr) in
     architectural order — the state saved/restored around enclave

@@ -698,5 +698,11 @@ let op_of_json _ j =
       Ok (Write_ins { addr; value })
   | None ->
       let* call, args = smc_of_json j in
-      let budget = match Json.member "budget" j with Some (Json.Int b) -> Some b | _ -> None in
+      (* A negative budget would never fire: the interrupt comes at 0. *)
+      let* budget =
+        match Json.member "budget" j with
+        | None | Some Json.Null -> Ok None
+        | Some (Json.Int b) when b >= 0 -> Ok (Some b)
+        | Some _ -> Error "budget: not a non-negative int or null"
+      in
       Ok (Smc { call; args; budget })

@@ -73,9 +73,7 @@ val registry : ?bug:bug -> int -> Exec.native option
 val executor :
   ?fuel:int ->
   ?probe:(steps:int -> unit) ->
-  ?inject:
-    (Komodo_machine.State.t ->
-    Komodo_machine.State.t * Komodo_machine.Exec.event option) ->
+  ?inject:Komodo_machine.Exec.inject ->
   ?bug:bug ->
   unit ->
   Komodo_core.Uexec.t

@@ -41,8 +41,6 @@ val registry : int -> Exec.native option
 val executor :
   ?fuel:int ->
   ?probe:(steps:int -> unit) ->
-  ?inject:
-    (Komodo_machine.State.t ->
-    Komodo_machine.State.t * Komodo_machine.Exec.event option) ->
+  ?inject:Komodo_machine.Exec.inject ->
   unit ->
   Komodo_core.Uexec.t

@@ -592,6 +592,47 @@ let test_reader_regressions () =
   Alcotest.(check bool) "unwritable path" true
     (Result.is_error (Trace.save "/nonexistent/dir/x.jsonl" []))
 
+(* Values that parse but could never take effect: an IRQ budget only
+   fires on reaching 0, and boundaries are counted from 0. A replay that
+   accepted them would silently drop the interrupt. *)
+let test_reader_rejects_unfireable () =
+  let fault_h = {|{"schema":"komodo-trace/1","kind":"fault","seed":42,"npages":40,"bug":null}|} in
+  let enter budget inj =
+    Printf.sprintf {|{"op":{"call":11,"args":[16,0,0,0],"budget":%s},"inj":[%s]}|} budget inj
+  in
+  let irq_at point = Printf.sprintf {|{"point":%s,"action":"irq"}|} point in
+  let explore_h =
+    {|{"schema":"komodo-trace/1","kind":"explore","seed":42,"npages":7,"mutate":null,"depth":1,"reason":"r"}|}
+  in
+  let cases =
+    [
+      ("fault", [ fault_h; enter "-1" "" ]);
+      ("fault", [ fault_h; enter {|"x"|} "" ]);
+      ("fault", [ fault_h; enter "1.5" "" ]);
+      ("fault", [ fault_h; enter "null" (irq_at {|{"insn":-3}|}) ]);
+      ("fault", [ fault_h; enter "null" (irq_at {|{"lock":-1}|}) ]);
+      ("explore", [ explore_h; {|{"call":2,"args":[0,1],"budget":-1}|} ]);
+    ]
+  in
+  List.iteri
+    (fun i (kind, lines) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "case %d (%s) rejected" i kind)
+        false
+        ((List.assoc kind readers) lines))
+    cases;
+  (* The same lines with values that can fire are accepted. *)
+  List.iter
+    (fun (name, kind, lines) ->
+      Alcotest.(check bool) name true ((List.assoc kind readers) lines))
+    [
+      ("budget 0", "fault", [ fault_h; enter "0" "" ]);
+      ("budget null", "fault", [ fault_h; enter "null" "" ]);
+      ("insn 0", "fault", [ fault_h; enter "null" (irq_at {|{"insn":0}|}) ]);
+      ("lock 0", "fault", [ fault_h; enter "null" (irq_at {|{"lock":0}|}) ]);
+      ("explore budget null", "explore", [ explore_h; {|{"call":2,"args":[0,1],"budget":null}|} ]);
+    ]
+
 (* The flag cases the CLI maps to exit 2, at the driver level. *)
 let test_validate_rejects () =
   let rejected name r = Alcotest.(check bool) name true (Result.is_error r) in
@@ -660,6 +701,8 @@ let suite =
     Testlib.qcheck prop_reader_never_raises;
     Alcotest.test_case "trace: hand-found crashers are errors" `Quick
       test_reader_regressions;
+    Alcotest.test_case "trace: unfireable budgets and points are errors" `Quick
+      test_reader_rejects_unfireable;
     Alcotest.test_case "drivers: out-of-range configs rejected" `Quick
       test_validate_rejects;
   ]

@@ -323,6 +323,347 @@ let prop_pure_programs_exit =
       | _, Exec.Ev_svc _ -> true
       | _ -> false)
 
+(* -- The injection hook's contract ------------------------------------- *)
+
+module Inject = Komodo_fault.Inject
+module Platform = Komodo_tz.Platform
+
+let spin = [ Insn.While (Insn.AL, [ Insn.I Insn.Nop ]) ]
+
+let run_hooked ?(fuel = 10_000) ?budget ~inject s =
+  let steps = ref (-1) in
+  let s, e =
+    Exec.run
+      ~probe:(fun ~steps:n -> steps := n)
+      ~inject
+      { s with State.irq_budget = budget }
+      ~entry_va:Word.zero ~start_pc:0 ~fuel ~native:(fun _ -> None)
+  in
+  (s, e, !steps)
+
+let test_hook_boundaries () =
+  (* The hook is asked once at the top of every step, including the
+     step that ends the burst on fuel, budget or a bad pc; an SVC or a
+     fault ends the burst inside its step, so no boundary follows it. *)
+  let asked_on ?fuel ?budget prog =
+    let asked = ref 0 in
+    let inject () =
+      incr asked;
+      None
+    in
+    let _, _, steps = run_hooked ?fuel ?budget ~inject (machine_with prog) in
+    (!asked, steps)
+  in
+  let check name want got = Alcotest.(check (pair int int)) name want got in
+  check "fuel" (51, 50) (asked_on ~fuel:50 spin);
+  check "fuel 0" (1, 0) (asked_on ~fuel:0 spin);
+  check "budget" (8, 7) (asked_on ~budget:7 spin);
+  check "budget 0" (1, 0) (asked_on ~budget:0 spin);
+  check "bad pc" (2, 1) (asked_on [ Insn.I Insn.Nop ]);
+  check "svc" (2, 2) (asked_on exit_seq);
+  check "data abort" (2, 2)
+    (asked_on [ Insn.I (Insn.Mov (r 1, imm 0x9000)); Insn.I (Insn.Ldr (r 2, r 1, imm 0)) ]);
+  (* A bad image never reaches the interpreter. *)
+  let asked = ref 0 in
+  let s = machine_with [ Insn.I Insn.Nop ] in
+  let s = { s with State.mem = Memory.store s.State.mem code_frame (w 0x1234) } in
+  let _ = run_hooked ~inject:(fun () -> incr asked; None) s in
+  Alcotest.(check int) "bad image" 0 !asked
+
+let injector items =
+  let inj = Inject.create ~plat:Platform.default () in
+  Inject.arm inj items;
+  inj
+
+let at k action = { Inject.point = Inject.Insn k; action }
+
+let test_hook_insn_irq () =
+  let inj = injector [ at 5 Inject.Irq ] in
+  let s, e, steps =
+    run_hooked ~inject:(Inject.exec_inject inj)
+      (machine_with (List.init 20 (fun _ -> Insn.I Insn.Nop) @ exit_seq))
+  in
+  Alcotest.(check bool) "irq" true (Exec.equal_event e Exec.Ev_irq);
+  Alcotest.(check int) "upc = k" 5 (Word.to_int s.State.upc);
+  Alcotest.(check int) "retired before it" 5 steps;
+  Alcotest.(check (list (pair string string))) "fired" [ ("insn:5", "irq") ] (Inject.fired inj)
+
+let load_twice =
+  [
+    Insn.I (Insn.Mov (r 1, imm 0x1000));
+    Insn.I (Insn.Ldr (r 2, r 1, imm 0));
+    Insn.I (Insn.Ldr (r 3, r 1, imm 0));
+  ]
+  @ exit_seq
+
+let test_hook_mem_write () =
+  (* The write lands at the top of step 2: the load at boundary 1 reads
+     the old word, the load at boundary 2 the injected one. *)
+  let addr = Word.to_int data_frame in
+  let inj = injector [ at 2 (Inject.Mem_write { addr; value = 0xBEEF }) ] in
+  let s, e, _ = run_hooked ~inject:(Inject.exec_inject inj) (machine_with load_twice) in
+  Alcotest.(check bool) "ran to the exit" true (Exec.equal_event e (Exec.Ev_svc Word.zero));
+  Alcotest.(check int) "load before" 0 (reg_of s 2);
+  Alcotest.(check int) "load at boundary k" 0xBEEF (reg_of s 3);
+  Alcotest.(check int) "fired" 1 (Inject.fired_count inj)
+
+let test_hook_secure_write_dropped () =
+  (* The same program reading a secure frame: the TZASC drops the
+     injected store, so both loads see the frame's own contents. *)
+  let secure = Platform.page_base Platform.default 0 in
+  let s = machine_with load_twice in
+  let s =
+    {
+      s with
+      State.mem =
+        Memory.store s.State.mem
+          (Word.add l2_base (w (4 * Ptable.l2_index (w 0x1000))))
+          (Ptable.make_l2e ~base:secure ~ns:false Ptable.rw);
+    }
+  in
+  let inj = injector [ at 2 (Inject.Mem_write { addr = Word.to_int secure; value = 0xBAD }) ] in
+  let s', _, _ = run_hooked ~inject:(Inject.exec_inject inj) s in
+  Alcotest.(check int) "load at boundary k" 0 (reg_of s' 3);
+  Alcotest.(check bool) "memory untouched" true (Memory.equal s.State.mem s'.State.mem);
+  Alcotest.(check int) "nothing fired" 0 (Inject.fired_count inj)
+
+let test_hook_idle () =
+  (* Armed only for other kinds of point, or for a boundary the burst
+     never reaches, the injector answers every boundary with [None] —
+     without allocating — and is never handed a state. *)
+  let items =
+    [
+      { Inject.point = Inject.Commit; action = Inject.Irq };
+      { Inject.point = Inject.Lockstep 0; action = Inject.Irq };
+      at 10_000 Inject.Irq;
+    ]
+  in
+  let inj = injector items in
+  let due = Inject.exec_inject inj in
+  let handed = ref 0 in
+  let inject () =
+    Option.map
+      (fun fire s ->
+        incr handed;
+        fire s)
+      (due ())
+  in
+  let _, e, steps = run_hooked ~fuel:100 ~inject (machine_with spin) in
+  Alcotest.(check bool) "ran out of fuel" true (Exec.equal_event e Exec.Ev_irq);
+  Alcotest.(check int) "steps" 100 steps;
+  Alcotest.(check int) "never handed a state" 0 !handed;
+  Alcotest.(check int) "nothing fired" 0 (Inject.fired_count inj);
+  let inj = injector items in
+  let due = Inject.exec_inject inj in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (due ()))
+  done;
+  Alcotest.(check bool) "no allocation per boundary" true (Gc.minor_words () -. before < 100.)
+
+(* -- Golden interpreter corpus ------------------------------------------ *)
+
+(* Seeded random flat programs, each run at every combination of a few
+   IRQ budgets and fuels. A run's observable outcome — event, resume PC,
+   fault address, cycles, remaining budget, retired instructions, the 15
+   user registers, the CPSR and a memory digest — is one row of
+   [exec_corpus.expected]. That table was recorded with the interpreter
+   that rebuilt [State.t] on every instruction, and is never regenerated
+   to fit: any drift in the interpreter shows up as a changed row. *)
+
+module Seedsplit = Komodo_rand.Seedsplit
+
+let corpus_programs = 24
+let corpus_budgets = [ None; Some 0; Some 1; Some 7; Some (-1) ]
+let corpus_fuels = [ 0; 1; 50; 10_000 ]
+let all_conds = Insn.[ EQ; NE; CS; CC; MI; PL; HI; LS; GE; LT; GT; LE; AL ]
+
+(* Base registers r9-r12 point at the RW page, the RO page, an unmapped
+   page and an unaligned address; loads and stores mostly go through
+   them, at offsets that stay in the page, cross into the next one, or
+   break alignment. *)
+let corpus_bases = [ (9, 0x1000); (10, 0x2000); (11, 0x9000); (12, 0x1002) ]
+
+let corpus_program seed =
+  let st = Seedsplit.stream ~root:seed () in
+  let pick n = Seedsplit.next st mod n in
+  let choose l = List.nth l (pick (List.length l)) in
+  (* Destinations and operands rarely touch the base registers, so most
+     programs keep their addresses long enough to run a while. *)
+  let reg () =
+    match pick 16 with
+    | 0 -> Regs.SP
+    | 1 -> Regs.LR
+    | 2 -> r (fst (choose corpus_bases))
+    | _ -> r (pick 9)
+  in
+  let imm () =
+    match pick 4 with
+    | 0 -> Insn.Imm (w (pick 40))
+    | 1 -> Insn.Imm (w (choose [ 0; 1; 31; 32; 33; 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFF ]))
+    | _ -> Insn.Imm (w (Seedsplit.next st))
+  in
+  let operand () = if pick 2 = 0 then Insn.Reg (reg ()) else imm () in
+  let body_len = 6 + pick 26 in
+  let len = List.length corpus_bases + body_len in
+  (* Odd programs are calm: what ends a burst early (SVC, UDF, a faulting
+     access, a jump out of the program) is rarer, so their bursts run
+     long enough to loop through most of the body. *)
+  let ends_burst () = seed mod 2 = 0 || pick 8 = 0 in
+  let target () =
+    if ends_burst () && pick 12 = 0 then choose [ -2; -1; len; len + 1 ] else pick len
+  in
+  let mem_base () =
+    if not (ends_burst ()) then r 9
+    else match pick 16 with 0 -> reg () | 1 -> r 11 | 2 -> r 12 | 3 | 4 | 5 -> r 10 | _ -> r 9
+  in
+  let offset () =
+    Insn.Imm (w (choose (if ends_burst () then [ 0; 4; 8; 0xFFC; 0x1000; 2 ] else [ 0; 4; 8; 0xFFC ])))
+  in
+  let three f = Insn.FI (f (reg ()) (reg ()) (operand ())) in
+  let fop () =
+    match pick 40 with
+    | 0 -> Insn.FI (if ends_burst () then Insn.Svc (w (pick 16)) else Insn.Nop)
+    | 1 -> Insn.FI (if ends_burst () then Insn.Udf else Insn.Nop)
+    | 2 | 3 -> Insn.FI Insn.Nop
+    | 4 | 5 | 6 -> Insn.FJmp (target ())
+    | 7 | 8 | 9 | 10 | 11 -> Insn.FJcc (choose all_conds, target ())
+    | 12 | 13 | 14 | 15 -> Insn.FI (Insn.Ldr (reg (), mem_base (), offset ()))
+    | 16 | 17 | 18 -> Insn.FI (Insn.Str (reg (), mem_base (), offset ()))
+    | 19 -> Insn.FI (Insn.Cmp (reg (), operand ()))
+    | 20 -> Insn.FI (Insn.Cmn (reg (), operand ()))
+    | 21 -> Insn.FI (Insn.Tst (reg (), operand ()))
+    | 22 -> Insn.FI (Insn.Mov (reg (), operand ()))
+    | 23 -> Insn.FI (Insn.Mvn (reg (), operand ()))
+    | 24 -> Insn.FI (Insn.Mul (reg (), reg (), reg ()))
+    | 25 | 26 -> three (fun a b o -> Insn.Add (a, b, o))
+    | 27 | 28 -> three (fun a b o -> Insn.Sub (a, b, o))
+    | 29 -> three (fun a b o -> Insn.Rsb (a, b, o))
+    | 30 -> three (fun a b o -> Insn.And_ (a, b, o))
+    | 31 -> three (fun a b o -> Insn.Orr (a, b, o))
+    | 32 -> three (fun a b o -> Insn.Eor (a, b, o))
+    | 33 -> three (fun a b o -> Insn.Bic (a, b, o))
+    | 34 -> three (fun a b o -> Insn.Lsl (a, b, o))
+    | 35 -> three (fun a b o -> Insn.Lsr (a, b, o))
+    | 36 -> three (fun a b o -> Insn.Asr (a, b, o))
+    | 37 -> three (fun a b o -> Insn.Ror (a, b, o))
+    | _ -> Insn.FI (Insn.Cmp (reg (), imm ()))
+  in
+  let prefix = List.map (fun (n, a) -> Insn.FI (Insn.Mov (r n, Insn.Imm (w a)))) corpus_bases in
+  let prog = Array.of_list (prefix @ List.init body_len (fun _ -> fop ())) in
+  (* Every eighth program starts past its end: a prefetch abort before
+     anything retires, unless fuel or budget end the burst first. *)
+  let start_pc = if seed mod 8 = 7 then len else 0 in
+  let regs = Regs.set_user_visible Regs.zeroed (List.init 15 (fun _ -> w (Seedsplit.next st))) in
+  let flag () = pick 2 = 0 in
+  let cpsr =
+    Psr.make ~n:(flag ()) ~z:(flag ()) ~c:(flag ()) ~v:(flag ()) ~irq_masked:false
+      ~fiq_masked:false Mode.User
+  in
+  let s = machine_with [] in
+  let fill m frame = Memory.store_range m frame (List.init 4 (fun _ -> w (Seedsplit.next st))) in
+  let mem = fill (fill s.State.mem data_frame) ro_frame in
+  let s = { s with State.regs; cpsr; mem; cycles = 1000; upc = w 0x77; far = w 0x55 } in
+  (prog, start_pc, s)
+
+let memory_digest m =
+  let b = Buffer.create 256 in
+  Memory.fold (fun a v () -> Printf.bprintf b "%x=%x;" a (Word.to_int v)) m ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let corpus_row id ~budget ~fuel (prog, start_pc, s) =
+  let steps = ref (-1) in
+  let s, ev =
+    Exec.run_bytecode
+      ~probe:(fun ~steps:n -> steps := n)
+      { s with State.irq_budget = budget }
+      prog ~start_pc ~fuel
+  in
+  let hex v = Printf.sprintf "%08x" (Word.to_int v) in
+  let opt = function None -> "-" | Some b -> string_of_int b in
+  Printf.sprintf "p%d b%s f%d: %s upc=%s far=%s cycles=%d budget=%s steps=%d cpsr=%s mem=%s regs=%s"
+    id (opt budget) fuel (Exec.show_event ev) (hex s.State.upc) (hex s.State.far)
+    s.State.cycles (opt s.State.irq_budget) !steps
+    (hex (Psr.encode s.State.cpsr))
+    (memory_digest s.State.mem)
+    (String.concat "," (List.map hex (Regs.user_visible s.State.regs)))
+
+let corpus_rows () =
+  List.concat_map
+    (fun id ->
+      let p = corpus_program id in
+      List.concat_map
+        (fun budget -> List.map (fun fuel -> corpus_row id ~budget ~fuel p) corpus_fuels)
+        corpus_budgets)
+    (List.init corpus_programs Fun.id)
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+let expected_rows () =
+  List.filter (fun l -> l <> "" && l.[0] <> '#') (read_lines "exec_corpus.expected")
+
+let test_golden_corpus () =
+  let expected = expected_rows () in
+  let actual = corpus_rows () in
+  Alcotest.(check int) "row count" (List.length expected) (List.length actual);
+  List.iter2
+    (fun e a -> if e <> a then Alcotest.failf "row differs:\n  expected %s\n  got      %s" e a)
+    expected actual
+
+(* The corpus is only as good as what it exercises: every instruction
+   form, every condition, jumps out of the program, and every way a
+   burst can end. *)
+let test_corpus_coverage () =
+  let progs = List.init corpus_programs (fun i -> let p, _, _ = corpus_program i in p) in
+  let fops = List.concat_map Array.to_list progs in
+  let insn_form = function
+    | Insn.Mov _ -> 0 | Mvn _ -> 1 | Add _ -> 2 | Sub _ -> 3 | Rsb _ -> 4 | Mul _ -> 5
+    | And_ _ -> 6 | Orr _ -> 7 | Eor _ -> 8 | Bic _ -> 9 | Lsl _ -> 10 | Lsr _ -> 11
+    | Asr _ -> 12 | Ror _ -> 13 | Cmp _ -> 14 | Cmn _ -> 15 | Tst _ -> 16 | Ldr _ -> 17
+    | Str _ -> 18 | Svc _ -> 19 | Udf -> 20 | Nop -> 21
+  in
+  let forms = List.filter_map (function Insn.FI i -> Some (insn_form i) | _ -> None) fops in
+  Alcotest.(check (list int)) "every instruction form" (List.init 22 Fun.id)
+    (List.sort_uniq compare forms);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (Insn.show_cond c) true
+        (List.exists (function Insn.FJcc (c', _) -> c' = c | _ -> false) fops))
+    all_conds;
+  Alcotest.(check bool) "unconditional jumps" true
+    (List.exists (function Insn.FJmp _ -> true | _ -> false) fops);
+  Alcotest.(check bool) "out-of-range targets" true
+    (List.exists
+       (fun p ->
+         Array.exists
+           (function Insn.FJmp t | Insn.FJcc (_, t) -> t < 0 || t >= Array.length p | _ -> false)
+           p)
+       progs);
+  (* A row reads "p<id> b<budget> f<fuel>: <event> upc=...". *)
+  let events =
+    List.map
+      (fun row ->
+        match String.split_on_char ' ' row with
+        | _ :: _ :: _ :: ev :: arg :: _ when ev.[0] = '(' -> ev ^ " " ^ arg
+        | _ :: _ :: _ :: ev :: _ -> ev
+        | _ -> row)
+      (expected_rows ())
+  in
+  List.iter
+    (fun ev ->
+      Alcotest.(check bool) ev true (List.exists (String.starts_with ~prefix:ev) events))
+    [ "(Ev_svc"; "Ev_irq"; "(Ev_fault Alignment)"; "(Ev_fault Translation)";
+      "(Ev_fault Permission)"; "(Ev_fault Prefetch)"; "(Ev_fault Undef_insn)" ]
+
 let suite =
   [
     Alcotest.test_case "alu semantics" `Quick test_alu;
@@ -345,4 +686,11 @@ let suite =
     Alcotest.test_case "native dispatch" `Quick test_native_dispatch;
     Alcotest.test_case "cycles charged" `Quick test_cycles_charged;
     Testlib.qcheck prop_pure_programs_exit;
+    Alcotest.test_case "hook: asked at every boundary" `Quick test_hook_boundaries;
+    Alcotest.test_case "hook: Insn k irq resumes at k" `Quick test_hook_insn_irq;
+    Alcotest.test_case "hook: Insn k write seen at k" `Quick test_hook_mem_write;
+    Alcotest.test_case "hook: secure write dropped" `Quick test_hook_secure_write_dropped;
+    Alcotest.test_case "hook: idle injector never handed a state" `Quick test_hook_idle;
+    Alcotest.test_case "golden corpus" `Quick test_golden_corpus;
+    Alcotest.test_case "golden corpus coverage" `Quick test_corpus_coverage;
   ]
