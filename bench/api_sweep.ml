@@ -11,6 +11,7 @@ module Os = Komodo_os.Os
 module Errors = Komodo_core.Errors
 module Mapping = Komodo_core.Mapping
 module Uprog = Komodo_user.Uprog
+module Abi = Komodo_core.Abi
 open Uprog
 
 let results : (string * bool) list ref = ref []
@@ -22,7 +23,7 @@ let note name ok = results := (name, ok) :: !results
 let svc_storm spare : Insn.stmt list =
   [
     (* GetRandom *)
-    Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.get_random));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_get_random));
     Insn.I (Insn.Svc Word.zero);
     Insn.I (Insn.Mov (r10, Insn.Reg r0));
     (* Attest over the random word (r1 still holds it). *)
@@ -33,31 +34,31 @@ let svc_storm spare : Insn.stmt list =
     Insn.I (Insn.Mov (r6, imm 0));
     Insn.I (Insn.Mov (r7, imm 0));
     Insn.I (Insn.Mov (r8, imm 0));
-    Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.attest));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_attest));
     Insn.I (Insn.Svc Word.zero);
     Insn.I (Insn.Orr (r10, r10, Insn.Reg r0));
     (* Verify over the shared buffer at 0x2000. *)
     Insn.I (Insn.Mov (r1, imm 0x2000));
-    Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.verify));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_verify));
     Insn.I (Insn.Svc Word.zero);
     Insn.I (Insn.Orr (r10, r10, Insn.Reg r0));
     (* InitL2PTable in slot 9 from our spare... no: spare is consumed by
        MapData below, so use it once. Map the spare at 0x3000. *)
     Insn.I (Insn.Mov (r1, imm spare));
     Insn.I (Insn.Mov (r2, imm 0x3003));
-    Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.map_data));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_map_data));
     Insn.I (Insn.Svc Word.zero);
     Insn.I (Insn.Orr (r10, r10, Insn.Reg r0));
     (* UnmapData again. *)
     Insn.I (Insn.Mov (r1, imm spare));
     Insn.I (Insn.Mov (r2, imm 0x3001));
-    Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.unmap_data));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_unmap_data));
     Insn.I (Insn.Svc Word.zero);
     Insn.I (Insn.Orr (r10, r10, Insn.Reg r0));
     (* InitL2PTable from the (again spare) page, slot 9. *)
     Insn.I (Insn.Mov (r1, imm spare));
     Insn.I (Insn.Mov (r2, imm 9));
-    Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.init_l2ptable));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_init_l2ptable));
     Insn.I (Insn.Svc Word.zero);
     Insn.I (Insn.Orr (r10, r10, Insn.Reg r0));
   ]

@@ -59,18 +59,22 @@ let run () =
   let speedup seq par = if par <= 0. then 0. else seq /. par in
   let csp = speedup ct1 ctn and fsp = speedup ft1 ftn in
   let secs = Printf.sprintf "%.2f" in
+  let j1 = "refinement -j 1 (s)" and jn = Printf.sprintf "refinement -j %d (s)" par_jobs in
+  let f1s = "fault -j 1 (s)" and fns = Printf.sprintf "fault -j %d (s)" par_jobs in
   Report.print_table ~json_name:"campaign"
+    ~host_rows:
+      [ "cores (recommended domains)"; j1; jn; "refinement speedup"; f1s; fns; "fault speedup" ]
     ~columns:[ "metric"; "value" ]
     [
       [ "cores (recommended domains)"; string_of_int cores ];
       [ "parallel jobs measured"; string_of_int par_jobs ];
       [ "refinement trials"; string_of_int c1.Diff.trials_run ];
-      [ "refinement -j 1 (s)"; secs ct1 ];
-      [ Printf.sprintf "refinement -j %d (s)" par_jobs; secs ctn ];
+      [ j1; secs ct1 ];
+      [ jn; secs ctn ];
       [ "refinement speedup"; Printf.sprintf "%.2fx" csp ];
       [ "fault trials"; string_of_int f1.Drive.trials_run ];
-      [ "fault -j 1 (s)"; secs ft1 ];
-      [ Printf.sprintf "fault -j %d (s)" par_jobs; secs ftn ];
+      [ f1s; secs ft1 ];
+      [ fns; secs ftn ];
       [ "fault speedup"; Printf.sprintf "%.2fx" fsp ];
       [ "reports identical at -j 1 vs -j 4"; "yes (asserted)" ];
     ];

@@ -42,7 +42,7 @@ let run () =
         ])
       configs
   in
-  Report.print_table ~json_name:"explore"
+  Report.print_table ~json_name:"explore" ~host_columns:[ "wall_s"; "wall_edges_per_s" ]
     ~columns:
       [ "world"; "states"; "edges"; "levels"; "wall_s"; "wall_edges_per_s" ]
     rows

@@ -19,6 +19,7 @@ module Monitor = Komodo_core.Monitor
 module Uexec = Komodo_core.Uexec
 module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
+module Abi = Komodo_core.Abi
 open Uprog
 
 let exit0 =
@@ -125,7 +126,7 @@ let measure ?(optimised = false) () =
        verify SVC on an OS-staged buffer (see declassification tests). *)
     [
       Insn.I (Insn.Mov (r1, imm 0x2000));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.verify));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_verify));
       Insn.I (Insn.Svc Word.zero);
     ]
     @ exit_with r1

@@ -8,6 +8,7 @@
 
 module Diff = Komodo_spec.Diff
 module Cover = Komodo_spec.Cover
+module Aspec = Komodo_spec.Aspec
 module Campaign = Komodo_campaign.Campaign
 
 let run () =
@@ -30,6 +31,7 @@ let run () =
   let trans = List.length (Cover.transitions o.Diff.cover) in
   let per_sec n = if dt <= 0. then "n/a" else Printf.sprintf "%.1f" (float_of_int n /. dt) in
   Report.print_table ~json_name:"refinement"
+    ~host_rows:[ "worker domains (host cores)"; "sequences/sec"; "ops/sec" ]
     ~columns:[ "metric"; "value" ]
     [
       [ "trials"; string_of_int o.Diff.trials_run ];
@@ -37,8 +39,8 @@ let run () =
       [ "lockstep ops checked"; string_of_int o.Diff.ops_run ];
       [ "sequences/sec"; per_sec o.Diff.trials_run ];
       [ "ops/sec"; per_sec o.Diff.ops_run ];
-      [ "SMC calls covered"; Printf.sprintf "%d/12" smc ];
-      [ "SVC calls covered"; Printf.sprintf "%d/9" svc ];
+      [ "SMC calls covered"; Printf.sprintf "%d/%d" smc (List.length Aspec.smcs) ];
+      [ "SVC calls covered"; Printf.sprintf "%d/%d" svc (List.length Aspec.svcs) ];
       [ "error codes exercised"; string_of_int errs ];
       [ "page transitions observed"; string_of_int trans ];
     ]

@@ -109,7 +109,7 @@ let run () =
   let tps trials secs = if secs <= 0. then 0. else float_of_int trials /. secs in
   let ctps = tps c.Diff.trials_run ct and ftps = tps f.Drive.trials_run ft in
   let floor_cell v = if smoke then "n/a (smoke)" else Printf.sprintf "%.1f" v in
-  Report.print_table ~json_name:"throughput"
+  Report.print_table ~json_name:"throughput" ~host_columns:[ "seconds"; "trials/sec" ]
     ~columns:[ "campaign"; "trials"; "seconds"; "trials/sec"; "floor" ]
     [
       [

@@ -44,6 +44,7 @@ module Hist = Komodo_telemetry.Hist
 module Campaign = Komodo_campaign.Campaign
 module Progress = Komodo_campaign.Progress
 module Drive = Komodo_fault.Drive
+module Diff = Komodo_spec.Diff
 open Cmdliner
 
 let programs =
@@ -63,15 +64,28 @@ let npages_arg =
   Arg.(value & opt int 64 & info [ "pages" ] ~docv:"N" ~doc:"Secure pages reserved at boot.")
 
 (* -v / --verbosity (from logs.cli): the global level also drives the
-   two per-module sources — the monitor's SMC call trace and the
-   telemetry stream — so `-v -v` surfaces both without code changes. *)
+   monitor's SMC call-trace source, so `-v -v` surfaces it without code
+   changes. *)
 let verbosity = Logs_cli.level ()
+
+(* A usage error (bad flag, unreadable or malformed input) prints one
+   "komodo <cmd>: <reason>" line and exits 2, before anything boots. *)
+let usage_error cmd msg =
+  Printf.eprintf "komodo %s: %s\n" cmd msg;
+  exit 2
+
+let non_negative cmd what n =
+  if n < 0 then usage_error cmd (Printf.sprintf "%s must be non-negative, got %d" what n)
+
+(* Exit 2 unless an [npages]-page platform can load [imgs] side by side. *)
+let check_fits cmd ~why ~npages imgs =
+  let need = List.fold_left (fun a img -> a + Image.pages_needed img) 0 imgs in
+  Result.iter_error (usage_error cmd) (Diff.check_npages ~min:need ~why npages)
 
 let setup_logs level =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level level;
-  Logs.Src.set_level Komodo_core.Smc.log_src level;
-  Logs.Src.set_level Sink.log_src level
+  Logs.Src.set_level Komodo_core.Smc.log_src level
 
 let trace_out_arg =
   Arg.(
@@ -121,12 +135,14 @@ let telemetry_setup ~trace_out ~metrics =
   in
   (Sink.fanout sinks, reg, finish)
 
-let load_simple ?(spares = 0) os prog =
+let simple_image ?(spares = 0) prog =
   let code = Uprog.to_page_images (Uprog.code_words prog) in
   let img = Image.empty ~name:"cli" in
   let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
   let img = Image.add_thread img ~entry:Word.zero in
-  let img = Image.with_spares img spares in
+  Image.with_spares img spares
+
+let load os img =
   match Loader.load os img with
   | Ok r -> r
   | Error e -> failwith (Format.asprintf "load failed: %a" Loader.pp_error e)
@@ -166,24 +182,35 @@ let spares_arg =
           "Grant N spare pages to the enclave; their page numbers are \
            appended to the entry arguments (a1 = first spare, ...).")
 
-let load_program ~file prog =
-  match file with
-  | None -> prog
-  | Some path -> (
-      let ic = open_in_bin path in
-      let src = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Komodo_user.Kasm.parse src with
-      | Ok prog -> prog
-      | Error e -> failwith (Format.asprintf "%s: %a" path Komodo_user.Kasm.pp_error e))
+(* The run/trace enclave: the demo or .kasm program with its spares,
+   checked against the page budget and IRQ budget before boot. *)
+let program_image cmd ~npages ~file ~spares ~budget prog =
+  Option.iter (non_negative cmd "irq-budget") budget;
+  non_negative cmd "spares" spares;
+  let prog =
+    match file with
+    | None -> prog
+    | Some path -> (
+        let ic = open_in_bin path in
+        let src = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        match Komodo_user.Kasm.parse src with
+        | Ok prog -> prog
+        | Error e -> usage_error cmd (Format.asprintf "%s: %a" path Komodo_user.Kasm.pp_error e))
+  in
+  match simple_image ~spares prog with
+  | exception Invalid_argument e -> usage_error cmd e
+  | img ->
+      check_fits cmd ~why:"the enclave and its spares" ~npages [ img ];
+      img
 
 let run_cmd =
   let run level seed npages prog args budget file spares trace_out metrics =
     setup_logs level;
-    let prog = load_program ~file prog in
+    let img = program_image "run" ~npages ~file ~spares ~budget prog in
     let sink, _reg, finish = telemetry_setup ~trace_out ~metrics in
     let os = Os.boot ~seed ~npages ~sink () in
-    let os, h = load_simple ~spares os prog in
+    let os, h = load os img in
     let th = List.hd h.Loader.threads in
     (* Spare page numbers prepend the argument list so .kasm programs
        that manage dynamic memory can find them in r0... *)
@@ -221,7 +248,7 @@ let trace_cmd =
   in
   let run level seed npages prog args budget file spares trace_out metrics pretty =
     setup_logs level;
-    let prog = load_program ~file prog in
+    let img = program_image "trace" ~npages ~file ~spares ~budget prog in
     (* The trace defaults to stdout so `komodo trace -p sum` is useful
        bare; --trace-out FILE redirects it. *)
     let trace_out = Some (Option.value trace_out ~default:"-") in
@@ -241,7 +268,7 @@ let trace_cmd =
     let sinks = [ sink; collect_sink ] in
     let sinks = if pretty then Sink.console Format.err_formatter :: sinks else sinks in
     let os = Os.boot ~seed ~npages ~sink:(Sink.fanout sinks) ~exec () in
-    let os, h = load_simple ~spares os prog in
+    let os, h = load os img in
     let th = List.hd h.Loader.threads in
     let args =
       List.map (fun s -> Word.of_int s) h.Loader.spares @ List.map Word.of_int args
@@ -282,8 +309,10 @@ let trace_cmd =
 let attest_cmd =
   let run level seed npages =
     setup_logs level;
+    let img = simple_image Progs.attest_zero in
+    check_fits "attest" ~why:"the attesting enclave" ~npages [ img ];
     let os = Os.boot ~seed ~npages () in
-    let os, h = load_simple os Progs.attest_zero in
+    let os, h = load os img in
     let os, err, v = Os.enter os ~thread:(List.hd h.Loader.threads) ~args:(Word.zero, Word.zero, Word.zero) in
     Printf.printf "enclave measurement: %s\n" (Sha256.to_hex h.Loader.measurement);
     Printf.printf "enclave ran: %s; first MAC word: 0x%08x\n" (Errors.show err) (Word.to_int v);
@@ -308,9 +337,11 @@ let attest_cmd =
 let inspect_cmd =
   let run level seed npages =
     setup_logs level;
+    let add = simple_image Progs.add_args and sum = simple_image Progs.sum_to_n in
+    check_fits "inspect" ~why:"the two demo enclaves" ~npages [ add; sum ];
     let os = Os.boot ~seed ~npages () in
-    let os, _ = load_simple os Progs.add_args in
-    let os, h2 = load_simple os Progs.sum_to_n in
+    let os, _ = load os add in
+    let os, h2 = load os sum in
     Printf.printf "platform: %d secure pages at %s; monitor image at %s\n" npages
       (Word.show Komodo_tz.Layout.secure_region_base)
       (Word.show Komodo_tz.Layout.monitor_image_base);
@@ -340,7 +371,6 @@ let notary_cmd =
   in
   let run level seed npages document =
     setup_logs level;
-    let os = Os.boot ~seed ~npages () in
     let zero_page = String.make Ptable.page_size '\000' in
     let code = Uprog.to_page_images (Uprog.native_words ~id:Notary.native_id) in
     let img = Image.empty ~name:"notary" in
@@ -373,11 +403,9 @@ let notary_cmd =
         (List.init 64 (fun i -> i))
     in
     let img = Image.add_thread img ~entry:Notary.code_va in
-    let os, h =
-      match Loader.load os img with
-      | Ok r -> r
-      | Error e -> failwith (Format.asprintf "notary load: %a" Loader.pp_error e)
-    in
+    check_fits "notary" ~why:"the notary enclave" ~npages [ img ];
+    let os = Os.boot ~seed ~npages () in
+    let os, h = load os img in
     let th = List.hd h.Loader.threads in
     let os, err, _ = Os.enter os ~thread:th ~args:(Word.zero, Word.zero, Word.zero) in
     assert (Errors.is_success err);
@@ -582,14 +610,9 @@ let jobs_arg =
    one "komodo <cmd>: <reason>" line and exits 2. *)
 
 module Trace = Komodo_campaign.Trace
-module Diff = Komodo_spec.Diff
 module Explore = Komodo_spec.Explore
 module Vaultdrive = Komodo_fault.Vaultdrive
 module Smpdrive = Komodo_fault.Smpdrive
-
-let usage_error cmd msg =
-  Printf.eprintf "komodo %s: %s\n" cmd msg;
-  exit 2
 
 let ( let* ) = Result.bind
 
@@ -675,7 +698,7 @@ let campaign_cmd (type c o f r)
                 Printf.printf "replayed campaign VIOLATION:\n%s\n" (k.pp_failure v);
                 4))
     | None, _ -> (
-        if trials < 0 then fail (Printf.sprintf "trials must be non-negative, got %d" trials);
+        non_negative k.name "trials" trials;
         let cfg =
           Result.fold ~ok:Fun.id ~error:fail
             (mk ~pages ~ops ~armed ~profile:(profile_out <> None))
@@ -1191,16 +1214,15 @@ let serve_cmd =
   let run level sessions seed pool recycle queue deadline arrival mode clients
       think gap shard_sessions everify spages jobs progress progress_out json_out =
     setup_logs level;
+    let fail = usage_error "serve" in
     if sessions <= 0 || shard_sessions <= 0 || pool <= 0 || queue < 0
        || recycle < 0 || deadline < 0 || gap <= 0 || everify < 0
-    then begin
-      Printf.eprintf "komodo serve: counts must be positive (capacities non-negative)\n";
-      exit 2
-    end;
-    if mode = `Closed && (clients <= 0 || think <= 0) then begin
-      Printf.eprintf "komodo serve: closed loop needs positive --clients and --think\n";
-      exit 2
-    end;
+    then fail "counts must be positive (capacities non-negative)";
+    if mode = `Closed && (clients <= 0 || think <= 0) then
+      fail "closed loop needs positive --clients and --think";
+    Result.iter_error fail
+      (Diff.check_npages ~min:Serve.min_pages
+         ~why:"a shard holds the verifier and one notary enclave" spages);
     let cfg =
       {
         Serve.sessions;
@@ -1227,8 +1249,7 @@ let serve_cmd =
       try Serve.run ?progress:prog ~jobs ~cfg ~seed ()
       with Failure m | Komodo_serve.Engine.Violation m ->
         prog_close ();
-        Printf.eprintf "komodo serve: %s\n" m;
-        exit 2
+        fail m
     in
     prog_close ();
     print_string (Komodo_serve.Report.render r);
@@ -1258,6 +1279,7 @@ let verify_cmd =
   let ops = Arg.(value & opt int 60 & info [ "ops" ] ~docv:"N" ~doc:"Adversarial ops per seed.") in
   let run level seeds ops =
     setup_logs level;
+    non_negative "verify" "ops" ops;
     let bad = ref 0 in
     for seed = 1 to seeds do
       (match Komodo_sec.Nonint.run_confidentiality ~seed ~nops:ops with
@@ -1324,6 +1346,11 @@ let profile_cmd =
   in
   let run level trials ops seed pages mode folded json_out wall jobs =
     setup_logs level;
+    non_negative "profile" "trials" trials;
+    Result.iter_error (usage_error "profile")
+      (match mode with
+      | `Check -> Diff.validate { Diff.default with npages = pages; ops_per_trial = ops }
+      | `Fault -> Drive.validate { Drive.default with npages = pages; ops_per_trial = ops });
     let clock = if wall then Some Unix.gettimeofday else None in
     let label, spans =
       match mode with
@@ -1385,28 +1412,14 @@ let profile_cmd =
 (* -- bench --compare ------------------------------------------------------
 
    Regression detector over the BENCH_*.json mirrors the bench
-   executable emits. Wallclock-derived metrics (seconds, rates,
-   speedups, calibrated floors) vary run to run and are skipped; every
-   other metric is modelled-cycle deterministic and must match the
-   baseline exactly (or within --tolerance). Exit 0 clean, 1 on
-   regression, 2 on schema/shape/IO problems. *)
+   executable emits. Host-dependent cells (wallclock times, rates, core
+   counts) vary run to run and are skipped: the bench declares them
+   where it writes them — a table's "host_rows" and "host_columns", a
+   generic file's "wall_" keys. Every other cell is deterministic and
+   must match the baseline exactly (or within --tolerance). Exit 0
+   clean, 1 on regression, 2 on schema/shape/IO problems. *)
 
 let bench_schema = "komodo-bench/1"
-
-let wallclock_patterns =
-  [
-    "second"; "speedup"; "floor"; "(s)"; "/sec"; "/s"; "cores"; "jobs measured";
-    "elapsed"; "calib"; "wall";
-  ]
-
-let contains_ci hay needle =
-  let hay = String.lowercase_ascii hay and needle = String.lowercase_ascii needle in
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let is_wallclock_label s =
-  List.exists (fun pat -> contains_ci s pat) wallclock_patterns
 
 (* "181.6", "1.00x", "24.5%" -> numbers; "12/12" -> None (string compare). *)
 let cell_number s =
@@ -1422,16 +1435,15 @@ let strings_of_json j =
   Option.map (List.filter_map Json.to_string_opt) (Json.to_list_opt j)
 
 let table_of_json j =
-  match
-    ( Option.bind (Json.member "columns" j) strings_of_json,
-      Option.bind (Json.member "rows" j) Json.to_list_opt )
-  with
+  let strings key = Option.bind (Json.member key j) strings_of_json in
+  match (strings "columns", Option.bind (Json.member "rows" j) Json.to_list_opt) with
   | Some cols, Some rows ->
-      let rows = List.filter_map strings_of_json rows in
-      Some (cols, rows)
+      let host key = Option.value ~default:[] (strings key) in
+      Some (cols, List.filter_map strings_of_json rows, host "host_rows", host "host_columns")
   | _ -> None
 
-let compare_tables ~tolerance ~file (bcols, brows) (fcols, frows) =
+(* The baseline declares which cells are host-dependent. *)
+let compare_tables ~tolerance ~file (bcols, brows, host_rows, host_cols) (fcols, frows, _, _) =
   if bcols <> fcols then
     ([ Printf.sprintf "%s: column set changed" file ], [])
   else begin
@@ -1446,9 +1458,7 @@ let compare_tables ~tolerance ~file (bcols, brows) (fcols, frows) =
         | Some frow ->
             List.iteri
               (fun i col ->
-                if i > 0 && not (is_wallclock_label col)
-                   && not (is_wallclock_label lbl)
-                then begin
+                if i > 0 && not (List.mem col host_cols || List.mem lbl host_rows) then begin
                   let b = try List.nth brow i with _ -> "" in
                   let f = try List.nth frow i with _ -> "" in
                   if b <> f then
@@ -1490,7 +1500,8 @@ let compare_generic ~tolerance ~file base fresh =
   in
   List.iter
     (fun (path, bv) ->
-      if path <> "schema" && not (is_wallclock_label path) then
+      let host = List.exists (String.starts_with ~prefix:"wall_") (String.split_on_char '.' path) in
+      if path <> "schema" && not host then
         match List.assoc_opt path fkv with
         | None -> reg "%s: %s missing from fresh results" file path
         | Some fv ->
@@ -1565,7 +1576,8 @@ let bench_cmd =
       & info [ "tolerance" ] ~docv:"FRAC"
           ~doc:
             "Relative tolerance for numeric metrics (default 0: exact). \
-             Wallclock-derived metrics are always skipped.")
+             Host-dependent cells (a table's host rows and columns, generic \
+             keys prefixed wall_) are always skipped.")
   in
   let run level compare_dir fresh_dir files tolerance =
     setup_logs level;
@@ -1629,7 +1641,7 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Compare freshly generated BENCH_*.json benchmark mirrors against a \
-          committed baseline directory, skipping wallclock-derived metrics. \
+          committed baseline directory, skipping host-dependent cells. \
           Exits 0 when clean, 1 on a metric regression, 2 on schema or IO \
           problems.")
     Term.(const run $ verbosity $ compare_dir $ fresh_dir $ files $ tolerance)

@@ -18,6 +18,7 @@ module Errors = Komodo_core.Errors
 module Mapping = Komodo_core.Mapping
 module Sha256 = Komodo_crypto.Sha256
 module Uprog = Komodo_user.Uprog
+module Abi = Komodo_core.Abi
 open Uprog
 
 let shared_a = Os.shared_base (* A publishes its MAC here *)
@@ -28,7 +29,7 @@ let shared_b = Word.add Os.shared_base (Word.of_int 0x1000) (* B's inbox *)
 let prog_attester : Insn.stmt list =
   List.init 8 (fun i -> Insn.I (Insn.Mov (Komodo_machine.Regs.R (i + 1), imm (i + 1))))
   @ [
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.attest));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_attest));
       Insn.I (Insn.Svc Word.zero);
       Insn.I (Insn.Mov (r12, imm 0x2000));
     ]
@@ -44,7 +45,7 @@ let prog_attester : Insn.stmt list =
 let prog_verifier : Insn.stmt list =
   [
     Insn.I (Insn.Mov (r1, imm 0x2000));
-    Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.verify));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_verify));
     Insn.I (Insn.Svc Word.zero);
   ]
   @ exit_with r1

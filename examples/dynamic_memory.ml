@@ -19,6 +19,7 @@ module Image = Komodo_os.Image
 module Errors = Komodo_core.Errors
 module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
+module Abi = Komodo_core.Abi
 open Uprog
 
 (* An enclave that: maps its spare page at the VA in r1, writes a value,
@@ -30,7 +31,7 @@ let grow_then_shrink : Insn.stmt list =
     (* MapData(spare, va | RW) *)
     Insn.I (Insn.Mov (r1, reg r11));
     Insn.I (Insn.Orr (r2, r12, imm 0x3));
-    Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.map_data));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_map_data));
     Insn.I (Insn.Svc Word.zero);
     (* use the fresh page *)
     Insn.I (Insn.Mov (r5, imm 0xD47A));
@@ -39,7 +40,7 @@ let grow_then_shrink : Insn.stmt list =
     (* UnmapData(page, va | R) *)
     Insn.I (Insn.Mov (r1, reg r11));
     Insn.I (Insn.Orr (r2, r12, imm 0x1));
-    Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.unmap_data));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_unmap_data));
     Insn.I (Insn.Svc Word.zero);
   ]
   @ exit_with r6

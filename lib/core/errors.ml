@@ -25,48 +25,13 @@ type t =
   | In_use  (** refcount prevents removal *)
   | Invalid_arg  (** malformed argument (alignment, insecure range, ...) *)
   | Entropy_exhausted  (** the hardware randomness source ran dry *)
-[@@deriving eq, show { with_path = false }]
+[@@deriving eq, enum]
 
-let to_word = function
-  | Success -> Word.zero
-  | Invalid_pageno -> Word.of_int 1
-  | Page_in_use -> Word.of_int 2
-  | Invalid_addrspace -> Word.of_int 3
-  | Already_final -> Word.of_int 4
-  | Not_final -> Word.of_int 5
-  | Invalid_mapping -> Word.of_int 6
-  | Addr_in_use -> Word.of_int 7
-  | Not_stopped -> Word.of_int 8
-  | Interrupted -> Word.of_int 9
-  | Fault -> Word.of_int 10
-  | Already_entered -> Word.of_int 11
-  | Not_entered -> Word.of_int 12
-  | Invalid_thread -> Word.of_int 13
-  | Pages_exhausted -> Word.of_int 14
-  | In_use -> Word.of_int 15
-  | Invalid_arg -> Word.of_int 16
-  | Entropy_exhausted -> Word.of_int 17
-
-let of_word w =
-  match Word.to_int w with
-  | 0 -> Some Success
-  | 1 -> Some Invalid_pageno
-  | 2 -> Some Page_in_use
-  | 3 -> Some Invalid_addrspace
-  | 4 -> Some Already_final
-  | 5 -> Some Not_final
-  | 6 -> Some Invalid_mapping
-  | 7 -> Some Addr_in_use
-  | 8 -> Some Not_stopped
-  | 9 -> Some Interrupted
-  | 10 -> Some Fault
-  | 11 -> Some Already_entered
-  | 12 -> Some Not_entered
-  | 13 -> Some Invalid_thread
-  | 14 -> Some Pages_exhausted
-  | 15 -> Some In_use
-  | 16 -> Some Invalid_arg
-  | 17 -> Some Entropy_exhausted
-  | _ -> None
+(* Constructor order is word order, so the enum plugin's numbering is
+   the encoding; the names come from the table. *)
+let to_word e = Word.of_int (to_enum e)
+let of_word w = of_enum (Word.to_int w)
+let show e = Abi.err_name (to_enum e)
+let pp fmt e = Format.pp_print_string fmt (show e)
 
 let is_success = function Success -> true | _ -> false

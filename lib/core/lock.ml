@@ -25,24 +25,6 @@
     checked against exactly this claim by a qcheck suite
     ({!acyclic}). *)
 
-module Smc = struct
-  (* Call numbers, restated to avoid a cycle: [Smc] depends on
-     [Monitor] which may carry lock phases. Asserted equal to
-     [Smc.sm_*] by the core test suite. *)
-  let get_phys_pages = 1
-  let init_addrspace = 2
-  let init_thread = 3
-  let init_l2ptable = 4
-  let alloc_spare = 5
-  let map_secure = 6
-  let map_insecure = 7
-  let finalise = 8
-  let enter = 9
-  let resume = 10
-  let stop = 11
-  let remove = 12
-end
-
 type level = Addrspace | Page
 
 type t = { level : level; page : int }
@@ -75,15 +57,15 @@ let footprint (db : Pagedb.t) ~npages ~call ~(args : int list) =
   let valid p = p >= 0 && p < npages in
   let a lvl p = if valid p then [ { level = lvl; page = p } ] else [] in
   let raw =
-    if call = Smc.get_phys_pages then []
+    if call = Abi.smc_get_phys_pages then []
     else if
-      call = Smc.init_addrspace || call = Smc.init_thread
-      || call = Smc.init_l2ptable || call = Smc.alloc_spare
-      || call = Smc.map_secure
+      call = Abi.smc_init_addrspace || call = Abi.smc_init_thread
+      || call = Abi.smc_init_l2ptable || call = Abi.smc_alloc_spare
+      || call = Abi.smc_map_secure
     then a Addrspace (arg 0) @ a Page (arg 1)
-    else if call = Smc.map_insecure || call = Smc.finalise || call = Smc.stop
+    else if call = Abi.smc_map_insecure || call = Abi.smc_finalise || call = Abi.smc_stop
     then a Addrspace (arg 0)
-    else if call = Smc.enter || call = Smc.resume then begin
+    else if call = Abi.smc_enter || call = Abi.smc_resume then begin
       let th = arg 0 in
       let owner =
         if not (valid th) then []
@@ -94,7 +76,7 @@ let footprint (db : Pagedb.t) ~npages ~call ~(args : int list) =
       in
       owner @ a Page th
     end
-    else if call = Smc.remove then begin
+    else if call = Abi.smc_remove then begin
       let pg = arg 0 in
       if not (valid pg) then []
       else

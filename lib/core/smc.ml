@@ -27,20 +27,6 @@ let log_src = Logs.Src.create "komodo.monitor" ~doc:"Komodo monitor call trace"
 
 module Log = (val Logs.src_log log_src)
 
-(* Call numbers (r0 at SMC entry). *)
-let sm_get_phys_pages = 1
-let sm_init_addrspace = 2
-let sm_init_thread = 3
-let sm_init_l2ptable = 4
-let sm_alloc_spare = 5
-let sm_map_secure = 6
-let sm_map_insecure = 7
-let sm_finalise = 8
-let sm_enter = 9
-let sm_resume = 10
-let sm_stop = 11
-let sm_remove = 12
-
 let ok retval t = (t, Errors.Success, retval)
 let fail err t = (t, err, Word.zero)
 
@@ -65,7 +51,7 @@ let commit ~call t k =
 (* -- Construction calls ------------------------------------------------- *)
 
 let get_phys_pages (t : Monitor.t) =
-  commit ~call:sm_get_phys_pages t @@ fun t ->
+  commit ~call:Abi.smc_get_phys_pages t @@ fun t ->
   ok (Word.of_int t.Monitor.plat.Platform.npages) (Monitor.charge 10 t)
 
 let init_addrspace (t : Monitor.t) =
@@ -77,7 +63,7 @@ let init_addrspace (t : Monitor.t) =
          paper found in its unverified prototype (§9.1). *)
       if as_pg = l1_pg then fail Errors.Page_in_use t
       else
-        commit ~call:sm_init_addrspace t @@ fun t ->
+        commit ~call:Abi.smc_init_addrspace t @@ fun t ->
         let t = Monitor.zero_page t l1_pg in
         let db = t.Monitor.pagedb in
         let db =
@@ -103,7 +89,7 @@ let init_thread (t : Monitor.t) =
       match Monitor.free_page t th_w with
       | Error e -> fail e t
       | Ok th_pg ->
-          commit ~call:sm_init_thread t @@ fun t ->
+          commit ~call:Abi.smc_init_thread t @@ fun t ->
           let db =
             Pagedb.alloc t.Monitor.pagedb th_pg
               (Pagedb.Thread
@@ -149,7 +135,7 @@ let init_l2ptable (t : Monitor.t) =
             match Ptable.decode_l1e (Monitor.load_page_word t l1pt l1index) with
             | Some _ -> fail Errors.Addr_in_use t
             | None ->
-                commit ~call:sm_init_l2ptable t @@ fun t ->
+                commit ~call:Abi.smc_init_l2ptable t @@ fun t ->
                 let t = Monitor.zero_page t l2_pg in
                 let db =
                   Pagedb.alloc t.Monitor.pagedb l2_pg
@@ -171,7 +157,7 @@ let alloc_spare (t : Monitor.t) =
         match Monitor.free_page t sp_w with
         | Error e -> fail e t
         | Ok sp_pg ->
-            commit ~call:sm_alloc_spare t @@ fun t ->
+            commit ~call:Abi.smc_alloc_spare t @@ fun t ->
             let db =
               Pagedb.alloc t.Monitor.pagedb sp_pg
                 (Pagedb.SparePage { addrspace = as_pg })
@@ -219,7 +205,7 @@ let map_secure (t : Monitor.t) =
                     with
                     | Some _ -> fail Errors.Addr_in_use t_err
                     | None ->
-                        commit ~call:sm_map_secure t @@ fun t ->
+                        commit ~call:Abi.smc_map_secure t @@ fun t ->
                         let t = fill t in
                         (* The measurement hash and its cycle charge sit
                            together inside one span so the profiler
@@ -282,7 +268,7 @@ let map_insecure (t : Monitor.t) =
                 with
                 | Some _ -> fail Errors.Addr_in_use t
                 | None ->
-                    commit ~call:sm_map_insecure t @@ fun t ->
+                    commit ~call:Abi.smc_map_insecure t @@ fun t ->
                     let pte =
                       Ptable.make_l2e ~base:target ~ns:true mapping.Mapping.perms
                     in
@@ -294,7 +280,7 @@ let finalise (t : Monitor.t) =
   match Monitor.addrspace_page t ~want:Pagedb.Init as_w with
   | Error e -> fail e t
   | Ok (as_pg, a) ->
-      commit ~call:sm_finalise t @@ fun t ->
+      commit ~call:Abi.smc_finalise t @@ fun t ->
       Monitor.span_enter t "hash";
       let measurement = Measure.finalise a.Pagedb.measurement in
       let t = Monitor.charge Measure.finalise_cycles t in
@@ -313,7 +299,7 @@ let stop (t : Monitor.t) =
       if Pagedb.equal_addrspace_state a.Pagedb.state Pagedb.Init then
         fail Errors.Not_final t
       else begin
-        commit ~call:sm_stop t @@ fun t ->
+        commit ~call:Abi.smc_stop t @@ fun t ->
         let measurement =
           match a.Pagedb.state with
           | Pagedb.Init -> assert false
@@ -342,7 +328,7 @@ let remove (t : Monitor.t) =
       | Pagedb.SparePage _ ->
           (* Spare pages may be reclaimed from any enclave at any time;
              this is the OS-visible face of dynamic allocation (§4). *)
-          commit ~call:sm_remove t @@ fun t ->
+          commit ~call:Abi.smc_remove t @@ fun t ->
           ok Word.zero
             (Monitor.charge 14 { t with Monitor.pagedb = Pagedb.release t.Monitor.pagedb pg })
       | Pagedb.Addrspace a ->
@@ -357,7 +343,7 @@ let remove (t : Monitor.t) =
                 { t with Monitor.pagedb = Pagedb.set db pg Pagedb.Free }
             else fail Errors.In_use t
           else
-            commit ~call:sm_remove t @@ fun t ->
+            commit ~call:Abi.smc_remove t @@ fun t ->
             ok Word.zero
               (Monitor.charge 14
                  { t with Monitor.pagedb = Pagedb.set t.Monitor.pagedb pg Pagedb.Free })
@@ -366,7 +352,7 @@ let remove (t : Monitor.t) =
           let asp = Option.get (Pagedb.owner e) in
           if not (stopped asp) then fail Errors.Not_stopped t
           else
-            commit ~call:sm_remove t @@ fun t ->
+            commit ~call:Abi.smc_remove t @@ fun t ->
             ok Word.zero
               (Monitor.charge 14
                  { t with Monitor.pagedb = Pagedb.release t.Monitor.pagedb pg }))
@@ -394,7 +380,7 @@ let emit_intercepted_svc t ~call ~err ~entry_cycles =
     (Komodo_telemetry.Event.Svc_exit
        {
          call;
-         name = Svc.call_name call;
+         name = Abi.svc_name call;
          err = Word.to_int (Errors.to_word err);
          err_name = Errors.show err;
          cycles = Monitor.cycles t - entry_cycles;
@@ -483,11 +469,11 @@ let rec execution_loop ~(exec : Uexec.t) (t : Monitor.t) ~th_pg ~th ~entry_va ~s
   match event with
   | Exec.Ev_svc _ ->
       let call = Word.to_int (State.read_reg mach (Regs.R 0)) in
-      if call = Svc.sv_exit then begin
+      if call = Abi.svc_exit then begin
         (* Exit: registers are not saved; the thread may be re-entered. *)
         let entry_cycles = Monitor.cycles t in
         if traced then
-          Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = Svc.call_name call });
+          Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = Abi.svc_name call });
         let retval = State.read_reg mach (Regs.R 1) in
         let db =
           Pagedb.set t.Monitor.pagedb th_pg
@@ -500,12 +486,12 @@ let rec execution_loop ~(exec : Uexec.t) (t : Monitor.t) ~th_pg ~th ~entry_va ~s
         if traced then emit_intercepted_svc t ~call ~err:Errors.Success ~entry_cycles;
         ({ t with Monitor.pagedb = db }, Errors.Success, retval)
       end
-      else if call = Svc.sv_resume_faulted then begin
+      else if call = Abi.svc_resume_faulted then begin
         (* Dispatcher done: restore the faulting context and retry the
            interrupted access. *)
         let entry_cycles = Monitor.cycles t in
         if traced then
-          Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = Svc.call_name call });
+          Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = Abi.svc_name call });
         match th.Pagedb.fault_ctx with
         | Some fctx ->
             let th = { th with Pagedb.fault_ctx = None } in
@@ -608,7 +594,7 @@ let enter ~exec (t : Monitor.t) =
   | Ok (th_pg, th, a) ->
       if th.Pagedb.entered then fail Errors.Already_entered t
       else begin
-        commit ~call:sm_enter t @@ fun t ->
+        commit ~call:Abi.smc_enter t @@ fun t ->
         if Monitor.telemetry_on t then
           Monitor.emit t
             (Komodo_telemetry.Event.Enclave_lifecycle
@@ -649,7 +635,7 @@ let resume ~exec (t : Monitor.t) =
       match (th.Pagedb.entered, th.Pagedb.ctx) with
       | false, _ | _, None -> fail Errors.Not_entered t
       | true, Some ctx ->
-          commit ~call:sm_resume t @@ fun t ->
+          commit ~call:Abi.smc_resume t @@ fun t ->
           if Monitor.telemetry_on t then
             Monitor.emit t
               (Komodo_telemetry.Event.Enclave_lifecycle
@@ -674,35 +660,20 @@ let resume ~exec (t : Monitor.t) =
 
 (* -- Top level ----------------------------------------------------------- *)
 
-let call_name call =
-  if call = sm_get_phys_pages then "GetPhysPages"
-  else if call = sm_init_addrspace then "InitAddrspace"
-  else if call = sm_init_thread then "InitThread"
-  else if call = sm_init_l2ptable then "InitL2PTable"
-  else if call = sm_alloc_spare then "AllocSpare"
-  else if call = sm_map_secure then "MapSecure"
-  else if call = sm_map_insecure then "MapInsecure"
-  else if call = sm_finalise then "Finalise"
-  else if call = sm_enter then "Enter"
-  else if call = sm_resume then "Resume"
-  else if call = sm_stop then "Stop"
-  else if call = sm_remove then "Remove"
-  else Printf.sprintf "Unknown(%d)" call
-
 let dispatch ~exec (t : Monitor.t) =
   let call = Word.to_int (Monitor.arg t 0) in
-  if call = sm_get_phys_pages then get_phys_pages t
-  else if call = sm_init_addrspace then init_addrspace t
-  else if call = sm_init_thread then init_thread t
-  else if call = sm_init_l2ptable then init_l2ptable t
-  else if call = sm_alloc_spare then alloc_spare t
-  else if call = sm_map_secure then map_secure t
-  else if call = sm_map_insecure then map_insecure t
-  else if call = sm_finalise then finalise t
-  else if call = sm_enter then enter ~exec t
-  else if call = sm_resume then resume ~exec t
-  else if call = sm_stop then stop t
-  else if call = sm_remove then remove t
+  if call = Abi.smc_get_phys_pages then get_phys_pages t
+  else if call = Abi.smc_init_addrspace then init_addrspace t
+  else if call = Abi.smc_init_thread then init_thread t
+  else if call = Abi.smc_init_l2ptable then init_l2ptable t
+  else if call = Abi.smc_alloc_spare then alloc_spare t
+  else if call = Abi.smc_map_secure then map_secure t
+  else if call = Abi.smc_map_insecure then map_insecure t
+  else if call = Abi.smc_finalise then finalise t
+  else if call = Abi.smc_enter then enter ~exec t
+  else if call = Abi.smc_resume then resume ~exec t
+  else if call = Abi.smc_stop then stop t
+  else if call = Abi.smc_remove then remove t
   else fail Errors.Invalid_arg t
 
 (** Handle an SMC: the machine must be in monitor mode with the OS's
@@ -715,22 +686,22 @@ let handle ?(exec = Uexec.concrete ()) (t : Monitor.t) =
   let t, saved = Monitor.save_os_context t in
   let t = { t with Monitor.mach = { t.Monitor.mach with State.scr_ns = false } } in
   let call = Word.to_int (Monitor.arg t 0) in
-  let args = List.init 4 (fun i -> Monitor.arg t (i + 1)) in
+  let args = List.init Abi.smc_nargs (fun i -> Monitor.arg t (i + 1)) in
   let traced = Monitor.telemetry_on t in
   let entry_cycles = Monitor.cycles t and db0 = t.Monitor.pagedb in
   if traced then
     Monitor.emit t
       (Komodo_telemetry.Event.Smc_entry
-         { call; name = call_name call; args = List.map Word.to_int args });
+         { call; name = Abi.smc_name call; args = List.map Word.to_int args });
   (* Profiling: the whole handler is one span; validation runs until
      the handler's [commit] marks the transition. Depth is snapshotted
      so error returns that skip the commit still unwind cleanly. *)
   let sdepth = Monitor.span_depth t in
-  Monitor.span_enter t ("smc." ^ call_name call);
+  Monitor.span_enter t ("smc." ^ Abi.smc_name call);
   Monitor.span_enter t "validate";
   let t, err, retval = dispatch ~exec t in
   Log.debug (fun m ->
-      m "%s(%s) -> %s, %a" (call_name call)
+      m "%s(%s) -> %s, %a" (Abi.smc_name call)
         (String.concat ", " (List.map Word.show args))
         (Errors.show err) Word.pp retval);
   (* Whatever exception handler ran last (Figure 3's state machine ends
@@ -751,7 +722,7 @@ let handle ?(exec = Uexec.concrete ()) (t : Monitor.t) =
   if traced then begin
     (* Page retypings at SMC granularity; inside Enter/Resume the SVC
        handler has already reported its own, so skip the outer diff. *)
-    if call <> sm_enter && call <> sm_resume then
+    if call <> Abi.smc_enter && call <> Abi.smc_resume then
       List.iter
         (fun (page, from_type, to_type) ->
           Monitor.emit t
@@ -765,10 +736,10 @@ let handle ?(exec = Uexec.concrete ()) (t : Monitor.t) =
           (Komodo_telemetry.Event.Enclave_lifecycle { addrspace; stage })
       in
       let arg1 = Word.to_int (List.hd args) in
-      if call = sm_init_addrspace then lifecycle Komodo_telemetry.Event.Ls_init arg1
-      else if call = sm_finalise then lifecycle Komodo_telemetry.Event.Ls_finalise arg1
-      else if call = sm_stop then lifecycle Komodo_telemetry.Event.Ls_stop arg1
-      else if call = sm_remove then
+      if call = Abi.smc_init_addrspace then lifecycle Komodo_telemetry.Event.Ls_init arg1
+      else if call = Abi.smc_finalise then lifecycle Komodo_telemetry.Event.Ls_finalise arg1
+      else if call = Abi.smc_stop then lifecycle Komodo_telemetry.Event.Ls_stop arg1
+      else if call = Abi.smc_remove then
         match Pagedb.get db0 arg1 with
         | Pagedb.Addrspace _ -> lifecycle Komodo_telemetry.Event.Ls_remove arg1
         | _ -> ()
@@ -777,7 +748,7 @@ let handle ?(exec = Uexec.concrete ()) (t : Monitor.t) =
       (Komodo_telemetry.Event.Smc_exit
          {
            call;
-           name = call_name call;
+           name = Abi.smc_name call;
            err = Word.to_int (Errors.to_word err);
            err_name = Errors.show err;
            retval = Word.to_int retval;
@@ -789,7 +760,8 @@ let handle ?(exec = Uexec.concrete ()) (t : Monitor.t) =
 (** Convenience wrapper for OS-side callers: from normal world, place
     the call in the argument registers, trap, handle, and return. *)
 let invoke ?exec (t : Monitor.t) ~call ~args =
-  if List.length args > 4 then invalid_arg "Smc.invoke: at most 4 arguments";
+  if List.length args > Abi.smc_nargs then
+    invalid_arg (Printf.sprintf "Smc.invoke: at most %d arguments" Abi.smc_nargs);
   let mach = t.Monitor.mach in
   if Mode.equal_world mach.State.world Mode.Secure then
     invalid_arg "Smc.invoke: SMCs come from the normal world";

@@ -15,23 +15,6 @@ val log_src : Logs.src
 (** Monitor call trace source; enable with
     [Logs.Src.set_level Smc.log_src (Some Logs.Debug)]. *)
 
-val call_name : int -> string
-
-(** Call numbers (r0 at SMC entry). *)
-
-val sm_get_phys_pages : int
-val sm_init_addrspace : int
-val sm_init_thread : int
-val sm_init_l2ptable : int
-val sm_alloc_spare : int
-val sm_map_secure : int
-val sm_map_insecure : int
-val sm_finalise : int
-val sm_enter : int
-val sm_resume : int
-val sm_stop : int
-val sm_remove : int
-
 val handle : ?exec:Uexec.t -> Monitor.t -> Monitor.t * Errors.t * Word.t
 (** Handle an SMC: the machine must be in monitor mode with the call in
     r0-r4 (just after the SMC exception). Returns with the machine back

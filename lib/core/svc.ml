@@ -19,33 +19,6 @@ module Ptable = Komodo_machine.Ptable
 module Rng = Komodo_tz.Rng
 module Sha256 = Komodo_crypto.Sha256
 
-let sv_exit = 0
-let sv_get_random = 1
-let sv_attest = 2
-let sv_verify = 3
-let sv_init_l2ptable = 4
-let sv_map_data = 5
-let sv_unmap_data = 6
-
-(* Dispatcher interface (paper §9.2 future work, implemented here):
-   enclaves may register a fault-handler entry point; faults then upcall
-   into the enclave instead of exiting to the OS, enabling enclave
-   self-paging without exposing page faults to the untrusted OS. *)
-let sv_set_dispatcher = 7
-let sv_resume_faulted = 8 (* intercepted by the Enter/Resume loop *)
-
-let call_name call =
-  if call = sv_exit then "Exit"
-  else if call = sv_get_random then "GetRandom"
-  else if call = sv_attest then "Attest"
-  else if call = sv_verify then "Verify"
-  else if call = sv_init_l2ptable then "InitL2PTable"
-  else if call = sv_map_data then "MapData"
-  else if call = sv_unmap_data then "UnmapData"
-  else if call = sv_set_dispatcher then "SetDispatcher"
-  else if call = sv_resume_faulted then "ResumeFaulted"
-  else Printf.sprintf "Unknown(%d)" call
-
 (** How a fault is described to the enclave's dispatcher (r0 of the
     upcall). The OS never sees these — it is told only [Fault]. *)
 let fault_code = function
@@ -87,7 +60,7 @@ let get_random (t : Monitor.t) =
   if Rng.exhausted t.Monitor.rng then
     (set_results t Errors.Entropy_exhausted [], Errors.Entropy_exhausted)
   else
-    commit ~call:sv_get_random t @@ fun t ->
+    commit ~call:Abi.svc_get_random t @@ fun t ->
     if Rng.exhausted t.Monitor.rng then
       (set_results t Errors.Entropy_exhausted [], Errors.Entropy_exhausted)
     else
@@ -101,7 +74,7 @@ let attest (t : Monitor.t) ~cur_asp =
       match Measure.digest a.Pagedb.measurement with
       | None -> (set_results t Errors.Not_final [], Errors.Not_final)
       | Some measurement ->
-          commit ~call:sv_attest t @@ fun t ->
+          commit ~call:Abi.svc_attest t @@ fun t ->
           Monitor.span_enter t "hash";
           let data =
             Sha256.digest_of_words (List.init 8 (fun i -> ureg t (i + 1)))
@@ -131,7 +104,7 @@ let verify (t : Monitor.t) =
   match read_user_words t buf 24 with
   | None -> (set_results t Errors.Invalid_arg [], Errors.Invalid_arg)
   | Some ws ->
-      commit ~call:sv_verify t @@ fun t ->
+      commit ~call:Abi.svc_verify t @@ fun t ->
       let take n l = List.filteri (fun i _ -> i < n) l
       and drop n l = List.filteri (fun i _ -> i >= n) l in
       let data = Sha256.digest_of_words (take 8 ws) in
@@ -179,7 +152,7 @@ let init_l2ptable (t : Monitor.t) ~cur_asp =
   match result with
   | Error e -> (set_results t e [], e)
   | Ok (n, l1pt) ->
-      commit ~call:sv_init_l2ptable t @@ fun t ->
+      commit ~call:Abi.svc_init_l2ptable t @@ fun t ->
       let t = Monitor.zero_page t n in
       let t =
         {
@@ -212,7 +185,7 @@ let map_data (t : Monitor.t) ~cur_asp =
   match result with
   | Error e -> (set_results t e [], e)
   | Ok (n, l2pt, mapping) ->
-      commit ~call:sv_map_data t @@ fun t ->
+      commit ~call:Abi.svc_map_data t @@ fun t ->
       (* Zero-fill, retype, then publish the mapping. *)
       let t = Monitor.charge (Cost.smc_body_small * 5) t in
       let t = Monitor.zero_page t n in
@@ -251,7 +224,7 @@ let unmap_data (t : Monitor.t) ~cur_asp =
   match result with
   | Error e -> (set_results t e [], e)
   | Ok (n, l2pt, mapping) ->
-      commit ~call:sv_unmap_data t @@ fun t ->
+      commit ~call:Abi.svc_unmap_data t @@ fun t ->
       let t = Monitor.write_l2e t ~l2pt mapping.Mapping.va Word.zero in
       let t =
         {
@@ -269,7 +242,7 @@ let set_dispatcher (t : Monitor.t) ~cur_thread =
       if not (Word.ult entry Ptable.va_limit) then
         (set_results t Errors.Invalid_arg [], Errors.Invalid_arg)
       else begin
-        commit ~call:sv_set_dispatcher t @@ fun t ->
+        commit ~call:Abi.svc_set_dispatcher t @@ fun t ->
         (* Entry 0 deregisters (reverting to exit-with-Fault). *)
         let dispatcher = if Word.equal entry Word.zero then None else Some entry in
         let db =
@@ -283,7 +256,7 @@ let set_dispatcher (t : Monitor.t) ~cur_thread =
 
 (** Dispatch a non-Exit SVC. Returns the updated monitor (with the
     enclave's result registers set) and the error code (for logging;
-    the enclave sees it in r0). [sv_resume_faulted] is control flow,
+    the enclave sees it in r0). [Abi.svc_resume_faulted] is control flow,
     not a request, and is intercepted by the Enter/Resume loop. *)
 let handle (t : Monitor.t) ~cur_asp ~cur_thread =
   let call = Word.to_int (ureg t 0) in
@@ -291,18 +264,18 @@ let handle (t : Monitor.t) ~cur_asp ~cur_thread =
   let traced = Monitor.telemetry_on t in
   let entry_cycles = Monitor.cycles t and db0 = t.Monitor.pagedb in
   if traced then
-    Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = call_name call });
+    Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = Abi.svc_name call });
   let sdepth = Monitor.span_depth t in
-  Monitor.span_enter t ("svc." ^ call_name call);
+  Monitor.span_enter t ("svc." ^ Abi.svc_name call);
   Monitor.span_enter t "validate";
   let t, err =
-    if call = sv_get_random then get_random t
-    else if call = sv_attest then attest t ~cur_asp
-    else if call = sv_verify then verify t
-    else if call = sv_init_l2ptable then init_l2ptable t ~cur_asp
-    else if call = sv_map_data then map_data t ~cur_asp
-    else if call = sv_unmap_data then unmap_data t ~cur_asp
-    else if call = sv_set_dispatcher then set_dispatcher t ~cur_thread
+    if call = Abi.svc_get_random then get_random t
+    else if call = Abi.svc_attest then attest t ~cur_asp
+    else if call = Abi.svc_verify then verify t
+    else if call = Abi.svc_init_l2ptable then init_l2ptable t ~cur_asp
+    else if call = Abi.svc_map_data then map_data t ~cur_asp
+    else if call = Abi.svc_unmap_data then unmap_data t ~cur_asp
+    else if call = Abi.svc_set_dispatcher then set_dispatcher t ~cur_thread
     else (set_results t Errors.Invalid_arg [], Errors.Invalid_arg)
   in
   let t = Monitor.charge Cost.exception_return t in
@@ -317,7 +290,7 @@ let handle (t : Monitor.t) ~cur_asp ~cur_thread =
       (Komodo_telemetry.Event.Svc_exit
          {
            call;
-           name = call_name call;
+           name = Abi.svc_name call;
            err = Word.to_int (Errors.to_word err);
            err_name = Errors.show err;
            cycles = Monitor.cycles t - entry_cycles;

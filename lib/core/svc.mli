@@ -4,35 +4,11 @@
     Invoked by the SVC instruction while an enclave executes: call
     number in the enclave's r0, arguments in r1.., results in r0
     (error code) and r1... The handler returns to the enclave — except
-    [sv_exit] and [sv_resume_faulted], which are control flow and are
-    intercepted by the Enter/Resume loop in {!Smc}. *)
+    {!Abi.svc_exit} and {!Abi.svc_resume_faulted}, which are control
+    flow and are intercepted by the Enter/Resume loop in {!Smc}. *)
 
 module Word = Komodo_machine.Word
 module Exec = Komodo_machine.Exec
-
-(** Call numbers. *)
-
-val sv_exit : int
-val sv_get_random : int
-
-val sv_attest : int
-(** Data in r1-r8; MAC returned in r1-r8. *)
-
-val sv_verify : int
-(** r1 points at a 96-byte buffer (data ‖ measurement ‖ MAC) readable
-    through the enclave's own page table; verdict in r1. *)
-
-val sv_init_l2ptable : int
-val sv_map_data : int
-val sv_unmap_data : int
-
-val sv_set_dispatcher : int
-(** r1 = fault-handler entry VA; 0 deregisters. (§9.2 extension.) *)
-
-val sv_resume_faulted : int
-(** Restore the context parked by a fault upcall and retry. *)
-
-val call_name : int -> string
 
 val fault_code : Exec.fault -> Word.t
 (** How a fault is described to the dispatcher (r0 of the upcall); the

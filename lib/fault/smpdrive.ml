@@ -28,7 +28,7 @@ module Memory = Komodo_machine.Memory
 module Platform = Komodo_tz.Platform
 module Monitor = Komodo_core.Monitor
 module Pagedb = Komodo_core.Pagedb
-module Smc = Komodo_core.Smc
+module Abi = Komodo_core.Abi
 module Errors = Komodo_core.Errors
 module Os = Komodo_os.Os
 module Smp = Komodo_os.Smp
@@ -43,7 +43,7 @@ type sop = { s_cpu : int; s_call : int; s_args : int list }
 
 let pp_sop s =
   Printf.sprintf "cpu%d %s(%s)" s.s_cpu
-    (Smc.call_name s.s_call)
+    (Abi.smc_name s.s_call)
     (String.concat "," (List.map string_of_int s.s_args))
 
 type violation = {
@@ -67,8 +67,8 @@ let prelude_calls ~cpus =
     (List.init cpus (fun c ->
          let a = asp_page c in
          [
-           (Smc.sm_init_addrspace, [ a; a + 1 ]);
-           (Smc.sm_init_l2ptable, [ a; a + 2; 0 ]);
+           (Abi.smc_init_addrspace, [ a; a + 1 ]);
+           (Abi.smc_init_l2ptable, [ a; a + 2; 0 ]);
          ]))
 
 let apply_prelude os ~cpus =
@@ -254,15 +254,15 @@ let gen_sops ~seed ~cpus ~ops_per_cpu =
              let call, args =
                match rnd 12 with
                | 0 | 1 | 2 | 3 | 4 ->
-                   (Smc.sm_map_secure, [ a; pool (); va (); 0 ])
-               | 5 | 6 -> (Smc.sm_remove, [ pool () ])
-               | 7 -> (Smc.sm_init_thread, [ a; pool (); va () land lnot 3 ])
-               | 8 -> (Smc.sm_alloc_spare, [ a; pool () ])
-               | 9 -> (Smc.sm_get_phys_pages, [])
-               | 10 -> (Smc.sm_map_insecure, [ a; rnd 4; va () ])
+                   (Abi.smc_map_secure, [ a; pool (); va (); 0 ])
+               | 5 | 6 -> (Abi.smc_remove, [ pool () ])
+               | 7 -> (Abi.smc_init_thread, [ a; pool (); va () land lnot 3 ])
+               | 8 -> (Abi.smc_alloc_spare, [ a; pool () ])
+               | 9 -> (Abi.smc_get_phys_pages, [])
+               | 10 -> (Abi.smc_map_insecure, [ a; rnd 4; va () ])
                | _ ->
                    (* racing Remove of another cpu's addrspace page *)
-                   (Smc.sm_remove, [ asp_page (rnd cpus) ])
+                   (Abi.smc_remove, [ asp_page (rnd cpus) ])
              in
              { s_cpu = c; s_call = call; s_args = args })))
 

@@ -13,6 +13,7 @@ module Memory = Komodo_machine.Memory
 module Mode = Komodo_machine.Mode
 module Monitor = Komodo_core.Monitor
 module Smc = Komodo_core.Smc
+module Abi = Komodo_core.Abi
 module Errors = Komodo_core.Errors
 module Uexec = Komodo_core.Uexec
 module Platform = Komodo_tz.Platform
@@ -79,63 +80,63 @@ let page_arg n = Word.of_int n
 (* -- Typed wrappers for each monitor call ------------------------------- *)
 
 let get_phys_pages t =
-  let t, err, v = smc t ~call:Smc.sm_get_phys_pages ~args:[] in
+  let t, err, v = smc t ~call:Abi.smc_get_phys_pages ~args:[] in
   (t, err, Word.to_int v)
 
 let init_addrspace t ~addrspace ~l1pt =
   let t, err, _ =
-    smc t ~call:Smc.sm_init_addrspace ~args:[ page_arg addrspace; page_arg l1pt ]
+    smc t ~call:Abi.smc_init_addrspace ~args:[ page_arg addrspace; page_arg l1pt ]
   in
   (t, err)
 
 let init_thread t ~addrspace ~thread ~entry =
   let t, err, _ =
-    smc t ~call:Smc.sm_init_thread ~args:[ page_arg addrspace; page_arg thread; entry ]
+    smc t ~call:Abi.smc_init_thread ~args:[ page_arg addrspace; page_arg thread; entry ]
   in
   (t, err)
 
 let init_l2ptable t ~addrspace ~l2pt ~l1index =
   let t, err, _ =
-    smc t ~call:Smc.sm_init_l2ptable
+    smc t ~call:Abi.smc_init_l2ptable
       ~args:[ page_arg addrspace; page_arg l2pt; Word.of_int l1index ]
   in
   (t, err)
 
 let alloc_spare t ~addrspace ~spare =
   let t, err, _ =
-    smc t ~call:Smc.sm_alloc_spare ~args:[ page_arg addrspace; page_arg spare ]
+    smc t ~call:Abi.smc_alloc_spare ~args:[ page_arg addrspace; page_arg spare ]
   in
   (t, err)
 
 let map_secure t ~addrspace ~data ~mapping ~content =
   let t, err, _ =
-    smc t ~call:Smc.sm_map_secure
+    smc t ~call:Abi.smc_map_secure
       ~args:[ page_arg addrspace; page_arg data; Komodo_core.Mapping.encode mapping; content ]
   in
   (t, err)
 
 let map_insecure t ~addrspace ~mapping ~target =
   let t, err, _ =
-    smc t ~call:Smc.sm_map_insecure
+    smc t ~call:Abi.smc_map_insecure
       ~args:[ page_arg addrspace; Komodo_core.Mapping.encode mapping; target ]
   in
   (t, err)
 
 let finalise t ~addrspace =
-  let t, err, _ = smc t ~call:Smc.sm_finalise ~args:[ page_arg addrspace ] in
+  let t, err, _ = smc t ~call:Abi.smc_finalise ~args:[ page_arg addrspace ] in
   (t, err)
 
 let enter t ~thread ~args:(a1, a2, a3) =
-  smc t ~call:Smc.sm_enter ~args:[ page_arg thread; a1; a2; a3 ]
+  smc t ~call:Abi.smc_enter ~args:[ page_arg thread; a1; a2; a3 ]
 
-let resume t ~thread = smc t ~call:Smc.sm_resume ~args:[ page_arg thread ]
+let resume t ~thread = smc t ~call:Abi.smc_resume ~args:[ page_arg thread ]
 
 let stop t ~addrspace =
-  let t, err, _ = smc t ~call:Smc.sm_stop ~args:[ page_arg addrspace ] in
+  let t, err, _ = smc t ~call:Abi.smc_stop ~args:[ page_arg addrspace ] in
   (t, err)
 
 let remove t ~page =
-  let t, err, _ = smc t ~call:Smc.sm_remove ~args:[ page_arg page ] in
+  let t, err, _ = smc t ~call:Abi.smc_remove ~args:[ page_arg page ] in
   (t, err)
 
 (** Enter a thread and keep resuming across interrupts until it exits

@@ -48,7 +48,7 @@ module Errors = Komodo_core.Errors
 module Monitor = Komodo_core.Monitor
 module Pagedb = Komodo_core.Pagedb
 module Lock = Komodo_core.Lock
-module Smc = Komodo_core.Smc
+module Abi = Komodo_core.Abi
 module Platform = Komodo_tz.Platform
 module Seedsplit = Komodo_rand.Seedsplit
 
@@ -103,7 +103,6 @@ type deadlock = { dl_cycle : waiter list }
 
 type outcome = {
   os : Os.t;
-  mc : Multicore.t;
   results : (int * (Errors.t * Word.t) list) list;
   stats : stats;
   events : event list;  (** retired calls, in validation order *)
@@ -175,9 +174,9 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
       Lock.footprint (!os).Os.mon.Monitor.pagedb ~npages ~call:op.call ~args
     in
     match bug with
-    | Some Missing_page_lock when op.call = Smc.sm_map_secure ->
+    | Some Missing_page_lock when op.call = Abi.smc_map_secure ->
         List.filter (fun l -> l.Lock.level <> Lock.Page) fp
-    | Some Lock_inversion when op.call = Smc.sm_remove -> List.rev fp
+    | Some Lock_inversion when op.call = Abi.smc_remove -> List.rev fp
     | _ -> fp
   in
 
@@ -421,7 +420,6 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
   in
   {
     os = final_os;
-    mc = !mc;
     results =
       List.init ncpus (fun c -> (c, List.rev results.(c)));
     stats =
@@ -443,10 +441,10 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
     the five given pages (addrspace, l1pt, l2pt, data, thread). *)
 let build_script ~pages:(asp, l1, l2, data, thread) =
   [
-    { call = Smc.sm_init_addrspace; args = [ Word.of_int asp; Word.of_int l1 ] };
-    { call = Smc.sm_init_l2ptable; args = [ Word.of_int asp; Word.of_int l2; Word.zero ] };
+    { call = Abi.smc_init_addrspace; args = [ Word.of_int asp; Word.of_int l1 ] };
+    { call = Abi.smc_init_l2ptable; args = [ Word.of_int asp; Word.of_int l2; Word.zero ] };
     {
-      call = Smc.sm_map_secure;
+      call = Abi.smc_map_secure;
       args =
         [
           Word.of_int asp;
@@ -455,6 +453,6 @@ let build_script ~pages:(asp, l1, l2, data, thread) =
           Word.zero;
         ];
     };
-    { call = Smc.sm_init_thread; args = [ Word.of_int asp; Word.of_int thread; Word.zero ] };
-    { call = Smc.sm_finalise; args = [ Word.of_int asp ] };
+    { call = Abi.smc_init_thread; args = [ Word.of_int asp; Word.of_int thread; Word.zero ] };
+    { call = Abi.smc_finalise; args = [ Word.of_int asp ] };
   ]

@@ -13,7 +13,6 @@
     of [(seed, scripts)]. *)
 
 module Word = Komodo_machine.Word
-module Multicore = Komodo_machine.Multicore
 module Errors = Komodo_core.Errors
 module Lock = Komodo_core.Lock
 
@@ -65,7 +64,6 @@ type deadlock = { dl_cycle : waiter list }
 
 type outcome = {
   os : Os.t;  (** final shared state, [mach] reassembled as CPU 0's view *)
-  mc : Multicore.t;  (** final banks (per-CPU cycle counts live here) *)
   results : (int * (Errors.t * Word.t) list) list;
       (** per-core results in issue order *)
   stats : stats;

@@ -25,6 +25,7 @@ module Image = Komodo_os.Image
 module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
 module Insn = Komodo_machine.Insn
+module Abi = Komodo_core.Abi
 
 type check_result = Ok_channel | Broken of string
 
@@ -98,7 +99,7 @@ let spare_use_not_released () =
     [
       Insn.I (Insn.Mov (Uprog.r1, Insn.Reg Uprog.r0)) (* spare page nr *);
       Insn.I (Insn.Mov (Uprog.r2, Insn.Imm (Word.of_int 7))) (* free slot *);
-      Insn.I (Insn.Mov (Uprog.r0, Insn.Imm (Word.of_int Komodo_user.Svc_nums.init_l2ptable)));
+      Insn.I (Insn.Mov (Uprog.r0, Insn.Imm (Word.of_int Abi.svc_init_l2ptable)));
       Insn.I (Insn.Svc Word.zero);
       Insn.I (Insn.Mov (Uprog.r6, Insn.Imm (Word.of_int 0xBEEF)));
     ]
@@ -141,11 +142,11 @@ let freed_pages_released () =
       Insn.I (Insn.Mov (Uprog.r11, Insn.Reg Uprog.r0)) (* spare nr *);
       Insn.I (Insn.Mov (Uprog.r1, Insn.Reg Uprog.r11));
       Insn.I (Insn.Orr (Uprog.r2, Uprog.r12, Insn.Imm (Word.of_int 0x3)));
-      Insn.I (Insn.Mov (Uprog.r0, Insn.Imm (Word.of_int Komodo_user.Svc_nums.map_data)));
+      Insn.I (Insn.Mov (Uprog.r0, Insn.Imm (Word.of_int Abi.svc_map_data)));
       Insn.I (Insn.Svc Word.zero);
       Insn.I (Insn.Mov (Uprog.r1, Insn.Reg Uprog.r11));
       Insn.I (Insn.Orr (Uprog.r2, Uprog.r12, Insn.Imm (Word.of_int 0x1)));
-      Insn.I (Insn.Mov (Uprog.r0, Insn.Imm (Word.of_int Komodo_user.Svc_nums.unmap_data)));
+      Insn.I (Insn.Mov (Uprog.r0, Insn.Imm (Word.of_int Abi.svc_unmap_data)));
       Insn.I (Insn.Svc Word.zero);
       Insn.I (Insn.Mov (Uprog.r6, Insn.Imm (Word.of_int 0))) ;
     ]

@@ -28,7 +28,7 @@ module Mode = Komodo_machine.Mode
 module Ptable = Komodo_machine.Ptable
 module Monitor = Komodo_core.Monitor
 module Pagedb = Komodo_core.Pagedb
-module Smc = Komodo_core.Smc
+module Abi = Komodo_core.Abi
 module Errors = Komodo_core.Errors
 module Uexec = Komodo_core.Uexec
 module Mapping = Komodo_core.Mapping
@@ -157,19 +157,19 @@ let gen_ops ~seed ~world ~n =
   in
   let op _ =
     match next 16 with
-    | 0 -> Op_smc { call = Smc.sm_get_phys_pages; args = [] }
-    | 1 -> Op_smc { call = Smc.sm_init_addrspace; args = [ page (); page () ] }
+    | 0 -> Op_smc { call = Abi.smc_get_phys_pages; args = [] }
+    | 1 -> Op_smc { call = Abi.smc_init_addrspace; args = [ page (); page () ] }
     | 2 ->
         Op_smc
-          { call = Smc.sm_init_thread; args = [ page (); page (); Word.of_int (next 0x10000) ] }
+          { call = Abi.smc_init_thread; args = [ page (); page (); Word.of_int (next 0x10000) ] }
     | 3 ->
         Op_smc
-          { call = Smc.sm_init_l2ptable; args = [ page (); page (); Word.of_int (next 300) ] }
-    | 4 -> Op_smc { call = Smc.sm_alloc_spare; args = [ page (); page () ] }
+          { call = Abi.smc_init_l2ptable; args = [ page (); page (); Word.of_int (next 300) ] }
+    | 4 -> Op_smc { call = Abi.smc_alloc_spare; args = [ page (); page () ] }
     | 5 ->
         Op_smc
           {
-            call = Smc.sm_map_secure;
+            call = Abi.smc_map_secure;
             args =
               [
                 page ();
@@ -181,14 +181,14 @@ let gen_ops ~seed ~world ~n =
     | 6 ->
         Op_smc
           {
-            call = Smc.sm_map_insecure;
+            call = Abi.smc_map_insecure;
             args = [ page (); mapping (); Word.add Os.shared_base (Word.of_int 0x2000) ];
           }
-    | 7 -> Op_smc { call = Smc.sm_finalise; args = [ page () ] }
+    | 7 -> Op_smc { call = Abi.smc_finalise; args = [ page () ] }
     | 8 | 9 | 10 ->
         Op_smc
           {
-            call = Smc.sm_enter;
+            call = Abi.smc_enter;
             args =
               [
                 some_thread ();
@@ -197,9 +197,9 @@ let gen_ops ~seed ~world ~n =
                 Word.of_int (next 100);
               ];
           }
-    | 11 -> Op_smc { call = Smc.sm_resume; args = [ some_thread () ] }
-    | 12 -> Op_smc { call = Smc.sm_stop; args = [ page () ] }
-    | 13 -> Op_smc { call = Smc.sm_remove; args = [ page () ] }
+    | 11 -> Op_smc { call = Abi.smc_resume; args = [ some_thread () ] }
+    | 12 -> Op_smc { call = Abi.smc_stop; args = [ page () ] }
+    | 13 -> Op_smc { call = Abi.smc_remove; args = [ page () ] }
     | 14 ->
         Op_write_insecure
           {
@@ -209,7 +209,7 @@ let gen_ops ~seed ~world ~n =
     | _ ->
         Op_smc
           {
-            call = Smc.sm_enter;
+            call = Abi.smc_enter;
             args = [ some_thread (); Word.zero; Word.zero; Word.zero ];
           }
   in

@@ -55,6 +55,10 @@ let shards ~sessions ~shard_sessions =
 
 let shard_seed ~root index = Seedsplit.derive ~root index
 
+let min_pages =
+  Komodo_os.Image.pages_needed (Session.verifier_image ~shared_target:Komodo_os.Os.shared_base)
+  + Session.pages_per_enclave
+
 (** Run the campaign. The report is a pure function of [(cfg, seed)];
     [jobs] and [progress] cannot change a byte of it. *)
 let run ?progress ?jobs ~cfg ~seed () =

@@ -35,6 +35,10 @@ val shards : sessions:int -> shard_sessions:int -> int
 
 val shard_seed : root:int -> int -> int
 
+val min_pages : int
+(** The smallest shard world: the verifier enclave plus one notary
+    slot. *)
+
 val run :
   ?progress:Progress.t -> ?jobs:int -> cfg:cfg -> seed:int -> unit -> Report.t
 (** Run the campaign on a domain pool. [jobs] and [progress] cannot

@@ -29,7 +29,7 @@ module Monitor = Komodo_core.Monitor
 module Mapping = Komodo_core.Mapping
 module Attest = Komodo_core.Attest
 module Uprog = Komodo_user.Uprog
-module Svc_nums = Komodo_user.Svc_nums
+module Abi = Komodo_core.Abi
 open Uprog
 
 (** Both programs map their shared window at this VA (page 2 of the
@@ -47,7 +47,7 @@ let notary_prog : Insn.stmt list =
   @ List.init 8 (fun i ->
         Insn.I (Insn.Ldr (Komodo_machine.Regs.R (i + 1), r12, imm (4 * i))))
   @ [
-      Insn.I (Insn.Mov (r0, imm Svc_nums.attest));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_attest));
       Insn.I (Insn.Svc Word.zero);
     ]
   @ List.init 8 (fun i ->
@@ -61,7 +61,7 @@ let notary_prog : Insn.stmt list =
 let verifier_prog : Insn.stmt list =
   [
     Insn.I (Insn.Mov (r1, imm 0x2000));
-    Insn.I (Insn.Mov (r0, imm Svc_nums.verify));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_verify));
     Insn.I (Insn.Svc Word.zero);
   ]
   @ exit_with r1

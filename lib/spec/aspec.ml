@@ -3,99 +3,8 @@
 module Imap = Map.Make (Int)
 open Astate
 
-(* Error words (Table 1, the KOM_ERR codes). *)
-let e_success = 0
-let e_invalid_pageno = 1
-let e_page_in_use = 2
-let e_invalid_addrspace = 3
-let e_already_final = 4
-let e_not_final = 5
-let e_invalid_mapping = 6
-let e_addr_in_use = 7
-let e_not_stopped = 8
-let e_interrupted = 9
-let e_fault = 10
-let e_already_entered = 11
-let e_not_entered = 12
-let e_invalid_thread = 13
-let e_pages_exhausted = 14
-let e_in_use = 15
-let e_invalid_arg = 16
-let e_entropy_exhausted = 17
-
-let err_name e =
-  match e with
-  | 0 -> "Success"
-  | 1 -> "Invalid_pageno"
-  | 2 -> "Page_in_use"
-  | 3 -> "Invalid_addrspace"
-  | 4 -> "Already_final"
-  | 5 -> "Not_final"
-  | 6 -> "Invalid_mapping"
-  | 7 -> "Addr_in_use"
-  | 8 -> "Not_stopped"
-  | 9 -> "Interrupted"
-  | 10 -> "Fault"
-  | 11 -> "Already_entered"
-  | 12 -> "Not_entered"
-  | 13 -> "Invalid_thread"
-  | 14 -> "Pages_exhausted"
-  | 15 -> "In_use"
-  | 16 -> "Invalid_arg"
-  | 17 -> "Entropy_exhausted"
-  | e -> Printf.sprintf "Err(%d)" e
-
-(* SMC call numbers. *)
-let smc_get_phys_pages = 1
-let smc_init_addrspace = 2
-let smc_init_thread = 3
-let smc_init_l2ptable = 4
-let smc_alloc_spare = 5
-let smc_map_secure = 6
-let smc_map_insecure = 7
-let smc_finalise = 8
-let smc_enter = 9
-let smc_resume = 10
-let smc_stop = 11
-let smc_remove = 12
-
-let smc_name c =
-  if c = smc_get_phys_pages then "GetPhysPages"
-  else if c = smc_init_addrspace then "InitAddrspace"
-  else if c = smc_init_thread then "InitThread"
-  else if c = smc_init_l2ptable then "InitL2PTable"
-  else if c = smc_alloc_spare then "AllocSpare"
-  else if c = smc_map_secure then "MapSecure"
-  else if c = smc_map_insecure then "MapInsecure"
-  else if c = smc_finalise then "Finalise"
-  else if c = smc_enter then "Enter"
-  else if c = smc_resume then "Resume"
-  else if c = smc_stop then "Stop"
-  else if c = smc_remove then "Remove"
-  else Printf.sprintf "Unknown(%d)" c
-
-(* SVC call numbers. *)
-let svc_exit = 0
-let svc_get_random = 1
-let svc_attest = 2
-let svc_verify = 3
-let svc_init_l2ptable = 4
-let svc_map_data = 5
-let svc_unmap_data = 6
-let svc_set_dispatcher = 7
-let svc_resume_faulted = 8
-
-let svc_name c =
-  if c = svc_exit then "Exit"
-  else if c = svc_get_random then "GetRandom"
-  else if c = svc_attest then "Attest"
-  else if c = svc_verify then "Verify"
-  else if c = svc_init_l2ptable then "InitL2PTable"
-  else if c = svc_map_data then "MapData"
-  else if c = svc_unmap_data then "UnmapData"
-  else if c = svc_set_dispatcher then "SetDispatcher"
-  else if c = svc_resume_faulted then "ResumeFaulted"
-  else Printf.sprintf "Unknown(%d)" c
+(* Table 1's encoding: call numbers, error words and their names. *)
+include Komodo_core.Abi
 
 type mutation = No_alias_check | No_monitor_image_check | Drop_refcount
 

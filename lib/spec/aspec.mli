@@ -15,58 +15,11 @@
     exactly instead, making every SVC's error semantics checkable at
     the SMC boundary. *)
 
-(** Error codes, restated from Table 1 / the Komodo sources as the
-    words the OS sees in r0. *)
-
-val e_success : int
-val e_invalid_pageno : int
-val e_page_in_use : int
-val e_invalid_addrspace : int
-val e_already_final : int
-val e_not_final : int
-val e_invalid_mapping : int
-val e_addr_in_use : int
-val e_not_stopped : int
-val e_interrupted : int
-val e_fault : int
-val e_already_entered : int
-val e_not_entered : int
-val e_invalid_thread : int
-val e_pages_exhausted : int
-val e_in_use : int
-val e_invalid_arg : int
-val e_entropy_exhausted : int
-
-val err_name : int -> string
-
-(** SMC call numbers (r0 at SMC entry). *)
-
-val smc_get_phys_pages : int
-val smc_init_addrspace : int
-val smc_init_thread : int
-val smc_init_l2ptable : int
-val smc_alloc_spare : int
-val smc_map_secure : int
-val smc_map_insecure : int
-val smc_finalise : int
-val smc_enter : int
-val smc_resume : int
-val smc_stop : int
-val smc_remove : int
-val smc_name : int -> string
-
-(** SVC call numbers (r0 at SVC). *)
-
-val svc_exit : int
-val svc_get_random : int
-val svc_attest : int
-val svc_verify : int
-val svc_init_l2ptable : int
-val svc_map_data : int
-val svc_unmap_data : int
-val svc_set_dispatcher : int
-val svc_resume_faulted : int
-val svc_name : int -> string
+(** Table 1's encoding — SMC and SVC call numbers, error words and
+    their names — re-exported from {!Komodo_core.Abi}. Only the
+    encoding is shared with the monitor; everything below is written
+    from the paper. *)
+include module type of Komodo_core.Abi
 
 (** Deliberately-wrong variants of the spec, used by the checker's
     self-test: each resurrects a §9.1-style bug, and the differential

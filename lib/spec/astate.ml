@@ -169,6 +169,15 @@ let pp_pte = function
   | Psec (pg, p) -> Printf.sprintf "sec(%d,%s)" pg (pp_aperms p)
   | Pins (pa, p) -> Printf.sprintf "ins(0x%x,%s)" pa (pp_aperms p)
 
+let type_name = function
+  | Afree -> "free"
+  | Aaddrspace _ -> "addrspace"
+  | Athread _ -> "thread"
+  | Al1 _ -> "l1ptable"
+  | Al2 _ -> "l2ptable"
+  | Adata _ -> "datapage"
+  | Aspare _ -> "sparepage"
+
 let pp_page = function
   | Afree -> "free"
   | Aaddrspace a ->

@@ -116,6 +116,11 @@ val equal_meas : ameasure -> ameasure -> bool
 
 (* Comparison and rendering. *)
 
+val type_name : apage -> string
+(** The page type as the monitor's telemetry names it ("free",
+    "addrspace", "thread", "l1ptable", "l2ptable", "datapage",
+    "sparepage"). *)
+
 val pp_page : apage -> string
 
 val diff : t -> t -> (int * string * string) list

@@ -25,17 +25,14 @@ let record_svc t ~call ~err = incr t.svc (call, err) 1
 let record_transition t ~from_type ~to_type =
   incr t.trans (from_type ^ "->" ^ to_type) 1
 
-let all_smcs = List.init 12 (fun i -> i + 1)
-let all_svcs = List.init 9 (fun i -> i)
-
 let call_count tbl call =
   Hashtbl.fold (fun (c, _) n acc -> if c = call then acc + n else acc) tbl 0
 
 let smc_covered t =
-  List.map (fun c -> (Aspec.smc_name c, call_count t.smc c)) all_smcs
+  List.map (fun c -> (Aspec.smc_name c, call_count t.smc c)) Aspec.smcs
 
 let svc_covered t =
-  List.map (fun c -> (Aspec.svc_name c, call_count t.svc c)) all_svcs
+  List.map (fun c -> (Aspec.svc_name c, call_count t.svc c)) Aspec.svcs
 
 (* All of a hashtable's bindings, sorted by key: the only way table
    contents may leave this module. *)
@@ -52,8 +49,8 @@ let errors_covered t =
 let transitions t = sorted_bindings t.trans
 
 let deficit tbl calls = List.filter (fun c -> call_count tbl c = 0) calls
-let smc_deficit t = deficit t.smc all_smcs
-let svc_deficit t = deficit t.svc all_svcs
+let smc_deficit t = deficit t.smc Aspec.smcs
+let svc_deficit t = deficit t.svc Aspec.svcs
 
 let report t =
   let counts l =

@@ -684,11 +684,11 @@ let word_addr name j =
   if addr land 3 = 0 then Ok addr
   else Error (Printf.sprintf "%s 0x%x is not word-aligned" name addr)
 
-(* The monitor call ABI has four argument registers, r1-r4. *)
 let smc_of_json j =
   let* call = Json.int_field "call" j in
   let* args = Json.ints_field "args" j in
-  if List.length args <= 4 then Ok (call, args) else Error "an SMC takes at most 4 arguments"
+  if List.length args <= Aspec.smc_nargs then Ok (call, args)
+  else Error (Printf.sprintf "an SMC takes at most %d arguments" Aspec.smc_nargs)
 
 let op_of_json _ j =
   match Json.member "write_ins" j with

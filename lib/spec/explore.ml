@@ -331,15 +331,6 @@ let predict (nd : snode) ~call ~args =
 (* Per-edge property checks.                                          *)
 (* ------------------------------------------------------------------ *)
 
-let tname = function
-  | Afree -> "free"
-  | Aaddrspace _ -> "addrspace"
-  | Athread _ -> "thread"
-  | Al1 _ -> "l1ptable"
-  | Al2 _ -> "l2ptable"
-  | Adata _ -> "datapage"
-  | Aspare _ -> "sparepage"
-
 let rank = function Sinit -> 0 | Sfinal -> 1 | Sstopped -> 2
 
 (* PageDB well-formedness of one state. First failure wins (the scan
@@ -621,7 +612,7 @@ let edge ?contents_override ~mutate cover (src : snode) (x : xop) :
         | None ->
             List.iter
               (fun (n, _, _) ->
-                let f = tname (get t n) and g = tname (get st' n) in
+                let f = type_name (get t n) and g = type_name (get st' n) in
                 if f <> g then Cover.record_transition cover ~from_type:f ~to_type:g)
               diffs;
             finish st')

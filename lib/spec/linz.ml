@@ -78,8 +78,7 @@ let step_op st o =
       ~contents:None ~call:o.o_call ~args:o.o_args
   with
   | Aspec.Done (st', err, ret) ->
-      if err = o.o_err && (err <> Aspec.e_success || ret = o.o_ret) then Some st'
-      else None
+      if err = o.o_err && ret = o.o_ret then Some st' else None
   | Aspec.Pending p -> (
       match Aspec.allowed_outcome o.o_err with
       | Some outcome -> Some (Aspec.resolve st p ~outcome)

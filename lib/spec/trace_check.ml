@@ -7,15 +7,6 @@ type report = {
   violations : (int * string) list;
 }
 
-let tname = function
-  | Astate.Afree -> "free"
-  | Astate.Aaddrspace _ -> "addrspace"
-  | Astate.Athread _ -> "thread"
-  | Astate.Al1 _ -> "l1ptable"
-  | Astate.Al2 _ -> "l2ptable"
-  | Astate.Adata _ -> "datapage"
-  | Astate.Aspare _ -> "sparepage"
-
 (* Transitions the spec predicts for a deterministic call: page numbers
    whose type name changed. *)
 let spec_transitions before after =
@@ -23,7 +14,7 @@ let spec_transitions before after =
   let rec go i acc =
     if i >= n then List.rev acc
     else
-      let f = tname (Astate.get before i) and t = tname (Astate.get after i) in
+      let f = Astate.type_name (Astate.get before i) and t = Astate.type_name (Astate.get after i) in
       go (i + 1) (if f = t then acc else (i, f, t) :: acc)
   in
   go 0 []

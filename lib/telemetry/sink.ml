@@ -16,10 +16,6 @@
     campaign completion call {!flush}, guaranteeing trace files are
     complete even if the process is about to exit. *)
 
-let log_src = Logs.Src.create "komodo.telemetry" ~doc:"Komodo telemetry event stream"
-
-module Log = (val Logs.src_log log_src)
-
 type t = Null | Emit of { emit : Event.stamped -> unit; flush : unit -> unit }
 
 let null = Null
@@ -84,6 +80,3 @@ let console ppf =
     ~flush:(fun () -> Format.pp_print_flush ppf ())
     (fun ev -> Format.fprintf ppf "%a@." Event.pp_stamped ev)
 
-(** Events as [Logs] debug messages on {!log_src}, interleaving with
-    the monitor-call log under the CLI's [-v] control. *)
-let logs () = make (fun ev -> Log.debug (fun m -> m "%a" Event.pp_stamped ev))

@@ -3,10 +3,6 @@
     building events entirely — telemetry off costs one comparison and
     zero allocation, and charges no modelled cycles. *)
 
-val log_src : Logs.src
-(** Telemetry log source ("komodo.telemetry"); the {!logs} sink and
-    internal diagnostics report through it. *)
-
 type t = Null | Emit of { emit : Event.stamped -> unit; flush : unit -> unit }
 
 val null : t
@@ -39,5 +35,3 @@ val jsonl : out_channel -> t
 val console : Format.formatter -> t
 (** Human-readable event lines. *)
 
-val logs : unit -> t
-(** Events as [Logs] debug messages on {!log_src}. *)

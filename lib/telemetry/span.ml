@@ -233,15 +233,3 @@ let durations nodes =
   in
   List.iter go nodes;
   Hashtbl.fold (fun k h acc -> (k, h) :: acc) tbl [] |> List.sort compare
-
-(* -- JSON --------------------------------------------------------------- *)
-
-let rec node_to_json ?(wall = true) n =
-  Json.Obj
-    (("name", Json.Str n.sp_name)
-    :: ("start", Json.Int n.sp_start)
-    :: ("cycles", Json.Int n.sp_cycles)
-    :: ((if wall then [ ("wall_ns", Json.Int n.sp_wall_ns) ] else [])
-       @ [ ("children", Json.List (List.map (node_to_json ~wall) n.sp_children)) ]))
-
-let to_json ?(wall = true) nodes = Json.List (List.map (node_to_json ~wall) nodes)

@@ -78,6 +78,3 @@ val render_tree : ?wall:bool -> agg list -> string
 
 val durations : node list -> (string * Hist.t) list
 (** Per-name cycle histograms over every occurrence, name-sorted. *)
-
-val to_json : ?wall:bool -> node list -> Json.t
-val node_to_json : ?wall:bool -> node -> Json.t

@@ -1,6 +1,7 @@
 module Insn = Komodo_machine.Insn
 module Regs = Komodo_machine.Regs
 module Word = Komodo_machine.Word
+module Abi = Komodo_core.Abi
 
 type error = { line : int; message : string }
 
@@ -150,15 +151,15 @@ type frame =
 (** Symbols predefined for every program: the SVC call numbers. *)
 let builtin_syms =
   [
-    ("svc_exit", Word.of_int Svc_nums.exit);
-    ("svc_get_random", Word.of_int Svc_nums.get_random);
-    ("svc_attest", Word.of_int Svc_nums.attest);
-    ("svc_verify", Word.of_int Svc_nums.verify);
-    ("svc_init_l2ptable", Word.of_int Svc_nums.init_l2ptable);
-    ("svc_map_data", Word.of_int Svc_nums.map_data);
-    ("svc_unmap_data", Word.of_int Svc_nums.unmap_data);
-    ("svc_set_dispatcher", Word.of_int Svc_nums.set_dispatcher);
-    ("svc_resume_faulted", Word.of_int Svc_nums.resume_faulted);
+    ("svc_exit", Word.of_int Abi.svc_exit);
+    ("svc_get_random", Word.of_int Abi.svc_get_random);
+    ("svc_attest", Word.of_int Abi.svc_attest);
+    ("svc_verify", Word.of_int Abi.svc_verify);
+    ("svc_init_l2ptable", Word.of_int Abi.svc_init_l2ptable);
+    ("svc_map_data", Word.of_int Abi.svc_map_data);
+    ("svc_unmap_data", Word.of_int Abi.svc_unmap_data);
+    ("svc_set_dispatcher", Word.of_int Abi.svc_set_dispatcher);
+    ("svc_resume_faulted", Word.of_int Abi.svc_resume_faulted);
   ]
 
 let parse text =

@@ -15,6 +15,7 @@ module Exec = Komodo_machine.Exec
 module Sha256 = Komodo_crypto.Sha256
 module Bignum = Komodo_crypto.Bignum
 module Rsa = Komodo_crypto.Rsa
+module Abi = Komodo_core.Abi
 
 exception Enclave_fault of Exec.fault
 
@@ -45,7 +46,7 @@ let bytes_to_words s =
 
 (** Exit to the OS with [retval]. *)
 let exit_with s retval =
-  let s = set_ureg (set_ureg s 0 (Word.of_int Svc_nums.exit)) 1 retval in
+  let s = set_ureg (set_ureg s 0 (Word.of_int Abi.svc_exit)) 1 retval in
   { Exec.nstate = s; nevent = Exec.Ev_svc Word.zero }
 
 (** Issue an SVC with call number and arguments in r1... *)
@@ -106,7 +107,7 @@ let seeding_step cfg s ~phase ~(done_ : State.t -> Word.t list -> Exec.native_ou
   in
   if phase < 4 then begin
     let s = set_state_word s cfg.off_phase (Word.of_int (phase + 1)) in
-    svc (State.charge 32 s) Svc_nums.get_random []
+    svc (State.charge 32 s) Abi.svc_get_random []
   end
   else begin
     let seed = List.init 4 (fun i -> state_word (cfg.off_seed + i)) in

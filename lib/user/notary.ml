@@ -22,6 +22,7 @@ module Exec = Komodo_machine.Exec
 module Cost = Komodo_machine.Cost
 module Sha256 = Komodo_crypto.Sha256
 module Rsa = Komodo_crypto.Rsa
+module Abi = Komodo_core.Abi
 open Native_util
 
 let native_id = 1
@@ -108,7 +109,7 @@ let handle_notarize s =
 let handle_attest_key s =
   let s = set_state_word s off_phase (Word.of_int ph_attesting) in
   let data = Sha256.digest_words_of (pubkey_digest s) in
-  svc (State.charge 64 s) Svc_nums.attest data
+  svc (State.charge 64 s) Abi.svc_attest data
 
 let handle_attest_result s =
   (* MAC delivered in r1-r8; publish it after the public key. *)

@@ -6,6 +6,7 @@
 
 module Insn = Komodo_machine.Insn
 module Word = Komodo_machine.Word
+module Abi = Komodo_core.Abi
 open Uprog
 
 (** Return [a1 + a2 + a3] (entry arguments arrive in r0-r2). *)
@@ -72,7 +73,7 @@ let svc_probe : Insn.stmt list =
 (** Ask the monitor for a random word, exit with it. *)
 let random_word : Insn.stmt list =
   [
-    Insn.I (Insn.Mov (r0, imm Svc_nums.get_random));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_get_random));
     Insn.I (Insn.Svc Word.zero);
     (* Result arrives in r1 with the error code in r0. *)
   ]
@@ -90,7 +91,7 @@ let attest_zero : Insn.stmt list =
     Insn.I (Insn.Mov (r6, imm 0));
     Insn.I (Insn.Mov (r7, imm 0));
     Insn.I (Insn.Mov (r8, imm 0));
-    Insn.I (Insn.Mov (r0, imm Svc_nums.attest));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_attest));
     Insn.I (Insn.Svc Word.zero);
   ]
   @ exit_with r1
@@ -127,7 +128,7 @@ let map_and_use_spare : Insn.stmt list =
     Insn.I (Insn.Mov (r12, reg r1)) (* stash target VA *);
     Insn.I (Insn.Mov (r1, reg r0)) (* spare page nr *);
     Insn.I (Insn.Orr (r2, r12, imm 0x3)) (* mapping word: va | RW *);
-    Insn.I (Insn.Mov (r0, imm Svc_nums.map_data));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_map_data));
     Insn.I (Insn.Svc Word.zero);
     (* r0 = error code; bail out with 0xdead on failure. *)
     Insn.I (Insn.Cmp (r0, imm 0));
@@ -147,7 +148,7 @@ let map_and_use_spare : Insn.stmt list =
 (** Register the dispatcher at the VA in r1, then exit 0. *)
 let register_dispatcher : Insn.stmt list =
   [
-    Insn.I (Insn.Mov (r0, imm Svc_nums.set_dispatcher));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_set_dispatcher));
     Insn.I (Insn.Svc Word.zero);
   ]
   @ exit_with r0
@@ -163,7 +164,7 @@ let self_paging_main : Insn.stmt list =
     Insn.I (Insn.Mov (r11, imm 0x1000));
     Insn.I (Insn.Str (r0, r11, imm 0));
     (* SetDispatcher(r1). *)
-    Insn.I (Insn.Mov (r0, imm Svc_nums.set_dispatcher));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_set_dispatcher));
     Insn.I (Insn.Svc Word.zero);
     (* Touch the unmapped page: faults, dispatcher maps it, retry runs. *)
     Insn.I (Insn.Mov (r10, imm 0x6000));
@@ -188,10 +189,10 @@ let self_paging_dispatcher : Insn.stmt list =
     (* spare page number from the stash at 0x1000 *)
     Insn.I (Insn.Mov (r11, imm 0x1000));
     Insn.I (Insn.Ldr (r1, r11, imm 0));
-    Insn.I (Insn.Mov (r0, imm Svc_nums.map_data));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_map_data));
     Insn.I (Insn.Svc Word.zero);
     (* Resume the faulting access (retries the load/store). *)
-    Insn.I (Insn.Mov (r0, imm Svc_nums.resume_faulted));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_resume_faulted));
     Insn.I (Insn.Svc Word.zero);
   ]
 
@@ -199,7 +200,7 @@ let self_paging_dispatcher : Insn.stmt list =
     faults again, and the double fault is reported to the OS. *)
 let futile_dispatcher : Insn.stmt list =
   [
-    Insn.I (Insn.Mov (r0, imm Svc_nums.resume_faulted));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_resume_faulted));
     Insn.I (Insn.Svc Word.zero);
   ]
 
@@ -284,14 +285,14 @@ let selfpager_dispatcher : Insn.stmt list =
             (* UnmapData(spare, resident | R): the frame is free again. *)
             Insn.I (Insn.Ldr (r1, r9, imm 0));
             Insn.I (Insn.Orr (r2, r11, imm 1));
-            Insn.I (Insn.Mov (r0, imm Svc_nums.unmap_data));
+            Insn.I (Insn.Mov (r0, imm Abi.svc_unmap_data));
             Insn.I (Insn.Svc Word.zero);
           ],
         [] );
     (* Map the spare at the faulting page (zero-filled by the monitor). *)
     Insn.I (Insn.Ldr (r1, r9, imm 0));
     Insn.I (Insn.Orr (r2, r12, imm 3));
-    Insn.I (Insn.Mov (r0, imm Svc_nums.map_data));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_map_data));
     Insn.I (Insn.Svc Word.zero);
     (* If this page was evicted before, decrypt it back in. *)
     Insn.I (Insn.Sub (r6, r12, imm selfpager_heap));
@@ -308,7 +309,7 @@ let selfpager_dispatcher : Insn.stmt list =
         [] );
     (* Book-keep the new resident and retry the faulting access. *)
     Insn.I (Insn.Str (r12, r9, imm 4));
-    Insn.I (Insn.Mov (r0, imm Svc_nums.resume_faulted));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_resume_faulted));
     Insn.I (Insn.Svc Word.zero);
   ]
 
@@ -323,7 +324,7 @@ let selfpager_main : Insn.stmt list =
     Insn.I (Insn.Mov (r11, imm selfpager_book));
     Insn.I (Insn.Str (r0, r11, imm 0));
     Insn.I (Insn.Mov (r1, imm selfpager_disp_va));
-    Insn.I (Insn.Mov (r0, imm Svc_nums.set_dispatcher));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_set_dispatcher));
     Insn.I (Insn.Svc Word.zero);
     (* Write phase: page i gets value 0xA0 + i. *)
     Insn.I (Insn.Mov (r8, imm 0));

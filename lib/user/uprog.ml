@@ -11,6 +11,7 @@ module Insn = Komodo_machine.Insn
 module Exec = Komodo_machine.Exec
 module Regs = Komodo_machine.Regs
 module Ptable = Komodo_machine.Ptable
+module Abi = Komodo_core.Abi
 
 (* Register short-hands for program texts. *)
 let r0 = Regs.R 0
@@ -32,14 +33,11 @@ let lr = Regs.LR
 let imm n = Insn.Imm (Word.of_int n)
 let reg r = Insn.Reg r
 
-(** SVC call numbers, re-exported for program texts. *)
-let svc_exit = Svc_nums.exit
-
 (** Exit the enclave with the value in register [r]. *)
 let exit_with r =
   [
     Insn.I (Insn.Mov (r1, reg r));
-    Insn.I (Insn.Mov (r0, imm Svc_nums.exit));
+    Insn.I (Insn.Mov (r0, imm Abi.svc_exit));
     Insn.I (Insn.Svc Word.zero);
   ]
 

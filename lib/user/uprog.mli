@@ -31,8 +31,6 @@ val lr : Regs.reg
 val imm : int -> Insn.operand
 val reg : Regs.reg -> Insn.operand
 
-val svc_exit : int
-
 val exit_with : Regs.reg -> Insn.stmt list
 (** Exit the enclave with the value in the given register. *)
 

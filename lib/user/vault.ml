@@ -33,6 +33,7 @@ module Cost = Komodo_machine.Cost
 module Sha256 = Komodo_crypto.Sha256
 module Gcm = Komodo_crypto.Gcm
 module Hkdf = Komodo_crypto.Hkdf
+module Abi = Komodo_core.Abi
 open Native_util
 
 let native_id = 3
@@ -158,7 +159,7 @@ let nonce_base s =
     constant under our measurement — the seal root. *)
 let start_derive s =
   let s = set_state_word s off_phase (Word.of_int ph_deriving) in
-  svc (State.charge 64 s) Svc_nums.attest
+  svc (State.charge 64 s) Abi.svc_attest
     (Sha256.digest_words_of (Sha256.digest root_constant))
 
 (** MAC delivered in r1-r8: expand it into key material and go ready. *)

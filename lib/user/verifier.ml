@@ -28,6 +28,7 @@ module Exec = Komodo_machine.Exec
 module Cost = Komodo_machine.Cost
 module Sha256 = Komodo_crypto.Sha256
 module Rsa = Komodo_crypto.Rsa
+module Abi = Komodo_core.Abi
 open Native_util
 
 let native_id = 2
@@ -86,7 +87,7 @@ let finish_init s seed =
   let s = set_state_word s off_phase (Word.of_int ph_attesting) in
   let data = Sha256.digest_words_of (Sha256.digest (words_to_bytes (pubkey_words s))) in
   let s = State.charge (Rsa.sign_cycles ~bits:rsa_bits * 12) s in
-  svc s Svc_nums.attest data
+  svc s Abi.svc_attest data
 
 let finish_attest s =
   (* MAC over (pubkey hash, our measurement) delivered in r1-r8. *)
@@ -101,7 +102,7 @@ let finish_attest s =
 let handle_endorse s =
   (* The Verify SVC reads the tuple through our page table; the input
      page is mapped read-only into our space, so no staging is needed. *)
-  svc (State.charge 64 (set_state_word s off_phase (Word.of_int 7))) Svc_nums.verify
+  svc (State.charge 64 (set_state_word s off_phase (Word.of_int 7))) Abi.svc_verify
     [ input_va ]
 
 let finish_endorse s =

@@ -9,6 +9,7 @@ module Errors = Komodo_core.Errors
 module Pagedb = Komodo_core.Pagedb
 module Monitor = Komodo_core.Monitor
 module Progs = Komodo_user.Progs
+module Abi = Komodo_core.Abi
 open Komodo_user.Uprog
 
 let dispatcher_va = Word.of_int 0x4000
@@ -98,7 +99,7 @@ let test_set_dispatcher_validation () =
   let prog =
     [
       Insn.I (Insn.Mvn (r1, imm 0)) (* 0xFFFFFFFF: beyond enclave space *);
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.set_dispatcher));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_set_dispatcher));
       Insn.I (Insn.Svc Word.zero);
     ]
     @ exit_with r0
@@ -116,10 +117,10 @@ let test_deregister_dispatcher () =
   let prog =
     [
       Insn.I (Insn.Mov (r1, imm 0x4000));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.set_dispatcher));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_set_dispatcher));
       Insn.I (Insn.Svc Word.zero);
       Insn.I (Insn.Mov (r1, imm 0));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.set_dispatcher));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_set_dispatcher));
       Insn.I (Insn.Svc Word.zero);
       Insn.I (Insn.Mov (r9, imm 0x0FF0_0000));
       Insn.I (Insn.Ldr (r9, r9, imm 0)) (* unmapped: faults *);
@@ -136,7 +137,7 @@ let test_resume_without_fault () =
      continues. *)
   let prog =
     [
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.resume_faulted));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_resume_faulted));
       Insn.I (Insn.Svc Word.zero);
     ]
     @ exit_with r0
@@ -180,7 +181,7 @@ let test_dispatcher_fault_info_is_accurate () =
   let main =
     [
       Insn.I (Insn.Mov (r1, imm 0x4000));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.set_dispatcher));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_set_dispatcher));
       Insn.I (Insn.Svc Word.zero);
       Insn.I (Insn.Mov (r9, imm 0x0600_4000));
       Insn.I (Insn.Ldr (r9, r9, imm 8)) (* faults at 0x06004008 *);

@@ -7,6 +7,7 @@ module Word = Komodo_machine.Word
 module Regs = Komodo_machine.Regs
 module Kasm = Komodo_user.Kasm
 module Errors = Komodo_core.Errors
+module Abi = Komodo_core.Abi
 
 let parse_ok src =
   match Kasm.parse src with
@@ -238,7 +239,7 @@ let test_builtin_svc_symbols () =
   let prog = parse_ok "mov r0, #svc_map_data" in
   match prog with
   | [ Insn.I (Insn.Mov (_, Insn.Imm w)) ] ->
-      Alcotest.(check int) "map_data number" Komodo_user.Svc_nums.map_data (Word.to_int w)
+      Alcotest.(check int) "map_data number" Abi.svc_map_data (Word.to_int w)
   | _ -> Alcotest.fail "builtin mis-parsed"
 
 let test_unknown_symbol_rejected () =

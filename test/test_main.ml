@@ -13,6 +13,7 @@ let () =
       ("tz", Test_tz.suite);
       ("measure", Test_measure.suite);
       ("pagedb", Test_pagedb.suite);
+      ("abi", Test_abi.suite);
       ("smc", Test_smc.suite);
       ("svc", Test_svc.suite);
       ("enclave", Test_enclave.suite);

@@ -6,6 +6,7 @@ open Testlib
 module Word = Komodo_machine.Word
 module Alloc = Komodo_os.Alloc
 module Smc = Komodo_core.Smc
+module Abi = Komodo_core.Abi
 module Pagedb = Komodo_core.Pagedb
 module Monitor = Komodo_core.Monitor
 module Errors = Komodo_core.Errors
@@ -66,9 +67,9 @@ let test_monitor_trace () =
     (List.for_all (contains "Success") msgs)
 
 let test_call_names () =
-  Alcotest.(check string) "enter" "Enter" (Smc.call_name Smc.sm_enter);
-  Alcotest.(check string) "map secure" "MapSecure" (Smc.call_name Smc.sm_map_secure);
-  Alcotest.(check string) "unknown" "Unknown(99)" (Smc.call_name 99)
+  Alcotest.(check string) "enter" "Enter" (Abi.smc_name Abi.smc_enter);
+  Alcotest.(check string) "map secure" "MapSecure" (Abi.smc_name Abi.smc_map_secure);
+  Alcotest.(check string) "unknown" "Unknown(99)" (Abi.smc_name 99)
 
 (* -- Random-image loader property ----------------------------------------- *)
 

@@ -156,7 +156,7 @@ let test_harness_detects_integrity_tamper () =
   let os_b = { w.Nonint.os_b with Os.mon = Nonint.inject_secret w.Nonint.os_b.Os.mon victim_data (String.make 4096 'T') } in
   let w = { w with Nonint.os_b = os_b } in
   match
-    Nonint.run_pair w ~ops:[ Nonint.Op_smc { call = Komodo_core.Smc.sm_get_phys_pages; args = [] } ]
+    Nonint.run_pair w ~ops:[ Nonint.Op_smc { call = Komodo_core.Abi.smc_get_phys_pages; args = [] } ]
       ~check:Nonint.integrity_check
   with
   | Some f ->

@@ -6,7 +6,7 @@ open Testlib
 module Word = Komodo_machine.Word
 module State = Komodo_machine.State
 module Smp = Komodo_os.Smp
-module Smc = Komodo_core.Smc
+module Abi = Komodo_core.Abi
 module Lock = Komodo_core.Lock
 module Pagedb = Komodo_core.Pagedb
 module Monitor = Komodo_core.Monitor
@@ -75,7 +75,7 @@ let test_conflicting_scripts_stay_consistent () =
 let test_contention_accounting () =
   (* Two cores hammer the same two pages: every call locks {0, 1}, so
      the loser of each race spins. *)
-  let many = List.init 10 (fun _ -> op Smc.sm_init_addrspace [ 0; 1 ]) in
+  let many = List.init 10 (fun _ -> op Abi.smc_init_addrspace [ 0; 1 ]) in
   let os = boot ~npages:32 () in
   let o = Smp.run ~seed:3 os ~scripts:[ many; many ] in
   let st = o.Smp.stats in
@@ -128,8 +128,8 @@ let racing_map_secure ?bug seed =
   in
   let os = prelude (prelude os (0, 1, 2)) (5, 6, 7) in
   let scripts =
-    [ [ op Smc.sm_map_secure [ 0; 3; 0x1003; 0 ] ];
-      [ op Smc.sm_map_secure [ 5; 3; 0x1003; 0 ] ] ]
+    [ [ op Abi.smc_map_secure [ 0; 3; 0x1003; 0 ] ];
+      [ op Abi.smc_map_secure [ 5; 3; 0x1003; 0 ] ] ]
   in
   Smp.run ~seed ?bug os ~scripts
 
@@ -163,12 +163,12 @@ let map_vs_remove ?bug seed =
   let os, e2 = Os.init_l2ptable os ~addrspace:0 ~l2pt:2 ~l1index:0 in
   assert (Errors.is_success e1 && Errors.is_success e2);
   let os, e3, _ =
-    Os.smc os ~call:Smc.sm_map_secure
+    Os.smc os ~call:Abi.smc_map_secure
       ~args:(List.map Word.of_int [ 0; 3; 0x1003; 0 ])
   in
   assert (Errors.is_success e3);
   let scripts =
-    [ [ op Smc.sm_map_secure [ 0; 3; 0x2003; 0 ] ]; [ op Smc.sm_remove [ 3 ] ] ]
+    [ [ op Abi.smc_map_secure [ 0; 3; 0x2003; 0 ] ]; [ op Abi.smc_remove [ 3 ] ] ]
   in
   Smp.run ~seed ?bug os ~scripts
 
@@ -248,6 +248,43 @@ let prop_random_interleavings_wf =
     random_scripts_arb
     (fun input -> wf (run_random input).Smp.os)
 
+(* Linz compares r1 on every deterministic return, as Diff and
+   Trace_check do: an error return carrying r1 = 7 where the spec
+   returns 0 is a violation, not a witness. *)
+let test_linz_checks_r1_on_errors () =
+  let module Astate = Komodo_spec.Astate in
+  let module Aspec = Komodo_spec.Aspec in
+  let module Linz = Komodo_spec.Linz in
+  let a = Astate.boot (Komodo_spec.Abs.plat ~npages:8) in
+  let call = Abi.smc_stop and args = [ 3 ] in
+  let err =
+    match Aspec.step_smc a ~probe:(fun _ _ -> false) ~contents:None ~call ~args with
+    | Aspec.Done (_, err, 0) when err <> Abi.e_success -> err
+    | _ -> Alcotest.fail "Stop on a free page should fail with r1 = 0"
+  in
+  let history ret =
+    [
+      {
+        Smp.ev_cpu = 0;
+        ev_index = 0;
+        ev_call = call;
+        ev_args = List.map Word.of_int args;
+        ev_err = Option.get (Errors.of_word (Word.of_int err));
+        ev_ret = Word.of_int ret;
+        ev_validated = 0;
+        ev_committed = 0;
+      };
+    ]
+  in
+  let verdict ret =
+    match Linz.check ~init:a ~final:a (history ret) with
+    | Linz.Linearisable _ -> "linearisable"
+    | Linz.Violation _ -> "violation"
+    | Linz.Inconclusive _ -> "inconclusive"
+  in
+  Alcotest.(check string) "r1 = 0" "linearisable" (verdict 0);
+  Alcotest.(check string) "r1 = 7" "violation" (verdict 7)
+
 let suite =
   [
     Alcotest.test_case "two cores, disjoint enclaves" `Quick test_two_cores_build_disjoint_enclaves;
@@ -258,6 +295,7 @@ let suite =
     Alcotest.test_case "missing page lock corrupts" `Quick test_missing_page_lock_corrupts;
     Alcotest.test_case "lock inversion deadlocks" `Quick test_lock_inversion_deadlocks;
     Alcotest.test_case "deadlock cycle shape" `Quick test_deadlock_cycle_shape;
+    Alcotest.test_case "linz checks r1 on error returns" `Quick test_linz_checks_r1_on_errors;
     Testlib.qcheck prop_lock_order_globally_consistent;
     Testlib.qcheck prop_cycle_charging_identity;
     Testlib.qcheck prop_random_interleavings_wf;

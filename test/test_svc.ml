@@ -8,6 +8,7 @@ module Errors = Komodo_core.Errors
 module Pagedb = Komodo_core.Pagedb
 module Monitor = Komodo_core.Monitor
 module Sha256 = Komodo_crypto.Sha256
+module Abi = Komodo_core.Abi
 open Komodo_user.Uprog
 
 (* Run [prog] in a fresh enclave and return (err, exit value, os). *)
@@ -27,10 +28,10 @@ let test_exit_value () =
 let test_get_random () =
   let prog =
     [
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.get_random));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_get_random));
       Insn.I (Insn.Svc Word.zero);
       Insn.I (Insn.Mov (r10, Insn.Reg r1)) (* first random word *);
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.get_random));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_get_random));
       Insn.I (Insn.Svc Word.zero);
       (* Exit with 1 if the two draws differ. *)
       Insn.I (Insn.Cmp (r10, Insn.Reg r1));
@@ -56,7 +57,7 @@ let test_get_random_exhausted () =
      running — the Rng.Exhausted exception never escapes the monitor. *)
   let prog =
     [
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.get_random));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_get_random));
       Insn.I (Insn.Svc Word.zero);
     ]
     @ exit_with r0
@@ -85,7 +86,7 @@ let test_attest_svc_matches_monitor_key () =
     List.init 8 (fun i ->
         Insn.I (Insn.Mov (Komodo_machine.Regs.R (i + 1), imm (if i = 0 then 0x11 else 0))))
     @ [
-        Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.attest));
+        Insn.I (Insn.Mov (r0, imm Abi.svc_attest));
         Insn.I (Insn.Svc Word.zero);
       ]
     @ exit_with r1
@@ -107,7 +108,7 @@ let test_verify_svc_accepts_and_rejects () =
   let prog =
     [
       Insn.I (Insn.Mov (r1, imm 0x2000));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.verify));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_verify));
       Insn.I (Insn.Svc Word.zero);
     ]
     @ exit_with r1
@@ -137,7 +138,7 @@ let test_verify_bad_buffer () =
   let prog =
     [
       Insn.I (Insn.Mov (r1, imm 0x00F0_0000));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.verify));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_verify));
       Insn.I (Insn.Svc Word.zero);
     ]
     @ exit_with r0
@@ -170,7 +171,7 @@ let test_map_data_errors () =
       [
         Insn.I (Insn.Mov (r1, imm spare_arg));
         Insn.I (Insn.Mov (r2, imm mapping_word));
-        Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.map_data));
+        Insn.I (Insn.Mov (r0, imm Abi.svc_map_data));
         Insn.I (Insn.Svc Word.zero);
       ]
       @ exit_with r0
@@ -196,7 +197,7 @@ let test_map_data_va_collision () =
     [
       Insn.I (Insn.Mov (r1, Insn.Reg r0)) (* spare nr *);
       Insn.I (Insn.Mov (r2, imm 0x3)) (* va 0 | RW: collides with code *);
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.map_data));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_map_data));
       Insn.I (Insn.Svc Word.zero);
     ]
     @ exit_with r0
@@ -221,12 +222,12 @@ let test_unmap_data_errors () =
       Insn.I (Insn.Mov (r11, Insn.Reg r0));
       Insn.I (Insn.Mov (r1, Insn.Reg r11));
       Insn.I (Insn.Mov (r2, imm 0x3003));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.map_data));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_map_data));
       Insn.I (Insn.Svc Word.zero);
       (* Try to unmap it at the wrong va. *)
       Insn.I (Insn.Mov (r1, Insn.Reg r11));
       Insn.I (Insn.Mov (r2, imm 0x5001));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.unmap_data));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_unmap_data));
       Insn.I (Insn.Svc Word.zero);
     ]
     @ exit_with r0
@@ -250,13 +251,13 @@ let test_init_l2ptable_svc () =
     [
       Insn.I (Insn.Mov (r1, Insn.Reg r0));
       Insn.I (Insn.Mov (r2, imm 9));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.init_l2ptable));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_init_l2ptable));
       Insn.I (Insn.Svc Word.zero);
       Insn.I (Insn.Mov (r11, Insn.Reg r0)) (* first result *);
       (* Installing the same slot again must fail. *)
       Insn.I (Insn.Mov (r1, Insn.Reg r12));
       Insn.I (Insn.Mov (r2, imm 9));
-      Insn.I (Insn.Mov (r0, imm Komodo_user.Svc_nums.init_l2ptable));
+      Insn.I (Insn.Mov (r0, imm Abi.svc_init_l2ptable));
       Insn.I (Insn.Svc Word.zero);
       (* exit value = first_err * 256 + second_err *)
       Insn.I (Insn.Lsl (r11, r11, imm 8));
