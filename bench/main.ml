@@ -1,12 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's per-experiment index).
+   evaluation (see DESIGN.md's per-experiment index). Every number it
+   prints is model-exact (cycles, counts, digests); host time is
+   measured only by perfbench/.
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe -- table3  -- run one section
 
    Sections: table1 table2 table3 figure5 ablations latency security
-   refinement campaign explore vault throughput serve profile
-   wallclock *)
+   refinement campaign explore vault serve profile *)
 
 let security () =
   Report.print_header "Security (Theorem 6.1 harness + attack library)";
@@ -54,10 +55,8 @@ let sections =
     ("campaign", Campaign_bench.run);
     ("explore", Explore_bench.run);
     ("vault", Vault_bench.run);
-    ("throughput", Throughput.run);
     ("serve", Serve_bench.run);
     ("profile", Profile_bench.run);
-    ("wallclock", Wallclock.run);
   ]
 
 let () =

@@ -1,22 +1,11 @@
-(** Observability overhead and span determinism (the `profile` section).
+(** Span determinism (the `profile` section).
 
-    Three passes over the fixed regression-anchor check campaign
-    (200 trials, seed 7, -j 1): observability off, metrics registry
-    attached, full span profiling. The off pass must stay within 3% of
-    the pre-observability check throughput frozen below — the
-    instrumentation's null fast path is one [is_null] branch per site
-    and must cost nothing measurable. The floor is host-calibrated exactly like the
-    throughput bench (shared SHA-256 workload, scale clamped to
-    [1, 4]), and only binds at the full trial count
-    ([KOMODO_THROUGHPUT_TRIALS] smoke runs skip it).
-
-    The profiling pass must also aggregate to a byte-identical span
-    tree at -j 1 and -j 2: clock-free recorders are pure functions of
-    the instrumented execution, so parallelism cannot show through.
-
-    Results land in BENCH_profile.json; wallclock-derived fields carry
-    a [wall_] prefix so `komodo bench --compare` skips them while
-    holding the deterministic span counts exact. *)
+    Profiles the fixed regression-anchor check campaign (200 trials,
+    seed 7) with the span recorder at -j 1 and -j 2: the two passes
+    must aggregate to a byte-identical span tree. Clock-free recorders
+    are pure functions of the instrumented execution, so parallelism
+    cannot show through. The span and modelled-cycle totals land in
+    BENCH_profile.json and are compared exactly. *)
 
 module Diff = Komodo_spec.Diff
 module Span = Komodo_telemetry.Span
@@ -24,31 +13,12 @@ module Json = Komodo_telemetry.Json
 module Campaign = Komodo_campaign.Campaign
 
 let seed = 7
-let full_trials = 200
-
-(* The reference-host throughput of the check campaign, frozen when
-   the observability layer landed (the check row of the throughput
-   baseline of that build), minus the 3% observability budget. *)
-let baseline_check_tps = 181.6
-let off_floor = baseline_check_tps *. 0.97
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+let trials = 200
 
 let run () =
-  Report.print_header "Observability overhead and span determinism";
-  let trials =
-    match Throughput.trials_override () with
-    | None -> full_trials
-    | Some n -> n
-  in
-  let smoke = trials <> full_trials in
-  let scale = min 4.0 (max 1.0 (Throughput.calibrate () /. Throughput.calib_nominal)) in
-  let eff_floor = off_floor /. scale in
-  let campaign ?(metrics = false) ?(profile = false) ?(jobs = 1) () =
-    let o = Campaign.check ~metrics ~profile ~jobs ~trials ~seed () in
+  Report.print_header "Span determinism";
+  let campaign ~jobs =
+    let o = Campaign.check ~profile:true ~jobs ~trials ~seed () in
     (match o.Diff.divergence with
     | None -> ()
     | Some (tseed, _, d) ->
@@ -57,13 +27,8 @@ let run () =
         exit 1);
     o
   in
-  let off, t_off = time (fun () -> campaign ()) in
-  let _met, t_met = time (fun () -> campaign ~metrics:true ()) in
-  let prof, t_prof = time (fun () -> campaign ~profile:true ()) in
-  ignore off;
-  (* Determinism: a second profiled pass on two domains must aggregate
-     to the very same tree. *)
-  let prof2 = campaign ~profile:true ~jobs:2 () in
+  let prof = campaign ~jobs:1 in
+  let prof2 = campaign ~jobs:2 in
   let tree1 = Span.render_tree (Span.aggregate prof.Diff.spans) in
   let tree2 = Span.render_tree (Span.aggregate prof2.Diff.spans) in
   if tree1 <> tree2 then begin
@@ -77,29 +42,8 @@ let run () =
   let span_cycles =
     List.fold_left (fun a n -> a + n.Span.sp_cycles) 0 prof.Diff.spans
   in
-  let tps t = if t <= 0. then 0. else float_of_int trials /. t in
-  let pct base t = if base <= 0. then 0. else ((t -. base) /. base) *. 100. in
-  let floor_cell v = if smoke then "n/a (smoke)" else Printf.sprintf "%.1f" v in
-  Report.print_table
-    ~columns:[ "pass"; "trials"; "seconds"; "trials/sec"; "overhead"; "floor" ]
-    [
-      [
-        "observability off"; string_of_int trials; Printf.sprintf "%.3f" t_off;
-        Printf.sprintf "%.1f" (tps t_off); "-"; floor_cell eff_floor;
-      ];
-      [
-        "metrics registry"; string_of_int trials; Printf.sprintf "%.3f" t_met;
-        Printf.sprintf "%.1f" (tps t_met);
-        Printf.sprintf "%+.1f%%" (pct t_off t_met); "-";
-      ];
-      [
-        "span profiling"; string_of_int trials; Printf.sprintf "%.3f" t_prof;
-        Printf.sprintf "%.1f" (tps t_prof);
-        Printf.sprintf "%+.1f%%" (pct t_off t_prof); "-";
-      ];
-    ];
   Printf.printf
-    "\nspan tree: %d spans, %d modelled cycles, identical at -j 1 and -j 2\n"
+    "span tree: %d spans, %d modelled cycles, identical at -j 1 and -j 2\n"
     spans_total span_cycles;
   Report.emit_json ~name:"profile"
     (Json.Obj
@@ -108,20 +52,4 @@ let run () =
          ("spans_total", Json.Int spans_total);
          ("span_cycles", Json.Int span_cycles);
          ("tree_identical_j1_j2", Json.Bool true);
-         ("wall_off_s", Json.Float t_off);
-         ("wall_metrics_s", Json.Float t_met);
-         ("wall_profile_s", Json.Float t_prof);
-         ("wall_off_trials_per_s", Json.Float (tps t_off));
-         ("wall_metrics_trials_per_s", Json.Float (tps t_met));
-         ("wall_profile_trials_per_s", Json.Float (tps t_prof));
-         ("wall_floor_off_trials_per_s", Json.Float eff_floor);
-         ("wall_overhead_metrics_pct", Json.Float (pct t_off t_met));
-         ("wall_overhead_profile_pct", Json.Float (pct t_off t_prof));
-       ]);
-  if (not smoke) && tps t_off < eff_floor then begin
-    Printf.printf
-      "OBSERVABILITY REGRESSION: off-path throughput %.1f trials/s is below \
-       the floor %.1f (baseline %.1f - 3%%, host scale %.2f)\n"
-      (tps t_off) eff_floor baseline_check_tps scale;
-    exit 1
-  end
+       ])

@@ -1,10 +1,9 @@
-(** Refinement-checker throughput: differential trials (world build +
-    adversarial generation + lockstep spec/impl stepping) per second,
-    plus the coverage the run achieved. Trials run on the campaign
-    engine's domain pool (all available cores); the report is
-    byte-identical at any worker count, so parallelism is free
-    throughput. A divergence here is a correctness failure, not a slow
-    benchmark — it aborts the run. *)
+(** Refinement checker: differential trials (world build + adversarial
+    generation + lockstep spec/impl stepping) and the coverage the run
+    achieved. Trials run on the campaign engine's domain pool (all
+    available cores); the report is byte-identical at any worker
+    count, so parallelism is free. A divergence here is a correctness
+    failure, not a slow benchmark — it aborts the run. *)
 
 module Diff = Komodo_spec.Diff
 module Cover = Komodo_spec.Cover
@@ -14,10 +13,7 @@ module Campaign = Komodo_campaign.Campaign
 let run () =
   Report.print_header "Refinement (differential spec checker)";
   let trials = 40 and seed = 7 in
-  let jobs = Campaign.default_jobs () in
-  let t0 = Unix.gettimeofday () in
-  let o = Campaign.check ~jobs ~trials ~seed () in
-  let dt = Unix.gettimeofday () -. t0 in
+  let o = Campaign.check ~jobs:(Campaign.default_jobs ()) ~trials ~seed () in
   (match o.Diff.divergence with
   | None -> ()
   | Some (tseed, ops, d) ->
@@ -29,16 +25,11 @@ let run () =
   let svc = count (Cover.svc_covered o.Diff.cover) in
   let errs = List.length (Cover.errors_covered o.Diff.cover) in
   let trans = List.length (Cover.transitions o.Diff.cover) in
-  let per_sec n = if dt <= 0. then "n/a" else Printf.sprintf "%.1f" (float_of_int n /. dt) in
   Report.print_table ~json_name:"refinement"
-    ~host_rows:[ "worker domains (host cores)"; "sequences/sec"; "ops/sec" ]
     ~columns:[ "metric"; "value" ]
     [
       [ "trials"; string_of_int o.Diff.trials_run ];
-      [ "worker domains (host cores)"; string_of_int jobs ];
       [ "lockstep ops checked"; string_of_int o.Diff.ops_run ];
-      [ "sequences/sec"; per_sec o.Diff.trials_run ];
-      [ "ops/sec"; per_sec o.Diff.ops_run ];
       [ "SMC calls covered"; Printf.sprintf "%d/%d" smc (List.length Aspec.smcs) ];
       [ "SVC calls covered"; Printf.sprintf "%d/%d" svc (List.length Aspec.svcs) ];
       [ "error codes exercised"; string_of_int errs ];

@@ -8,11 +8,10 @@
     notice naming the file goes to stderr so stdout stays a stable,
     diffable text report.
 
-    Host-dependent cells (wallclock times, rates, core counts) are
-    declared where they are written: a table lists its [host_rows] (by
-    label) and [host_columns]; a generic payload prefixes their keys
-    with [wall_]. [komodo bench --compare] skips exactly those and
-    compares every other cell exactly. *)
+    Every cell is a pure function of the bench's fixed inputs (model
+    cycles, counts, digests): no section reads a clock, so
+    [komodo bench --compare] holds every cell to its baseline
+    exactly. *)
 
 module Json = Komodo_telemetry.Json
 
@@ -54,18 +53,13 @@ let emit_json ~name json =
       Printf.eprintf "bench: cannot write JSON mirror %s: %s\n%!" path e;
       exit 1
 
-let table_json ~columns ~host_rows ~host_columns rows =
+let table_json ~columns rows =
   let strings l = Json.List (List.map (fun s -> Json.Str s) l) in
-  let host key = function [] -> [] | l -> [ (key, strings l) ] in
-  Json.Obj
-    ([ ("columns", strings columns); ("rows", Json.List (List.map strings rows)) ]
-    @ host "host_rows" host_rows
-    @ host "host_columns" host_columns)
+  Json.Obj [ ("columns", strings columns); ("rows", Json.List (List.map strings rows)) ]
 
 (** Print a table with left-aligned first column; [json_name] mirrors it
-    to [BENCH_<json_name>.json], marking [host_rows] (by label) and
-    [host_columns] as host-dependent. *)
-let print_table ?json_name ?(host_rows = []) ?(host_columns = []) ~columns rows =
+    to [BENCH_<json_name>.json]. *)
+let print_table ?json_name ~columns rows =
   let ncols = List.length columns in
   let widths =
     List.mapi
@@ -88,7 +82,7 @@ let print_table ?json_name ?(host_rows = []) ?(host_columns = []) ~columns rows 
   List.iter print_row rows;
   match json_name with
   | None -> ()
-  | Some name -> emit_json ~name (table_json ~columns ~host_rows ~host_columns rows)
+  | Some name -> emit_json ~name (table_json ~columns rows)
 
 let ratio a b = if b = 0 then "n/a" else Printf.sprintf "%.2fx" (float_of_int a /. float_of_int b)
 let cycles c = Printf.sprintf "%d" c

@@ -182,22 +182,21 @@ let spares_arg =
           "Grant N spare pages to the enclave; their page numbers are \
            appended to the entry arguments (a1 = first spare, ...).")
 
+(* A .kasm file that does not assemble is a usage error. *)
+let read_kasm cmd path =
+  let ic = open_in_bin path in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Komodo_user.Kasm.parse src with
+  | Ok prog -> prog
+  | Error e -> usage_error cmd (Format.asprintf "%s: %a" path Komodo_user.Kasm.pp_error e)
+
 (* The run/trace enclave: the demo or .kasm program with its spares,
    checked against the page budget and IRQ budget before boot. *)
 let program_image cmd ~npages ~file ~spares ~budget prog =
   Option.iter (non_negative cmd "irq-budget") budget;
   non_negative cmd "spares" spares;
-  let prog =
-    match file with
-    | None -> prog
-    | Some path -> (
-        let ic = open_in_bin path in
-        let src = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        match Komodo_user.Kasm.parse src with
-        | Ok prog -> prog
-        | Error e -> usage_error cmd (Format.asprintf "%s: %a" path Komodo_user.Kasm.pp_error e))
-  in
+  let prog = Option.fold ~none:prog ~some:(read_kasm cmd) file in
   match simple_image ~spares prog with
   | exception Invalid_argument e -> usage_error cmd e
   | img ->
@@ -451,35 +450,26 @@ let asm_cmd =
       & info [ "file"; "f" ] ~docv:"PROG.kasm" ~doc:"Program to assemble.")
   in
   let run file =
-    let ic = open_in_bin file in
-    let src = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Komodo_user.Kasm.parse src with
-    | Error e ->
-        Format.printf "%s: %a@." file Komodo_user.Kasm.pp_error e;
-        1
-    | Ok prog ->
-        let flat = Komodo_machine.Insn.flatten prog in
-        let words = Uprog.code_words prog in
-        let pages = Uprog.to_page_images words in
-        Printf.printf "%s: %d statements, %d flat ops, %d words, %d page(s)
-" file
-          (List.length prog) (Array.length flat) (List.length words)
-          (List.length pages);
-        (* The measurement a canonical single-thread image of this
-           program would carry: what a verifier should expect. *)
-        let img =
-          Image.empty ~name:file
-          |> fun img ->
-          Image.add_blob img ~va:Word.zero ~w:false ~x:true pages |> fun img ->
-          Image.add_thread img ~entry:Word.zero
-        in
-        Printf.printf "enclave measurement (code @0, one thread): %s
-"
-          (Sha256.to_hex (Image.expected_measurement img));
-        print_endline "disassembly:";
-        print_string (Komodo_user.Kasm.print prog);
-        0
+    let prog = read_kasm "asm" file in
+    let flat = Komodo_machine.Insn.flatten prog in
+    let words = Uprog.code_words prog in
+    let pages = Uprog.to_page_images words in
+    Printf.printf "%s: %d statements, %d flat ops, %d words, %d page(s)\n" file
+      (List.length prog) (Array.length flat) (List.length words)
+      (List.length pages);
+    (* The measurement a canonical single-thread image of this
+       program would carry: what a verifier should expect. *)
+    let img =
+      Image.empty ~name:file
+      |> fun img ->
+      Image.add_blob img ~va:Word.zero ~w:false ~x:true pages |> fun img ->
+      Image.add_thread img ~entry:Word.zero
+    in
+    Printf.printf "enclave measurement (code @0, one thread): %s\n"
+      (Sha256.to_hex (Image.expected_measurement img));
+    print_endline "disassembly:";
+    print_string (Komodo_user.Kasm.print prog);
+    0
   in
   Cmd.v
     (Cmd.info "asm"
@@ -1279,6 +1269,7 @@ let verify_cmd =
   let ops = Arg.(value & opt int 60 & info [ "ops" ] ~docv:"N" ~doc:"Adversarial ops per seed.") in
   let run level seeds ops =
     setup_logs level;
+    non_negative "verify" "seeds" seeds;
     non_negative "verify" "ops" ops;
     let bad = ref 0 in
     for seed = 1 to seeds do
@@ -1412,24 +1403,11 @@ let profile_cmd =
 (* -- bench --compare ------------------------------------------------------
 
    Regression detector over the BENCH_*.json mirrors the bench
-   executable emits. Host-dependent cells (wallclock times, rates, core
-   counts) vary run to run and are skipped: the bench declares them
-   where it writes them — a table's "host_rows" and "host_columns", a
-   generic file's "wall_" keys. Every other cell is deterministic and
-   must match the baseline exactly (or within --tolerance). Exit 0
-   clean, 1 on regression, 2 on schema/shape/IO problems. *)
+   executable emits. Every cell the bench writes is model-exact, so
+   every cell must match the baseline exactly. Exit 0 clean, 1 on
+   regression, 2 on schema/shape/IO problems. *)
 
 let bench_schema = "komodo-bench/1"
-
-(* "181.6", "1.00x", "24.5%" -> numbers; "12/12" -> None (string compare). *)
-let cell_number s =
-  let s = String.trim s in
-  let n = String.length s in
-  let s = if n > 0 && (s.[n - 1] = 'x' || s.[n - 1] = '%') then String.sub s 0 (n - 1) else s in
-  float_of_string_opt s
-
-let within_tolerance ~tolerance b f =
-  Float.abs (f -. b) <= (tolerance *. Float.abs b) +. 1e-9
 
 let strings_of_json j =
   Option.map (List.filter_map Json.to_string_opt) (Json.to_list_opt j)
@@ -1437,13 +1415,10 @@ let strings_of_json j =
 let table_of_json j =
   let strings key = Option.bind (Json.member key j) strings_of_json in
   match (strings "columns", Option.bind (Json.member "rows" j) Json.to_list_opt) with
-  | Some cols, Some rows ->
-      let host key = Option.value ~default:[] (strings key) in
-      Some (cols, List.filter_map strings_of_json rows, host "host_rows", host "host_columns")
+  | Some cols, Some rows -> Some (cols, List.filter_map strings_of_json rows)
   | _ -> None
 
-(* The baseline declares which cells are host-dependent. *)
-let compare_tables ~tolerance ~file (bcols, brows, host_rows, host_cols) (fcols, frows, _, _) =
+let compare_tables ~file (bcols, brows) (fcols, frows) =
   if bcols <> fcols then
     ([ Printf.sprintf "%s: column set changed" file ], [])
   else begin
@@ -1458,13 +1433,10 @@ let compare_tables ~tolerance ~file (bcols, brows, host_rows, host_cols) (fcols,
         | Some frow ->
             List.iteri
               (fun i col ->
-                if i > 0 && not (List.mem col host_cols || List.mem lbl host_rows) then begin
+                if i > 0 then begin
                   let b = try List.nth brow i with _ -> "" in
                   let f = try List.nth frow i with _ -> "" in
-                  if b <> f then
-                    match (cell_number b, cell_number f) with
-                    | Some bn, Some fn when within_tolerance ~tolerance bn fn -> ()
-                    | _ -> reg "%s: %s / %s: %S -> %S" file lbl col b f
+                  if b <> f then reg "%s: %s / %s: %S -> %S" file lbl col b f
                 end)
               bcols)
       brows;
@@ -1486,7 +1458,7 @@ let rec flatten_json prefix j acc =
            (0, acc) l)
   | scalar -> (prefix, scalar) :: acc
 
-let compare_generic ~tolerance ~file base fresh =
+let compare_generic ~file base fresh =
   let bkv = List.rev (flatten_json "" base []) in
   let fkv = List.rev (flatten_json "" fresh []) in
   let regs = ref [] in
@@ -1500,23 +1472,12 @@ let compare_generic ~tolerance ~file base fresh =
   in
   List.iter
     (fun (path, bv) ->
-      let host = List.exists (String.starts_with ~prefix:"wall_") (String.split_on_char '.' path) in
-      if path <> "schema" && not host then
+      if path <> "schema" then
         match List.assoc_opt path fkv with
         | None -> reg "%s: %s missing from fresh results" file path
         | Some fv ->
-            if not (Json.equal bv fv) then begin
-              let num = function
-                | Json.Int n -> Some (float_of_int n)
-                | Json.Float f -> Some f
-                | _ -> None
-              in
-              match (num bv, num fv) with
-              | Some bn, Some fn when within_tolerance ~tolerance bn fn -> ()
-              | _ ->
-                  reg "%s: %s: %s -> %s" file path (scalar_str bv)
-                    (scalar_str fv)
-            end)
+            if not (Json.equal bv fv) then
+              reg "%s: %s: %s -> %s" file path (scalar_str bv) (scalar_str fv))
     bkv;
   ([], List.rev !regs)
 
@@ -1538,7 +1499,7 @@ let load_bench_json path =
               Error (Printf.sprintf "schema %S, expected %S" v bench_schema)
           | _ -> Error (Printf.sprintf "missing schema field (expected %S)" bench_schema)))
 
-let compare_file ~tolerance ~fresh_dir ~baseline_dir name =
+let compare_file ~fresh_dir ~baseline_dir name =
   match load_bench_json (Filename.concat baseline_dir name) with
   | Error e -> ([ Printf.sprintf "%s: baseline: %s" name e ], [])
   | Ok base -> (
@@ -1546,8 +1507,8 @@ let compare_file ~tolerance ~fresh_dir ~baseline_dir name =
       | Error e -> ([ Printf.sprintf "%s: fresh: %s" name e ], [])
       | Ok fresh -> (
           match (table_of_json base, table_of_json fresh) with
-          | Some bt, Some ft -> compare_tables ~tolerance ~file:name bt ft
-          | None, None -> compare_generic ~tolerance ~file:name base fresh
+          | Some bt, Some ft -> compare_tables ~file:name bt ft
+          | None, None -> compare_generic ~file:name base fresh
           | _ -> ([ name ^ ": table/non-table shape changed" ], [])))
 
 let bench_cmd =
@@ -1568,18 +1529,9 @@ let bench_cmd =
     Arg.(
       value & opt_all string []
       & info [ "file" ] ~docv:"NAME"
-          ~doc:"Compare only this file (repeatable); 'throughput' expands to BENCH_throughput.json.")
+          ~doc:"Compare only this file (repeatable); 'serve' expands to BENCH_serve.json.")
   in
-  let tolerance =
-    Arg.(
-      value & opt float 0.0
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:
-            "Relative tolerance for numeric metrics (default 0: exact). \
-             Host-dependent cells (a table's host rows and columns, generic \
-             keys prefixed wall_) are always skipped.")
-  in
-  let run level compare_dir fresh_dir files tolerance =
+  let run level compare_dir fresh_dir files =
     setup_logs level;
     match compare_dir with
     | None ->
@@ -1613,7 +1565,7 @@ let bench_cmd =
           List.iter
             (fun name ->
               let errs, regs =
-                compare_file ~tolerance ~fresh_dir ~baseline_dir name
+                compare_file ~fresh_dir ~baseline_dir name
               in
               errors := !errors @ errs;
               regressions := !regressions @ regs;
@@ -1641,19 +1593,22 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Compare freshly generated BENCH_*.json benchmark mirrors against a \
-          committed baseline directory, skipping host-dependent cells. \
-          Exits 0 when clean, 1 on a metric regression, 2 on schema or IO \
-          problems.")
-    Term.(const run $ verbosity $ compare_dir $ fresh_dir $ files $ tolerance)
+          committed baseline directory, every cell exactly. Exits 0 when \
+          clean, 1 on a metric regression, 2 on schema or IO problems.")
+    Term.(const run $ verbosity $ compare_dir $ fresh_dir $ files)
 
 let () =
   let info =
     Cmd.info "komodo" ~version:"1.0.0"
       ~doc:"A software secure-enclave monitor (Komodo, SOSP 2017) — executable model"
   in
-  exit
-    (Cmd.eval'
-       (Cmd.group info
-          [ run_cmd; trace_cmd; asm_cmd; attest_cmd; check_cmd; explore_cmd;
-            fault_cmd; vault_cmd; smp_cmd; serve_cmd; profile_cmd; bench_cmd;
-            inspect_cmd; notary_cmd; verify_cmd ]))
+  let code =
+    Cmd.eval'
+      (Cmd.group info
+         [ run_cmd; trace_cmd; asm_cmd; attest_cmd; check_cmd; explore_cmd;
+           fault_cmd; vault_cmd; smp_cmd; serve_cmd; profile_cmd; bench_cmd;
+           inspect_cmd; notary_cmd; verify_cmd ])
+  in
+  (* A flag cmdliner cannot parse is a usage error like any other:
+     cmdliner has printed its message, the exit code is ours. *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -6,7 +6,7 @@
    aggregate whatever order the domains finished in, and the rendered
    report is byte-identical at any `-j`. Latency is model cycles only —
    wallclock never appears here (sessions/sec lives in progress
-   snapshots and `wall_`-prefixed bench keys). *)
+   snapshots and perfbench's serve workload). *)
 
 module Hist = Komodo_telemetry.Hist
 module Json = Komodo_telemetry.Json

@@ -126,6 +126,43 @@ let step st i (ev : Event.t) =
   | Event.Enclave_lifecycle _ | Event.Fault_injected _ ->
       st
 
+(* Fields a trace states twice must agree with Table 1: a call's name
+   is its number's, an error's name is its word's, and no event is
+   stamped before cycle 0. A trace that breaks this was not written by
+   the monitor; it is malformed input, not a refinement failure. *)
+let validate (events : Event.stamped list) =
+  let ( let* ) = Result.bind in
+  let check i { Event.at; ev } =
+    let named what n got expected =
+      if got = expected then Ok ()
+      else
+        Error
+          (Printf.sprintf "event %d: %s %s %d is named %S, not %S" i
+             (Event.kind_name ev) what n got expected)
+    in
+    if at < 0 then Error (Printf.sprintf "event %d: negative cycle stamp %d" i at)
+    else
+      match ev with
+      | Event.Smc_entry { call; name; _ } -> named "call" call name (Aspec.smc_name call)
+      | Event.Svc_entry { call; name } -> named "call" call name (Aspec.svc_name call)
+      | Event.Smc_exit { call; name; err; err_name; _ } ->
+          let* () = named "call" call name (Aspec.smc_name call) in
+          named "error" err err_name (Aspec.err_name err)
+      | Event.Svc_exit { call; name; err; err_name; _ } ->
+          let* () = named "call" call name (Aspec.svc_name call) in
+          named "error" err err_name (Aspec.err_name err)
+      | Event.Page_transition _ | Event.Exception _ | Event.Enclave_lifecycle _
+      | Event.Fault_injected _ ->
+          Ok ()
+  in
+  let rec go i = function
+    | [] -> Ok ()
+    | e :: rest ->
+        let* () = check i e in
+        go (i + 1) rest
+  in
+  go 0 events
+
 let replay ~npages (events : Event.stamped list) =
   let st0 =
     {
@@ -154,4 +191,4 @@ let replay_file ~npages path =
   | contents -> (
       match Event.parse_trace contents with
       | Error e -> Error e
-      | Ok events -> Ok (replay ~npages events))
+      | Ok events -> Result.map (fun () -> replay ~npages events) (validate events))

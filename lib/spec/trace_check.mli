@@ -20,5 +20,8 @@ type report = {
 val replay : npages:int -> Komodo_telemetry.Event.stamped list -> report
 
 val replay_file : npages:int -> string -> (report, string) result
-(** Parse a JSONL trace file and replay it. [Error] is a parse error;
-    check [report.violations] for semantic ones. *)
+(** Parse a JSONL trace file and replay it. [Error] is a parse error or
+    the first event whose fields contradict each other: a negative
+    cycle stamp, an SMC/SVC name that is not Table 1's name for its
+    call number, or an error name that is not its word's. Check
+    [report.violations] for semantic errors. *)

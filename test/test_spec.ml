@@ -138,6 +138,82 @@ let test_replay_wrong_pages () =
   Alcotest.(check bool) "page-count mismatch detected" true
     (r.Trace_check.violations <> [])
 
+(* Replay [events] the way `check --replay` does: through a JSONL file. *)
+let replay_via_file events =
+  let path = Filename.temp_file "komodo_replay" ".jsonl" in
+  let oc = open_out path in
+  List.iter (fun s -> output_string oc (Event.to_jsonl_line s ^ "\n")) events;
+  close_out oc;
+  let r = Trace_check.replay_file ~npages:32 path in
+  Sys.remove path;
+  r
+
+(* Rewrite the first event [f] accepts. *)
+let tamper_first f events =
+  let hit = ref false in
+  List.map
+    (fun s ->
+      if !hit then s
+      else match f s with Some s' -> hit := true; s' | None -> s)
+    events
+
+let test_replay_inconsistent () =
+  let events = lifecycle_events () in
+  (match replay_via_file events with
+  | Ok r -> Alcotest.(check int) "untampered trace refines" 0 (List.length r.Trace_check.violations)
+  | Error e -> Alcotest.failf "untampered trace rejected: %s" e);
+  let other_smc c = if c = Aspec.smc_remove then Aspec.smc_enter else Aspec.smc_remove in
+  let other_svc c = if c = Aspec.svc_exit then Aspec.svc_get_random else Aspec.svc_exit in
+  let tampers =
+    [
+      ("negative at", fun s -> Some { s with Event.at = -5 });
+      ( "smc_entry named after another call",
+        fun s ->
+          match s.Event.ev with
+          | Event.Smc_entry e ->
+              Some { s with ev = Event.Smc_entry { e with name = Aspec.smc_name (other_smc e.call) } }
+          | _ -> None );
+      ( "smc_exit named after another call",
+        fun s ->
+          match s.Event.ev with
+          | Event.Smc_exit e ->
+              Some { s with ev = Event.Smc_exit { e with name = Aspec.smc_name (other_smc e.call) } }
+          | _ -> None );
+      ( "svc_entry named after another call",
+        fun s ->
+          match s.Event.ev with
+          | Event.Svc_entry e ->
+              Some { s with ev = Event.Svc_entry { e with name = Aspec.svc_name (other_svc e.call) } }
+          | _ -> None );
+      ( "svc_exit named after another call",
+        fun s ->
+          match s.Event.ev with
+          | Event.Svc_exit e ->
+              Some { s with ev = Event.Svc_exit { e with name = Aspec.svc_name (other_svc e.call) } }
+          | _ -> None );
+      ( "smc_exit err_name of another error",
+        fun s ->
+          match s.Event.ev with
+          | Event.Smc_exit e ->
+              Some { s with ev = Event.Smc_exit { e with err_name = Aspec.err_name (e.err + 1) } }
+          | _ -> None );
+      ( "svc_exit err_name of another error",
+        fun s ->
+          match s.Event.ev with
+          | Event.Svc_exit e ->
+              Some { s with ev = Event.Svc_exit { e with err_name = Aspec.err_name (e.err + 1) } }
+          | _ -> None );
+    ]
+  in
+  List.iter
+    (fun (what, f) ->
+      let tampered = tamper_first f events in
+      Alcotest.(check bool) (what ^ ": trace changed") false (tampered = events);
+      match replay_via_file tampered with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: inconsistent trace replayed" what)
+    tampers
+
 let prop_lockstep_random_seed =
   QCheck.Test.make ~count:15 ~name:"lockstep holds from arbitrary seeds"
     QCheck.(int_bound 1_000_000)
@@ -164,5 +240,7 @@ let suite =
     Alcotest.test_case "replay: tampered trace rejected" `Quick test_replay_tampered;
     Alcotest.test_case "replay: wrong page count rejected" `Quick
       test_replay_wrong_pages;
+    Alcotest.test_case "replay: inconsistent event fields rejected" `Quick
+      test_replay_inconsistent;
     Testlib.qcheck prop_lockstep_random_seed;
   ]
