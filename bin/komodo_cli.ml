@@ -77,6 +77,10 @@ let usage_error cmd msg =
 let non_negative cmd what n =
   if n < 0 then usage_error cmd (Printf.sprintf "%s must be non-negative, got %d" what n)
 
+(* A campaign of no trials checks nothing, so it may not pass. *)
+let positive cmd what n =
+  if n <= 0 then usage_error cmd (Printf.sprintf "%s must be positive, got %d" what n)
+
 (* Exit 2 unless an [npages]-page platform can load [imgs] side by side. *)
 let check_fits cmd ~why ~npages imgs =
   let need = List.fold_left (fun a img -> a + Image.pages_needed img) 0 imgs in
@@ -688,7 +692,7 @@ let campaign_cmd (type c o f r)
                 Printf.printf "replayed campaign VIOLATION:\n%s\n" (k.pp_failure v);
                 4))
     | None, _ -> (
-        non_negative k.name "trials" trials;
+        positive k.name "trials" trials;
         let cfg =
           Result.fold ~ok:Fun.id ~error:fail
             (mk ~pages ~ops ~armed ~profile:(profile_out <> None))
@@ -1337,7 +1341,7 @@ let profile_cmd =
   in
   let run level trials ops seed pages mode folded json_out wall jobs =
     setup_logs level;
-    non_negative "profile" "trials" trials;
+    positive "profile" "trials" trials;
     Result.iter_error (usage_error "profile")
       (match mode with
       | `Check -> Diff.validate { Diff.default with npages = pages; ops_per_trial = ops }

@@ -69,14 +69,20 @@ type entry =
   | DataPage of { addrspace : pagenr }
   | SparePage of { addrspace : pagenr }
 
-let type_name = function
-  | Free -> "free"
-  | Addrspace _ -> "addrspace"
-  | Thread _ -> "thread"
-  | L1PTable _ -> "l1ptable"
-  | L2PTable _ -> "l2ptable"
-  | DataPage _ -> "datapage"
-  | SparePage _ -> "sparepage"
+(* A page type's code: its index in [type_names]. *)
+let type_code = function
+  | Free -> 0
+  | Addrspace _ -> 1
+  | Thread _ -> 2
+  | L1PTable _ -> 3
+  | L2PTable _ -> 4
+  | DataPage _ -> 5
+  | SparePage _ -> 6
+
+let type_names =
+  [| "free"; "addrspace"; "thread"; "l1ptable"; "l2ptable"; "datapage"; "sparepage" |]
+
+let type_name e = type_names.(type_code e)
 
 (** Owning address space of an allocated page ([None] for [Free] and for
     address-space pages themselves, which own themselves). *)
@@ -91,9 +97,13 @@ let owner = function
 
 module Pmap = Map.Make (Int)
 
-type t = { entries : entry Pmap.t; npages : int }
+(* [types] holds every page's type code, one byte per page, so
+   [diff_types] compares two PageDBs' types as strings instead of
+   walking both entry maps. [set] keeps it in step, and shares it
+   unchanged when the page keeps its type. *)
+type t = { entries : entry Pmap.t; npages : int; types : string }
 
-let make ~npages = { entries = Pmap.empty; npages }
+let make ~npages = { entries = Pmap.empty; npages; types = String.make npages '\000' }
 let npages t = t.npages
 let valid_pagenr t n = n >= 0 && n < t.npages
 
@@ -106,7 +116,16 @@ let set t n e =
   let entries =
     match e with Free -> Pmap.remove n t.entries | _ -> Pmap.add n e t.entries
   in
-  { t with entries }
+  let c = Char.chr (type_code e) in
+  let types =
+    if t.types.[n] = c then t.types
+    else begin
+      let b = Bytes.of_string t.types in
+      Bytes.set b n c;
+      Bytes.unsafe_to_string b
+    end
+  in
+  { t with entries; types }
 
 let is_free t n = match get t n with Free -> true | _ -> false
 
@@ -140,18 +159,17 @@ let all_addrspaces t =
     material of telemetry's page-transition events. Content-only
     changes (e.g. a thread's saved context) are not transitions. *)
 let diff_types before after =
-  let tagged m =
-    Pmap.map (fun e -> type_name e) m.entries
-  in
-  let b = tagged before and a = tagged after in
-  Pmap.merge
-    (fun _n tb ta ->
-      let tb = Option.value tb ~default:"free"
-      and ta = Option.value ta ~default:"free" in
-      if String.equal tb ta then None else Some (tb, ta))
-    b a
-  |> Pmap.bindings
-  |> List.map (fun (n, (tb, ta)) -> (n, tb, ta))
+  let b = before.types and a = after.types in
+  if String.equal b a then []
+  else
+    let code s n = if n < String.length s then Char.code s.[n] else 0 in
+    let rec from n acc =
+      if n < 0 then acc
+      else
+        let cb = code b n and ca = code a n in
+        from (n - 1) (if cb = ca then acc else (n, type_names.(cb), type_names.(ca)) :: acc)
+    in
+    from (max (String.length b) (String.length a) - 1) []
 
 (* -- Reference-count maintenance -------------------------------------- *)
 

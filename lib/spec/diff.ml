@@ -6,6 +6,7 @@ module Word = Komodo_machine.Word
 module State = Komodo_machine.State
 module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
+module Boot = Komodo_tz.Boot
 module Attacks = Komodo_sec.Attacks
 module Metrics = Komodo_telemetry.Metrics
 module Span = Komodo_telemetry.Span
@@ -59,14 +60,11 @@ let initial_rstate w =
 let err_word e = Word.to_int (Errors.to_word e)
 
 let set_irq_budget b (os : Os.t) =
-  {
-    os with
-    Os.mon =
-      {
-        os.Os.mon with
-        Monitor.mach = { os.Os.mon.Monitor.mach with State.irq_budget = b };
-      };
-  }
+  let mon = os.Os.mon in
+  if mon.Monitor.mach.State.irq_budget = b then os
+  else
+    let mach = { mon.Monitor.mach with State.irq_budget = b } in
+    { os with Os.mon = { mon with Monitor.mach } }
 
 (* The probe thread is only predictable while the enclave the prelude
    built is intact: addrspace 0 final with its original first-level
@@ -120,9 +118,9 @@ let page_diff_reason what diffs =
    version of any differing page — but only if both sides agree the page
    belongs to the running enclave. Anything else escaping the run is a
    confinement violation; the thread page itself must additionally agree
-   on the lifecycle bits the spec does predict. *)
-let reconcile spec' impl_abs (p : Aspec.pending) =
-  let diffs = Astate.diff spec' impl_abs in
+   on the lifecycle bits the spec does predict. [diffs] is
+   [Astate.diff spec' impl_abs]. *)
+let reconcile spec' impl_abs (p : Aspec.pending) diffs =
   let step acc (n, l, r) =
     match acc with
     | Error _ -> acc
@@ -192,14 +190,19 @@ let apply_op_checked ?mutate ?cover ?(opaque_contents = false)
         | Some b -> b
         | None -> Komodo_tz.Rng.exhausted os.Os.mon.Monitor.rng
       in
-      let contents =
-        if opaque_contents then None else contents_oracle rs ~call ~args
-      in
       match Os.smc os ~call ~args:(List.map Word.of_int args) with
       | exception e ->
           diverge (Printf.sprintf "implementation raised %s" (Printexc.to_string e))
       | os', e, ret -> (
           let ew = err_word e and rw = Word.to_int ret in
+          (* The spec reads MapSecure's contents only when it succeeds, and
+             a spec success against a failed call is an error-word
+             divergence whatever the contents: read the staged page (as it
+             was before the call) only when the call succeeded. *)
+          let contents =
+            if opaque_contents || ew <> Aspec.e_success then None
+            else contents_oracle rs ~call ~args
+          in
           record_transitions cover os.Os.mon os'.Os.mon;
           (match cover with Some c -> Cover.record_smc c ~call ~err:ew | None -> ());
           let finish spec_final =
@@ -218,7 +221,9 @@ let apply_op_checked ?mutate ?cover ?(opaque_contents = false)
                 spec = spec_final;
                 probe_ok =
                   rs.probe_ok
-                  && ((not (probe_shape rs.spec)) || probe_shape spec_final);
+                  && (spec_final == rs.spec
+                     || (not (probe_shape rs.spec))
+                     || probe_shape spec_final);
               }
           in
           match
@@ -259,13 +264,17 @@ let apply_op_checked ?mutate ?cover ?(opaque_contents = false)
               | Some outcome -> (
                   let spec' = Aspec.resolve rs.spec p ~outcome in
                   let impl_abs = abs_span rs os' in
-                  match reconcile spec' impl_abs p with
-                  | Error reason -> diverge reason
-                  | Ok spec_final -> (
-                      match Astate.diff spec_final impl_abs with
-                      | [] -> finish spec_final
-                      | diffs ->
-                          diverge (page_diff_reason "post-reconcile divergence" diffs))))))
+                  match Astate.diff spec' impl_abs with
+                  | [] -> finish spec'
+                  | diffs -> (
+                      match reconcile spec' impl_abs p diffs with
+                      | Error reason -> diverge reason
+                      | Ok spec_final -> (
+                          match Astate.diff spec_final impl_abs with
+                          | [] -> finish spec_final
+                          | diffs ->
+                              diverge
+                                (page_diff_reason "post-reconcile divergence" diffs)))))))
 
 (** One lockstep op, wrapped in an op-level profiling span when the
     world's monitor carries a live recorder (single branch otherwise).
@@ -335,7 +344,7 @@ let prelude_ops () =
 
 let page_image prog = List.hd (Uprog.to_page_images (Uprog.code_words prog))
 
-let make_world ?mutate ?(npages = 40) ?sink ?spans ~seed () =
+let build_world ?mutate ~npages ?sink ?spans ~seed () =
   let os = Os.boot ~seed ~npages ?sink ?spans () in
   let staging = Os.staging_base in
   let stage os off prog =
@@ -362,6 +371,47 @@ let make_world ?mutate ?(npages = 40) ?sink ?spans ~seed () =
      copy in inert zero pages, not live probe code. *)
   let rs = { rs with os = Os.write_bytes rs.os staging (String.make 0x4000 '\000') } in
   { w_os = rs.os; w_spec = rs.spec; w_mutate = mutate; w_cover = cover }
+
+(* Post-prelude templates, one per page count per domain. The prelude
+   draws no entropy and runs against the unmutated spec, so the built
+   world depends on the seed only through the boot secret and the RNG.
+   A fork shares the template's immutable machine state, PageDB,
+   allocator and abstract state; it takes a fresh boot's secret and
+   RNG, a fresh executor (its decode cache is mutable) and a copy of
+   the template's coverage. *)
+let templates : (int, world) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+
+let fork t ~mutate ~seed =
+  let os = t.w_os in
+  let b = Boot.boot ~seed ~plat:os.Os.mon.Monitor.plat () in
+  let mon = { os.Os.mon with Monitor.attest_key = b.Boot.attest_key; rng = b.Boot.rng } in
+  let cover = Cover.create () in
+  Cover.merge_into cover t.w_cover;
+  {
+    w_os = { os with Os.mon; exec = Komodo_user.Verifier.executor () };
+    w_spec = t.w_spec;
+    w_mutate = mutate;
+    w_cover = cover;
+  }
+
+(* A telemetry sink or span recorder observes the prelude itself, so
+   such a world is built fresh. *)
+let make_world ?mutate ?(npages = 40) ?sink ?spans ~seed () =
+  if Option.is_some sink || Option.is_some spans then
+    build_world ?mutate ~npages ?sink ?spans ~seed ()
+  else
+    let tbl = Domain.DLS.get templates in
+    let t =
+      match Hashtbl.find_opt tbl npages with
+      | Some t -> t
+      | None ->
+          (* Any seed: a fork replaces everything the seed decides. *)
+          let t = build_world ~npages ~seed:0 () in
+          Hashtbl.add tbl npages t;
+          t
+    in
+    fork t ~mutate ~seed
 
 (* -- adversarial generation ---------------------------------------------- *)
 
@@ -607,8 +657,8 @@ let run_trial c ~seed =
      profile output deterministic across -j levels. *)
   let spans = if c.profile then Some (Span.create ?clock:c.clock ()) else None in
   let w = make_world ?mutate:c.mutate ~npages:c.npages ?sink ?spans ~seed () in
-  let cover = Cover.create () in
-  Cover.merge_into cover (world_cover w);
+  (* Every world owns its coverage table, so the trial records into it. *)
+  let cover = world_cover w in
   let ops = gen_ops w ~seed ~n:c.ops_per_trial in
   let result = run_ops ~cover w ops in
   let t_spans = match spans with None -> [] | Some r -> Span.roots r in

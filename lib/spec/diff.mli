@@ -64,10 +64,18 @@ val make_world :
     registry, when the campaign engine is asked to collect one);
     [spans] attaches a span recorder, profiling the prelude and every
     subsequent op through this world.
+
+    Without [sink] or [spans] the prelude runs once per page count per
+    domain, into a template, and each call returns a fork of it: the
+    template's machine state, PageDB and abstract state, with [seed]'s
+    boot secret and RNG, a fresh executor and a copy of the template's
+    coverage. A fork equals a fresh build at the same seed. With either
+    the world is built fresh, so the observer sees the prelude.
     @raise Failure if the prelude itself diverges. *)
 
 val world_cover : world -> Cover.t
-(** Coverage recorded while building the prelude. *)
+(** Coverage recorded while building the prelude. Each world has its
+    own table: recording into it touches no other world. *)
 
 val probe_thread : world -> int
 (** The probe enclave's thread page. *)

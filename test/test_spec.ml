@@ -8,6 +8,11 @@
    tampered with). *)
 
 module Word = Komodo_machine.Word
+module State = Komodo_machine.State
+module Monitor = Komodo_core.Monitor
+module Pagedb = Komodo_core.Pagedb
+module Boot = Komodo_tz.Boot
+module Rng = Komodo_tz.Rng
 module Os = Komodo_os.Os
 module Errors = Komodo_core.Errors
 module Event = Komodo_telemetry.Event
@@ -223,6 +228,168 @@ let prop_lockstep_random_seed =
       | None -> true
       | Some d -> QCheck.Test.fail_report (Diff.pp_divergence d))
 
+(* -- post-prelude templates ---------------------------------------- *)
+
+let mon_of w = (Diff.initial_rstate w).Diff.os.Os.mon
+
+(* A world without a sink is a fork of the domain's template; passing
+   the null sink forces a fresh build. The two must be the same world,
+   and the fresh one's RNG must be the bare boot's: a prelude that drew
+   entropy would make every fork wrong. *)
+let test_fork_equals_fresh () =
+  List.iter
+    (fun npages ->
+      List.iter
+        (fun seed ->
+          let what = Printf.sprintf "%d pages, seed %d" npages seed in
+          let fork = Diff.make_world ~npages ~seed () in
+          let fresh = Diff.make_world ~npages ~sink:Sink.null ~seed () in
+          let mf = mon_of fork and mr = mon_of fresh in
+          let same field b = Alcotest.(check bool) (what ^ ": " ^ field) true b in
+          same "machine state" (State.equal mf.Monitor.mach mr.Monitor.mach);
+          same "PageDB" (Pagedb.equal mf.Monitor.pagedb mr.Monitor.pagedb);
+          same "abstract state"
+            (Astate.equal (Diff.initial_rstate fork).Diff.spec
+               (Diff.initial_rstate fresh).Diff.spec);
+          Alcotest.(check string)
+            (what ^ ": attestation key") mr.Monitor.attest_key mf.Monitor.attest_key;
+          same "RNG" (Rng.equal mf.Monitor.rng mr.Monitor.rng);
+          same "the prelude draws no entropy"
+            (Rng.equal mr.Monitor.rng (Boot.boot ~seed ~plat:mr.Monitor.plat ()).Boot.rng);
+          Alcotest.(check (list string))
+            (what ^ ": prelude coverage")
+            (Cover.report (Diff.world_cover fresh))
+            (Cover.report (Diff.world_cover fork));
+          let ops = Diff.gen_ops fork ~seed ~n:40 in
+          same "generated ops" (ops = Diff.gen_ops fresh ~seed ~n:40);
+          let run w =
+            let cover = Cover.create () in
+            let r = Diff.run_ops ~cover w ops in
+            (r, Cover.report cover)
+          in
+          let rf, cf = run fork and rr, cr = run fresh in
+          same "outcome" (rf = rr);
+          Alcotest.(check (list string)) (what ^ ": run coverage") cr cf)
+        [ 1; 7; 42; 1009 ])
+    [ 20; 40; 64 ]
+
+let test_forks_independent () =
+  let a = Diff.make_world ~seed:1 () in
+  let template = Cover.report (Diff.world_cover a) in
+  Cover.record_smc (Diff.world_cover a) ~call:Aspec.smc_stop ~err:Aspec.e_success;
+  Alcotest.(check bool)
+    "the recording landed" false
+    (Cover.report (Diff.world_cover a) = template);
+  let b = Diff.make_world ~seed:2 () in
+  Alcotest.(check (list string))
+    "a later fork's coverage is the template's" template
+    (Cover.report (Diff.world_cover b));
+  let exec w = (Diff.initial_rstate w).Diff.os.Os.exec in
+  Alcotest.(check bool) "each fork has its own executor" false (exec a == exec b)
+
+(* -- apply_op's bookkeeping -------------------------------------------- *)
+
+(* [Pagedb.diff_types] as first written: a name map per PageDB, merged.
+   The reference for the direct merge that replaced it. *)
+let diff_types_ref before after =
+  let tagged db =
+    List.fold_left
+      (fun m n ->
+        match Pagedb.get db n with
+        | Pagedb.Free -> m
+        | e -> Imap.add n (Pagedb.type_name e) m)
+      Imap.empty
+      (List.init (Pagedb.npages db) Fun.id)
+  in
+  Imap.merge
+    (fun _ tb ta ->
+      let tb = Option.value tb ~default:"free" and ta = Option.value ta ~default:"free" in
+      if String.equal tb ta then None else Some (tb, ta))
+    (tagged before) (tagged after)
+  |> Imap.bindings
+  |> List.map (fun (n, (tb, ta)) -> (n, tb, ta))
+
+let test_diff_types () =
+  let changed = ref 0 in
+  let agree what before after =
+    let got = Pagedb.diff_types before after in
+    if got <> [] then incr changed;
+    Alcotest.(check (list (triple int string string))) what (diff_types_ref before after) got
+  in
+  let db rs = rs.Diff.os.Os.mon.Monitor.pagedb in
+  List.iter
+    (fun seed ->
+      let w = Diff.make_world ~seed () in
+      let rs0 = Diff.initial_rstate w in
+      agree "unchanged PageDB" (db rs0) (db rs0);
+      agree "type-preserving change" (db rs0) (Pagedb.bump_refcount (db rs0) 0 1);
+      let last = Pagedb.npages (db rs0) - 1 in
+      let ends =
+        Pagedb.set (Pagedb.set (db rs0) 0 Pagedb.Free) last (Pagedb.SparePage { addrspace = 8 })
+      in
+      agree "first and last pages retyped" (db rs0) ends;
+      let rec go rs i = function
+        | [] -> ()
+        | op :: rest -> (
+            match Diff.apply_op rs i op with
+            | Error d -> Alcotest.failf "seed %d: %s" seed (Diff.pp_divergence d)
+            | Ok rs' ->
+                let what = Printf.sprintf "seed %d op %d" seed i in
+                agree what (db rs) (db rs');
+                agree (what ^ " reversed") (db rs') (db rs);
+                go rs' (i + 1) rest)
+      in
+      go rs0 0 (Diff.gen_ops w ~seed ~n:60))
+    [ 1; 2; 3; 4 ];
+  Alcotest.(check bool) "some ops retype pages" true (!changed > 10)
+
+let enter args = Diff.Smc { call = Aspec.smc_enter; args; budget = None }
+
+(* Instruction-level fault injection makes the probe opaque: the spec
+   cannot predict its SVC, so reconcile must adopt the page the SVC
+   retyped, ending where the predicted probe does. *)
+let test_opaque_probe_adopts () =
+  let w = Diff.make_world ~seed:7 () in
+  let rs = Diff.initial_rstate w in
+  let op = enter [ Diff.probe_thread w; Aspec.svc_map_data; 6; 0x4003 ] in
+  Alcotest.(check bool)
+    "page 6 starts spare" true
+    (Astate.get rs.Diff.spec 6 = Astate.Aspare { asp = 0 });
+  match (Diff.apply_op ~opaque_probe:true rs 0 op, Diff.apply_op rs 0 op) with
+  | Ok opaque, Ok predicted ->
+      Alcotest.(check bool)
+        "page 6 adopted as the probe's data page" true
+        (Astate.get opaque.Diff.spec 6 = Astate.Adata { asp = 0 });
+      Alcotest.(check bool)
+        "the spec state is the implementation's abstraction" true
+        (Astate.equal opaque.Diff.spec (Abs.abs opaque.Diff.os.Os.mon));
+      Alcotest.(check bool)
+        "and the predicted probe's" true
+        (Astate.equal opaque.Diff.spec predicted.Diff.spec)
+  | Error d, _ | _, Error d -> Alcotest.failf "probe Enter diverged: %s" (Diff.pp_divergence d)
+
+(* A workload thread that exits changes nothing the spec cannot
+   predict: the lockstep state is exactly the resolved spec. *)
+let test_opaque_nothing_to_adopt () =
+  let w = Diff.make_world ~seed:7 () in
+  let rs = Diff.initial_rstate w in
+  let args = [ 14; 3; 4; 0 ] in
+  let resolved =
+    match
+      Aspec.step_smc rs.Diff.spec ~probe:(fun _ _ -> false) ~contents:None
+        ~call:Aspec.smc_enter ~args
+    with
+    | Aspec.Pending p -> Aspec.resolve rs.Diff.spec p ~outcome:`Exit
+    | Aspec.Done _ -> Alcotest.fail "a workload Enter is opaque to the spec"
+  in
+  match Diff.apply_op rs 0 (enter args) with
+  | Error d -> Alcotest.failf "workload Enter diverged: %s" (Diff.pp_divergence d)
+  | Ok rs' ->
+      Alcotest.(check bool) "nothing adopted" true (Astate.equal rs'.Diff.spec resolved);
+      Alcotest.(check bool)
+        "the spec state is the implementation's abstraction" true
+        (Astate.equal rs'.Diff.spec (Abs.abs rs'.Diff.os.Os.mon))
+
 let suite =
   [
     Alcotest.test_case "abstraction: fresh boot is all-free" `Quick test_abs_boot;
@@ -243,4 +410,14 @@ let suite =
     Alcotest.test_case "replay: inconsistent event fields rejected" `Quick
       test_replay_inconsistent;
     Testlib.qcheck prop_lockstep_random_seed;
+    Alcotest.test_case "template: a fork equals a fresh build" `Quick
+      test_fork_equals_fresh;
+    Alcotest.test_case "template: forks share no mutable state" `Quick
+      test_forks_independent;
+    Alcotest.test_case "diff_types matches the two-map definition" `Quick
+      test_diff_types;
+    Alcotest.test_case "opaque probe Enter: reconcile adopts page 6" `Quick
+      test_opaque_probe_adopts;
+    Alcotest.test_case "opaque workload Enter: nothing to adopt" `Quick
+      test_opaque_nothing_to_adopt;
   ]
