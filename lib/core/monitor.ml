@@ -155,12 +155,6 @@ let store_page_word t n idx v =
   in
   { t with mach }
 
-(** All of secure page [n]'s words as a fresh array — one bulk read
-    instead of 1024 [load_page_word] calls (page-table decoding in the
-    abstraction function is a hot path of the refinement checker). *)
-let load_page_words t n =
-  Memory.load_range_array t.mach.State.mem (page_pa t n) Ptable.words_per_page
-
 (** Whole-page contents as bytes (big-endian words), e.g. for
     measurement. *)
 let page_bytes t n =

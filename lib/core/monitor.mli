@@ -103,10 +103,6 @@ val page_pa : t -> Pagedb.pagenr -> Word.t
 val load_page_word : t -> Pagedb.pagenr -> int -> Word.t
 val store_page_word : t -> Pagedb.pagenr -> int -> Word.t -> t
 
-val load_page_words : t -> Pagedb.pagenr -> Word.t array
-(** All of a secure page's words in one bulk read — for page-table
-    decoding in the abstraction function. *)
-
 val page_bytes : t -> Pagedb.pagenr -> string
 (** Whole-page contents, big-endian (for measurement). *)
 

@@ -207,6 +207,10 @@ let check (plat : Platform.t) (mem : Memory.t) (t : t) : violation list =
   let bad = ref [] in
   let err page message = bad := { page; message } :: !bad in
   let page_pa n = Platform.page_base plat n in
+  (* [get], made total: a page number outside the PageDB reads as a
+     free page, so a corrupt reference is reported by its clause
+     instead of raising. *)
+  let entry n = if valid_pagenr t n then get t n else Free in
   (* Per-entry structural checks. *)
   Pmap.iter
     (fun n e ->
@@ -219,7 +223,7 @@ let check (plat : Platform.t) (mem : Memory.t) (t : t) : violation list =
              so the l1pt reference only has to be well-typed while the
              space could still run (Komodo's stopped-addrspace
              exception). *)
-          (match get t a.l1pt with
+          (match entry a.l1pt with
           | L1PTable { addrspace } when addrspace = n -> ()
           | _ when equal_addrspace_state a.state Stopped -> ()
           | L1PTable _ -> err n "l1pt owned by another address space"
@@ -234,7 +238,7 @@ let check (plat : Platform.t) (mem : Memory.t) (t : t) : violation list =
           | _ -> ()
         end
       | Thread th -> begin
-          (match get t th.addrspace with
+          (match entry th.addrspace with
           | Addrspace _ -> ()
           | _ -> err n "thread's addrspace is not an Addrspace");
           (match (th.entered, th.ctx) with
@@ -253,7 +257,7 @@ let check (plat : Platform.t) (mem : Memory.t) (t : t) : violation list =
       | L2PTable { addrspace }
       | DataPage { addrspace }
       | SparePage { addrspace } -> (
-          match get t addrspace with
+          match entry addrspace with
           | Addrspace _ -> ()
           | _ -> err n "owner is not an Addrspace"))
     t.entries;
@@ -263,6 +267,7 @@ let check (plat : Platform.t) (mem : Memory.t) (t : t) : violation list =
   List.iter
     (fun (asn, (a : _)) ->
       match a with
+      | { l1pt; _ } when not (valid_pagenr t l1pt) -> err asn "l1pt out of range"
       | { state = Stopped; _ } ->
           (* A stopped space can never be entered again, so its tables
              are dead: Remove reclaims them one page at a time, and a
@@ -270,56 +275,35 @@ let check (plat : Platform.t) (mem : Memory.t) (t : t) : violation list =
              table mid-teardown. Komodo's invariant makes exactly this
              exception for stopped address spaces. *)
           ()
-      | { l1pt; _ } when not (valid_pagenr t l1pt) -> err asn "l1pt out of range"
       | { l1pt; _ } ->
-          let l1 = Memory.load_range_array mem (page_pa l1pt) Ptable.l1_entries in
-          for i1 = 0 to Ptable.l1_entries - 1 do
-            begin match Ptable.decode_l1e l1.(i1) with
-            | None -> ()
-            | Some l2_base -> (
-                match Platform.page_of_pa plat l2_base with
-                | None -> err l1pt "first-level entry points outside secure region"
-                | Some l2n -> (
-                    match get t l2n with
-                    | L2PTable { addrspace } when addrspace = asn ->
-                        let l2 =
-                          Memory.load_range_array mem l2_base Ptable.l2_entries
-                        in
-                        let check_leaf i2 =
-                          match Ptable.decode_l2e l2.(i2) with
-                          | None -> ()
-                          | Some (pa, ns, _) ->
-                              if ns then begin
-                                if not (Platform.is_valid_insecure plat pa) then
-                                  err l2n "insecure leaf maps protected memory"
-                              end
-                              else begin
-                                match Platform.page_of_pa plat pa with
-                                | None -> err l2n "secure leaf outside secure region"
-                                | Some dn -> (
-                                    match get t dn with
-                                    | DataPage { addrspace } when addrspace = asn ->
-                                        ()
-                                    | DataPage _ ->
-                                        err l2n
-                                          "leaf maps a data page of another enclave"
-                                    | e ->
-                                        err l2n
-                                          (Printf.sprintf
-                                             "leaf maps a %s page as data"
-                                             (type_name e)))
-                              end
-                        in
-                        for i2 = 0 to Ptable.l2_entries - 1 do
-                          check_leaf i2
-                        done
-                    | L2PTable _ -> err l1pt "first-level entry crosses enclaves"
-                    | e ->
-                        err l1pt
-                          (Printf.sprintf "first-level entry maps a %s page"
-                             (type_name e))))
-            end
-          done)
+          Ptable.iter_l1 mem (page_pa l1pt) (fun _ l2_base ->
+              match Platform.page_of_pa plat l2_base with
+              | None -> err l1pt "first-level entry points outside secure region"
+              | Some l2n -> (
+                  match entry l2n with
+                  | L2PTable { addrspace } when addrspace = asn ->
+                      Ptable.iter_l2 mem l2_base (fun _ pa ns _ ->
+                          if ns then begin
+                            if not (Platform.is_valid_insecure plat pa) then
+                              err l2n "insecure leaf maps protected memory"
+                          end
+                          else
+                            match Platform.page_of_pa plat pa with
+                            | None -> err l2n "secure leaf outside secure region"
+                            | Some dn -> (
+                                match entry dn with
+                                | DataPage { addrspace } when addrspace = asn -> ()
+                                | DataPage _ ->
+                                    err l2n "leaf maps a data page of another enclave"
+                                | e ->
+                                    err l2n
+                                      (Printf.sprintf "leaf maps a %s page as data"
+                                         (type_name e))))
+                  | L2PTable _ -> err l1pt "first-level entry crosses enclaves"
+                  | e ->
+                      err l1pt
+                        (Printf.sprintf "first-level entry maps a %s page"
+                           (type_name e)))))
     (all_addrspaces t);
   List.rev !bad
 

@@ -59,13 +59,12 @@ let make_l2e ~base ~ns perms =
   lor (if ns then 8 else 0)
   |> Word.of_int
 
+let l2e_perms e =
+  let ap = Word.to_int (Word.extract e ~hi:5 ~lo:4) in
+  { w = ap = 0b11; x = not (Word.bit e 0) }
+
 let decode_l2e e =
-  if not (Word.bit e 1) then None
-  else
-    let base = page_base e in
-    let ap = Word.to_int (Word.extract e ~hi:5 ~lo:4) in
-    let perms = { w = ap = 0b11; x = not (Word.bit e 0) } in
-    Some (base, Word.bit e 3, perms)
+  if Word.bit e 1 then Some (page_base e, Word.bit e 3, l2e_perms e) else None
 
 (** Result of a successful translation. *)
 type frame = { pa : Word.t; ns : bool; perms : perms }
@@ -86,35 +85,31 @@ let translate mem ~ttbr va =
         | Some (pa_base, ns, perms) ->
             Some { pa = Word.add pa_base (page_offset va); ns; perms })
 
+(* The table at [base] read in place: [f slot e] on each of its [n]
+   words with bit [present] set, in slot order. [Memory.absorb_range]
+   hands over the backing chunk itself, so no page is copied. *)
+let iter_present ~present mem base n f =
+  ignore
+    (Memory.absorb_range mem base n ~init:0 ~f:(fun slot data first count ->
+         for j = 0 to count - 1 do
+           let e = data.(first + j) in
+           if Word.bit e present then f (slot + j) e
+         done;
+         slot + count))
+
+let iter_l1 mem base f =
+  iter_present ~present:0 mem base l1_entries (fun i e -> f i (page_base e))
+
+let iter_l2 mem base f =
+  iter_present ~present:1 mem base l2_entries (fun i e ->
+      f i (page_base e) (Word.bit e 3) (l2e_perms e))
+
 (** Every (virtual page base, physical page base, ns) mapped writable:
     the set the paper's user-mode model havocs when enclave code runs. *)
-(* Both table walks read each table page as one bulk array rather than
-   issuing 256×1024 single-word loads. *)
-let walk_tables mem ~ttbr ~f =
-  let l1 = Memory.load_range_array mem ttbr l1_entries in
-  for i1 = 0 to l1_entries - 1 do
-    match decode_l1e l1.(i1) with
-    | None -> ()
-    | Some l2_base ->
-        let l2 = Memory.load_range_array mem l2_base l2_entries in
-        for i2 = 0 to l2_entries - 1 do
-          match decode_l2e l2.(i2) with
-          | None -> ()
-          | Some (pa, ns, perms) ->
-              let va = Word.of_int ((i1 lsl 22) lor (i2 lsl 12)) in
-              f ~va ~pa ~ns ~perms
-        done
-  done
-
 let writable_pages mem ~ttbr =
   let acc = ref [] in
-  walk_tables mem ~ttbr ~f:(fun ~va ~pa ~ns ~perms ->
-      if perms.w then acc := (va, pa, ns) :: !acc);
-  List.rev !acc
-
-(** All present leaf mappings (used by PageDB well-formedness checks). *)
-let all_mappings mem ~ttbr =
-  let acc = ref [] in
-  walk_tables mem ~ttbr ~f:(fun ~va ~pa ~ns ~perms ->
-      acc := (va, pa, ns, perms) :: !acc);
+  iter_l1 mem ttbr (fun i1 l2_base ->
+      iter_l2 mem l2_base (fun i2 pa ns perms ->
+          if perms.w then
+            acc := (Word.of_int ((i1 lsl 22) lor (i2 lsl 12)), pa, ns) :: !acc));
   List.rev !acc

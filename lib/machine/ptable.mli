@@ -70,9 +70,16 @@ val translate : Memory.t -> ttbr:Word.t -> Word.t -> frame option
 (** Walk the table rooted at [ttbr] for a virtual address; [None]
     models a translation fault. *)
 
+val iter_l1 : Memory.t -> Word.t -> (int -> Word.t -> unit) -> unit
+(** [iter_l1 mem base f] calls [f slot l2pt_base] on each present entry
+    of the first-level table at [base], in slot order. The table is
+    read in place: its page is not copied. *)
+
+val iter_l2 : Memory.t -> Word.t -> (int -> Word.t -> bool -> perms -> unit) -> unit
+(** [iter_l2 mem base f] calls [f slot frame_base ns perms] on each
+    present entry of the second-level table at [base], in slot order,
+    reading the table in place. *)
+
 val writable_pages : Memory.t -> ttbr:Word.t -> (Word.t * Word.t * bool) list
 (** Every [(virtual page, physical page, ns)] mapped writable — the set
     the paper's user-execution model havocs. *)
-
-val all_mappings : Memory.t -> ttbr:Word.t -> (Word.t * Word.t * bool * perms) list
-(** All present leaf mappings (PageDB well-formedness checking). *)

@@ -2,6 +2,7 @@
 
 module Word = Komodo_machine.Word
 module Ptable = Komodo_machine.Ptable
+module State = Komodo_machine.State
 module Layout = Komodo_tz.Layout
 module Platform = Komodo_tz.Platform
 module Monitor = Komodo_core.Monitor
@@ -33,35 +34,23 @@ let abs_perms (p : Ptable.perms) = { w = p.Ptable.w; x = p.Ptable.x }
    -1, surfacing the breakage as a divergence instead of crashing. *)
 let abs_l1 (m : Monitor.t) pg =
   let npages = m.Monitor.plat.Platform.npages in
-  let ws = Monitor.load_page_words m pg in
   let slots = ref Imap.empty in
-  for i = 0 to Ptable.l1_entries - 1 do
-    match Ptable.decode_l1e ws.(i) with
-    | None -> ()
-    | Some base -> (
-        match Layout.page_of_pa ~npages base with
-        | Some l2pg -> slots := Imap.add i l2pg !slots
-        | None -> slots := Imap.add i (-1) !slots)
-  done;
+  Ptable.iter_l1 m.Monitor.mach.State.mem (Monitor.page_pa m pg) (fun i base ->
+      let l2pg = Option.value (Layout.page_of_pa ~npages base) ~default:(-1) in
+      slots := Imap.add i l2pg !slots);
   !slots
 
 let abs_l2 (m : Monitor.t) pg =
   let npages = m.Monitor.plat.Platform.npages in
-  let ws = Monitor.load_page_words m pg in
   let slots = ref Imap.empty in
-  for i = 0 to Ptable.l2_entries - 1 do
-    match Ptable.decode_l2e ws.(i) with
-    | None -> ()
-    | Some (pa, ns, perms) ->
-        let pte =
-          if ns then Pins (Word.to_int pa, abs_perms perms)
-          else
-            match Layout.page_of_pa ~npages pa with
-            | Some data -> Psec (data, abs_perms perms)
-            | None -> Psec (-1, abs_perms perms)
-        in
-        slots := Imap.add i pte !slots
-  done;
+  Ptable.iter_l2 m.Monitor.mach.State.mem (Monitor.page_pa m pg) (fun i pa ns perms ->
+      let pte =
+        if ns then Pins (Word.to_int pa, abs_perms perms)
+        else
+          let data = Option.value (Layout.page_of_pa ~npages pa) ~default:(-1) in
+          Psec (data, abs_perms perms)
+      in
+      slots := Imap.add i pte !slots);
   !slots
 
 (* Decoding live page tables is the expensive part of the abstraction
@@ -78,7 +67,7 @@ type cache = (int, centry) Hashtbl.t
 let cache () : cache = Hashtbl.create 64
 
 let page_chunk (m : Monitor.t) n =
-  Komodo_machine.Memory.page_at m.Monitor.mach.Komodo_machine.State.mem
+  Komodo_machine.Memory.page_at m.Monitor.mach.State.mem
     (Monitor.page_pa m n)
 
 let cached_slots cache m n decode wrap =

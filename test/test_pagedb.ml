@@ -142,6 +142,102 @@ let test_wf_detects_insecure_leaf_on_protected () =
   in
   Alcotest.(check bool) "flagged" false (Pagedb.wf plat mem db)
 
+(* -- Page-table content clauses, pinned by exact (page, message) lists -- *)
+
+let check_violations name expected (db, mem) =
+  Alcotest.(check (list (pair int string))) name expected
+    (List.map (fun v -> (v.Pagedb.page, v.Pagedb.message)) (Pagedb.check plat mem db))
+
+let pa = Platform.page_base plat
+let slot n i = Word.add (pa n) (Word.of_int (4 * i))
+let l1e n = Ptable.make_l1e ~l2pt_base:(pa n)
+let leaf ?(ns = false) base = Ptable.make_l2e ~base ~ns Ptable.rw
+
+(* Two well-formed spaces. Space 0: L1 table 1, L2 table 2, data page
+   3, with L1 slot 0 -> page 2 and L2 slot 0 -> page 3. Space 4: L1
+   table 5, L2 table 6, data page 7, tables empty. Each case stores a
+   few words into this world. *)
+let two_spaces ?(state = Pagedb.Init) ?(measurement = Measure.initial) words =
+  let db = Pagedb.make ~npages:16 in
+  let db = Pagedb.set db 0 (addrspace ~l1pt:1 ~refcount:3 ~state ~measurement ()) in
+  let db = Pagedb.set db 1 (Pagedb.L1PTable { addrspace = 0 }) in
+  let db = Pagedb.set db 2 (Pagedb.L2PTable { addrspace = 0 }) in
+  let db = Pagedb.set db 3 (Pagedb.DataPage { addrspace = 0 }) in
+  let db = Pagedb.set db 4 (addrspace ~l1pt:5 ~refcount:3 ()) in
+  let db = Pagedb.set db 5 (Pagedb.L1PTable { addrspace = 4 }) in
+  let db = Pagedb.set db 6 (Pagedb.L2PTable { addrspace = 4 }) in
+  let db = Pagedb.set db 7 (Pagedb.DataPage { addrspace = 4 }) in
+  let base = [ (slot 1 0, l1e 2); (slot 2 0, leaf (pa 3)) ] in
+  (db, List.fold_left (fun m (a, v) -> Memory.store m a v) Memory.empty (base @ words))
+
+let insecure_page = Word.of_int 0x0010_0000
+
+let test_wf_table_clauses () =
+  check_violations "well-formed" [] (two_spaces []);
+  List.iter
+    (fun (words, page, message) -> check_violations message [ (page, message) ] (two_spaces words))
+    [
+      ([ (slot 1 1, Ptable.make_l1e ~l2pt_base:insecure_page) ], 1,
+       "first-level entry points outside secure region");
+      ([ (slot 1 1, l1e 6) ], 1, "first-level entry crosses enclaves");
+      ([ (slot 1 1, l1e 3) ], 1, "first-level entry maps a datapage page");
+      ([ (slot 2 1, leaf ~ns:true Komodo_tz.Layout.monitor_image_base) ], 2,
+       "insecure leaf maps protected memory");
+      ([ (slot 2 1, leaf insecure_page) ], 2, "secure leaf outside secure region");
+      ([ (slot 2 1, leaf (pa 7)) ], 2, "leaf maps a data page of another enclave");
+      ([ (slot 2 1, leaf (pa 1)) ], 2, "leaf maps a l1ptable page as data");
+    ]
+
+(* Remove may free a second-level table before its first-level entry is
+   gone; a stopped space is exempt from every table clause, a final one
+   is not. *)
+let test_wf_stopped_exemption () =
+  let freed_l2 (db, mem) =
+    let db = Pagedb.set db 2 Pagedb.Free in
+    let db = Pagedb.bump_refcount db 0 (-1) in
+    (db, mem)
+  in
+  let measurement = final_measurement in
+  check_violations "stopped: dangling entry exempt" []
+    (freed_l2 (two_spaces ~state:Pagedb.Stopped ~measurement []));
+  check_violations "final: dangling entry flagged"
+    [ (1, "first-level entry maps a free page") ]
+    (freed_l2 (two_spaces ~state:Pagedb.Final ~measurement []))
+
+let test_wf_bad_slots_in_order () =
+  check_violations "two bad leaves, slot order"
+    [ (2, "insecure leaf maps protected memory");
+      (2, "leaf maps a data page of another enclave") ]
+    (two_spaces
+       [ (slot 2 700, leaf (pa 7));
+         (slot 2 5, leaf ~ns:true Komodo_tz.Layout.monitor_image_base) ]);
+  check_violations "a table's leaves before the next first-level slot"
+    [ (2, "leaf maps a data page of another enclave");
+      (1, "first-level entry crosses enclaves") ]
+    (two_spaces [ (slot 1 1, l1e 6); (slot 2 9, leaf (pa 7)) ])
+
+(* A corrupt page number in an entry is a violation, not an exception. *)
+let test_wf_out_of_range_refs () =
+  let world e = (Pagedb.set (Pagedb.make ~npages:16) 3 e, Memory.empty) in
+  check_violations "Init l1pt 99"
+    [ (3, "l1pt is not an L1PTable"); (3, "l1pt out of range") ]
+    (world (addrspace ~l1pt:99 ~refcount:0 ()));
+  check_violations "Stopped l1pt 99" [ (3, "l1pt out of range") ]
+    (world
+       (addrspace ~l1pt:99 ~refcount:0 ~state:Pagedb.Stopped
+          ~measurement:final_measurement ()));
+  List.iter
+    (fun asp ->
+      check_violations (Printf.sprintf "spare owned by %d" asp)
+        [ (3, "owner is not an Addrspace") ]
+        (world (Pagedb.SparePage { addrspace = asp })))
+    [ 99; -1 ];
+  check_violations "thread of space 99" [ (3, "thread's addrspace is not an Addrspace") ]
+    (world
+       (Pagedb.Thread
+          { addrspace = 99; entry_point = Word.zero; entered = false; ctx = None;
+            dispatcher = None; fault_ctx = None }))
+
 let test_entry_equality () =
   let t1 = Pagedb.Thread { addrspace = 0; entry_point = Word.zero; entered = false; ctx = None; dispatcher = None; fault_ctx = None } in
   let t2 = Pagedb.Thread { addrspace = 0; entry_point = Word.zero; entered = false; ctx = None; dispatcher = None; fault_ctx = None } in
@@ -165,5 +261,9 @@ let suite =
     Alcotest.test_case "wf: premature digest" `Quick test_wf_detects_unfinalised_with_digest;
     Alcotest.test_case "wf: cross-enclave leaf" `Quick test_wf_detects_cross_enclave_leaf;
     Alcotest.test_case "wf: insecure leaf on protected memory" `Quick test_wf_detects_insecure_leaf_on_protected;
+    Alcotest.test_case "wf: every table clause, exact" `Quick test_wf_table_clauses;
+    Alcotest.test_case "wf: stopped space's dangling table" `Quick test_wf_stopped_exemption;
+    Alcotest.test_case "wf: bad slots in slot order" `Quick test_wf_bad_slots_in_order;
+    Alcotest.test_case "wf: out-of-range references" `Quick test_wf_out_of_range_refs;
     Alcotest.test_case "entry equality" `Quick test_entry_equality;
   ]

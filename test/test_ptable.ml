@@ -88,10 +88,72 @@ let test_writable_pages () =
   Alcotest.(check int) "pa" (Word.to_int frame) (Word.to_int pa);
   Alcotest.(check bool) "ns" false ns
 
-let test_all_mappings () =
+let l1_slots m base =
+  let acc = ref [] in
+  Ptable.iter_l1 m base (fun i l2 -> acc := (i, l2) :: !acc);
+  List.rev !acc
+
+let l2_slots m base =
+  let acc = ref [] in
+  Ptable.iter_l2 m base (fun i pa ns perms -> acc := (i, (pa, ns, perms)) :: !acc);
+  List.rev !acc
+
+let test_walkers_two_leaves () =
   let m = build_table () in
-  Alcotest.(check int) "two leaves" 2
-    (List.length (Ptable.all_mappings m ~ttbr:l1_base))
+  Alcotest.(check (list (pair int int))) "one first-level slot"
+    [ (0, Word.to_int l2_base) ]
+    (List.map (fun (i, l2) -> (i, Word.to_int l2)) (l1_slots m l1_base));
+  Alcotest.(check (list string)) "both leaves, the ns one read-only"
+    [ "3 420000 false { w = true; x = false }"; "5 421000 true { w = false; x = false }" ]
+    (List.map
+       (fun (i, (pa, ns, perms)) ->
+         Printf.sprintf "%d %x %b %s" i (Word.to_int pa) ns (Ptable.show_perms perms))
+       (l2_slots m l2_base))
+
+(* The walkers read a table in place; the reference copies the table
+   out with [load_range_array] and decodes every slot. Each generated
+   memory has random words (some nonzero with both present bits clear)
+   on four pages, one of them a page-aligned [copy_range] of another
+   (so the two share a chunk), and is walked at every page start, at an
+   absent page, and at a word-aligned base that straddles two pages. *)
+let prop_walkers_match_decode =
+  let region = w 0x40_0000 in
+  let page n = Word.add region (w (n * Ptable.page_size)) in
+  let word =
+    QCheck.Gen.(
+      map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF)
+      >>= fun v -> oneofl [ v; (v lor 4) land lnot 3; 0 ])
+  in
+  let gen =
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 0 80)
+           (triple (int_bound 3) (int_bound (Ptable.words_per_page - 1)) word))
+        (pair (int_bound 3) (int_bound 3))
+        (int_range 1 (Ptable.words_per_page - 1))
+        (int_bound 3))
+  in
+  QCheck.Test.make ~count:200 ~name:"walkers = load_range_array + decode"
+    (QCheck.make gen)
+    (fun (stores, (src, dst), straddle, straddle_page) ->
+      let m =
+        List.fold_left
+          (fun m (pg, i, v) -> Memory.store m (Word.add (page pg) (w (4 * i))) (w v))
+          Memory.empty stores
+      in
+      let m = Memory.copy_range m ~src:(page src) ~dst:(page dst) Ptable.words_per_page in
+      let decoded n decode base =
+        Memory.load_range_array m base n
+        |> Array.to_list
+        |> List.mapi (fun i e -> Option.map (fun d -> (i, d)) (decode e))
+        |> List.filter_map Fun.id
+      in
+      List.for_all
+        (fun base ->
+          l1_slots m base = decoded Ptable.l1_entries Ptable.decode_l1e base
+          && l2_slots m base = decoded Ptable.l2_entries Ptable.decode_l2e base)
+        [ page 0; page 1; page 2; page 3; page 4;
+          Word.add (page straddle_page) (w (4 * straddle)) ])
 
 let prop_l2e_roundtrip =
   QCheck.Test.make ~name:"l2e roundtrip"
@@ -114,6 +176,7 @@ let suite =
     Alcotest.test_case "translate ro/ns" `Quick test_translate_ro_ns;
     Alcotest.test_case "translate misses" `Quick test_translate_misses;
     Alcotest.test_case "writable pages" `Quick test_writable_pages;
-    Alcotest.test_case "all mappings" `Quick test_all_mappings;
+    Alcotest.test_case "walkers: two-leaf table" `Quick test_walkers_two_leaves;
     Testlib.qcheck prop_l2e_roundtrip;
+    Testlib.qcheck prop_walkers_match_decode;
   ]
