@@ -136,21 +136,13 @@ let encrypt ~key ~nonce ~aad pt =
   let ct = gctr key.sched (inc32 (j0 nonce)) pt in
   (ct, tag_of key ~nonce ~aad ct)
 
-(** Constant-shape tag comparison, as [Hmac.verify]: always scans the
-    full length. Tags that are not exactly 16 bytes never verify —
-    truncated tags are rejected outright, not compared prefix-wise. *)
+(** The tag check is [Hmac.equal_tags]: tags that are not exactly 16
+    bytes never verify — truncated tags are rejected outright, not
+    compared prefix-wise. *)
 let decrypt ~key ~nonce ~aad ~tag ct =
-  let expected = tag_of key ~nonce ~aad ct in
-  let ok =
-    String.length tag = tag_size
-    &&
-    let diff = ref 0 in
-    String.iteri
-      (fun i c -> diff := !diff lor (Char.code c lxor Char.code expected.[i]))
-      tag;
-    !diff = 0
-  in
-  if ok then Some (gctr key.sched (inc32 (j0 nonce)) ct) else None
+  if Hmac.equal_tags (tag_of key ~nonce ~aad ct) tag then
+    Some (gctr key.sched (inc32 (j0 nonce)) ct)
+  else None
 
 (* -- Cost model ------------------------------------------------------------ *)
 

@@ -27,8 +27,8 @@ val encrypt :
 val decrypt :
   key:key -> nonce:string -> aad:string -> tag:string -> string -> string option
 (** [None] if the tag does not authenticate [aad] and the ciphertext.
-    Comparison is constant-shape ([Hmac.verify]-style); tags that are
-    not exactly 16 bytes never verify. *)
+    The comparison is {!Hmac.equal_tags}; tags that are not exactly 16
+    bytes never verify. *)
 
 val aes_blocks : len:int -> int
 (** AES invocations sealing/opening [len] payload bytes costs (cost

@@ -226,16 +226,24 @@ let sub_with_flags a b =
 type inject = unit -> (State.t -> State.t * event option) option
 
 (* What a burst of user execution changes, held in place while it runs:
-   the 15 registers visible in the current mode, the CPSR, memory (still
-   copy-on-write per store), the cycle counter, the IRQ budget and the
-   retired-instruction count. Every other field comes from [base] when
-   the burst is folded back into a [State.t]: once when it ends, and
-   whenever an injection fires mid-burst. *)
+   the 15 registers visible in the current mode, the CPSR, memory, the
+   cycle counter, the IRQ budget and the retired-instruction count.
+   Every other field comes from [base] when the burst is folded back
+   into a [State.t] by [leave]: once when it ends, and whenever an
+   injection fires mid-burst.
+
+   The burst stores through its own [Memory.owner], so it copies each
+   page it writes once, not once per [Str]. The owner rule holds: a
+   published chunk is never mutated, and an owned chunk is mutated only
+   until release. [leave] is the only place the burst's memory escapes,
+   and it releases the owner, so the pre-burst state, every state handed
+   to the inject hook and the final state all keep their contents. *)
 type burst = {
   base : State.t;
   regs : Word.t array;
   mutable cpsr : Psr.t;
   mutable mem : Memory.t;
+  owner : Memory.owner;
   mutable cycles : int;
   mutable budget : int option;
   mutable retired : int;
@@ -247,12 +255,14 @@ let enter s ~retired =
     regs = Regs.visible s.State.regs ~mode:(State.mode s);
     cpsr = s.State.cpsr;
     mem = s.State.mem;
+    owner = Memory.owner ();
     cycles = s.State.cycles;
     budget = s.State.irq_budget;
     retired;
   }
 
 let leave b ~upc ~far =
+  Memory.release b.owner;
   let s = b.base in
   {
     s with
@@ -317,7 +327,7 @@ let run_bytecode ?probe ?(inject : inject option) s (prog : Insn.fop array) ~sta
                 match Uview.data_frame b.mem ~ttbr:b.base.State.ttbr0_s va ~write with
                 | Error f -> stop b pc ~far:va (Ev_fault f)
                 | Ok f ->
-                    if write then b.mem <- Memory.store b.mem f.Ptable.pa (get b rd)
+                    if write then b.mem <- Memory.store_as b.owner b.mem f.Ptable.pa (get b rd)
                     else set b rd (Memory.load b.mem f.Ptable.pa);
                     boundary b next fuel)
             | Insn.FI i ->

@@ -7,20 +7,25 @@
 
     The monitor's semantics are page-granular — the PageDB tracks 4 kB
     pages, MapSecure hashes whole pages, Remove scrubs them — so the
-    representation is too: an immutable map from page number to an
-    immutable 1024-word chunk. [store] copies the affected chunk
+    representation is too: an immutable map from page number to a
+    1024-word chunk. [store] copies the affected chunk
     (copy-on-write); everything else is persistent, so whole-machine
     snapshots are O(1) and the noninterference harness can compare
     states cheaply.
+
+    Owners (see the interface): a published chunk is never mutated, and
+    an owned chunk is mutated only until release, so a run of stores to
+    one page through one owner (the interpreter's burst) copies the page
+    once, not once per store.
 
     Canonical form: an all-zero chunk is never stored (each chunk
     carries its nonzero-word count so stores that zero the last live
     word drop the binding in O(1) beyond the copy). Two memories that
     read equal therefore have equal key sets and [equal] stays both
     semantic and structural, exactly as with the old per-word map.
-    Chunks are never mutated after being published in a map, so
-    whole-page copies share chunks physically and [equal]/[equal_range]
-    short-circuit on physical equality. *)
+    Published chunks are never mutated, so whole-page copies share
+    chunks physically and [equal]/[equal_range] short-circuit on
+    physical equality; sharing a chunk publishes it. *)
 
 module Page_map = Map.Make (Int)
 
@@ -32,18 +37,34 @@ let page_words = 1024
 let page_shift = 12
 let byte_mask = 0xFFFF_FFFF
 
-(* A page's contents plus its nonzero-word count. [data] is immutable
-   by convention: never written after the chunk is added to a map. *)
-type chunk = { data : Word.t array; nz : int }
+(* Who may write a chunk in place: its creator, while [live]. *)
+type owner = { mutable live : bool }
+
+(* A page's contents, its nonzero-word count and its owner. [data] is
+   written only by [store_as by] while [by.live]; once [by] is released
+   or the chunk is shared ([publish]), it is never written again. *)
+type chunk = { data : Word.t array; mutable nz : int; mutable by : owner }
 
 type t = chunk Page_map.t
 
 (** Chunk identity, for callers that cache work keyed on page contents
-    (e.g. the decoded-program cache in [Uexec]): physical equality of
-    chunks implies equal contents. *)
+    (e.g. the decoded-program cache in [Exec]): physical equality of
+    published chunks implies equal contents. *)
 type page = chunk
 
 let empty : t = Page_map.empty
+
+(* The owner of every chunk no live owner created. Never live. *)
+let nobody = { live = false }
+
+let owner () = { live = true }
+let release o = o.live <- false
+
+(* Give up in-place writes to [c] before it is bound at a second page or
+   in a second memory, where an owner's store would show through. *)
+let publish c =
+  if c.by.live then c.by <- nobody;
+  c
 
 exception Unaligned of Word.t
 
@@ -63,7 +84,7 @@ let load t a =
   | None -> Word.zero
   | Some c -> c.data.(word_index ai)
 
-let store t a v =
+let store_as o t a v =
   check_aligned a;
   let ai = Word.to_int a in
   let pg = page_of ai and i = word_index ai in
@@ -73,7 +94,7 @@ let store t a v =
       else begin
         let data = Array.make page_words Word.zero in
         data.(i) <- v;
-        Page_map.add pg { data; nz = 1 } t
+        Page_map.add pg { data; nz = 1; by = o } t
       end
   | Some c ->
       let old = c.data.(i) in
@@ -85,11 +106,18 @@ let store t a v =
           - if Word.equal old Word.zero then 0 else 1
         in
         if nz = 0 then Page_map.remove pg t
+        else if c.by == o && o.live then begin
+          c.data.(i) <- v;
+          c.nz <- nz;
+          t
+        end
         else begin
           let data = Array.copy c.data in
           data.(i) <- v;
-          Page_map.add pg { data; nz } t
+          Page_map.add pg { data; nz; by = o } t
         end
+
+let store t a v = store_as nobody t a v
 
 (* Walk the [n] words from [a] as (page, first word index, word count)
    segments, in address order. Address arithmetic wraps at 2^32 exactly
@@ -115,7 +143,7 @@ let count_nz data =
    keeping the no-all-zero-chunk canonical form. *)
 let put_page t pg data =
   let nz = count_nz data in
-  if nz = 0 then Page_map.remove pg t else Page_map.add pg { data; nz } t
+  if nz = 0 then Page_map.remove pg t else Page_map.add pg { data; nz; by = nobody } t
 
 (* A fresh mutable copy of page [pg]'s contents. *)
 let page_copy t pg =
@@ -182,7 +210,7 @@ let zero_range t a n =
                 else begin
                   let d = Array.copy c.data in
                   Array.fill d i span Word.zero;
-                  m := Page_map.add pg { data = d; nz = c.nz - !live } !m
+                  m := Page_map.add pg { data = d; nz = c.nz - !live; by = nobody } !m
                 end);
     !m
   end
@@ -208,7 +236,7 @@ let copy_range t ~src ~dst n =
       (m :=
          match Page_map.find_opt spg !m with
          | None -> Page_map.remove dpg !m
-         | Some c -> Page_map.add dpg c !m)
+         | Some c -> Page_map.add dpg (publish c) !m)
     done;
     !m
   end
@@ -340,7 +368,7 @@ let restrict t ~f =
           if not (Word.equal w Word.zero) && not (f (base lor (4 * i))) then
             incr dropped)
         c.data;
-      if !dropped = 0 then Some c
+      if !dropped = 0 then Some (publish c)
       else if !dropped = c.nz then None
       else begin
         let d = Array.copy c.data in
@@ -349,7 +377,7 @@ let restrict t ~f =
             if not (Word.equal w Word.zero) && not (f (base lor (4 * i))) then
               d.(i) <- Word.zero)
           c.data;
-        Some { data = d; nz = c.nz - !dropped }
+        Some { data = d; nz = c.nz - !dropped; by = nobody }
       end)
     t
 
@@ -407,7 +435,7 @@ let diff_pages ma mb =
 let blit_page ~src dst pg =
   match Page_map.find_opt pg src with
   | None -> Page_map.remove pg dst
-  | Some c -> Page_map.add pg c dst
+  | Some c -> Page_map.add pg (publish c) dst
 
 let page_at t a = Page_map.find_opt (page_of (Word.to_int a)) t
 

@@ -3,11 +3,22 @@
     Matches the paper's memory model (§5.1): only aligned word accesses
     exist, so distinct addresses are independent; unmapped addresses
     read as zero. The representation is an immutable map from page
-    number to immutable 1024-word chunks: [store] copies the affected
-    chunk, whole-page operations swap chunks, and an all-zero chunk is
-    never stored (canonical form), so states that read equal are
-    structurally equal and whole-machine snapshots and comparisons (as
-    the noninterference harness performs constantly) stay cheap. *)
+    number to 1024-word chunks: [store] copies the affected chunk,
+    whole-page operations swap chunks, and an all-zero chunk is never
+    stored (canonical form), so states that read equal are structurally
+    equal and whole-machine snapshots and comparisons (as the
+    noninterference harness performs constantly) stay cheap.
+
+    The owner rule: a published chunk is never mutated, and an owned
+    chunk is mutated only until release. A chunk created by
+    [store_as o] is owned by [o], and [o]'s later stores write it in
+    place until [release o]; every other chunk is published, and a
+    chunk bound at a second page or in a second memory is published
+    then. So a run of stores to one page through one owner copies the
+    page once. While [o] is live, only the latest memory its stores
+    returned is meaningful: read it, store to it, and drop the ones
+    before it. A memory taken after [release o] keeps its contents for
+    good, as does every memory [o]'s stores did not produce. *)
 
 type t
 
@@ -24,7 +35,24 @@ exception Unaligned of Word.t
 val load : t -> Word.t -> Word.t
 val store : t -> Word.t -> Word.t -> t
 (** Storing zero erases the word, so states that read equal are
-    structurally equal. *)
+    structurally equal. [store] is [store_as] with no owner: it never
+    writes a chunk in place. *)
+
+type owner
+(** Permission to write the chunks one's own stores created, in place,
+    until {!release}. *)
+
+val owner : unit -> owner
+(** A fresh, live owner. *)
+
+val store_as : owner -> t -> Word.t -> Word.t -> t
+(** [store_as o t a v] reads as [store t a v]. It writes in place when
+    the page's chunk was created by [o] and [o] is live; otherwise it
+    copies the chunk, and the copy is [o]'s. *)
+
+val release : owner -> unit
+(** Publish every chunk the owner created: none of them is written
+    again. Storing through a released owner copies, like [store]. *)
 
 val load_range : t -> Word.t -> int -> Word.t list
 (** [load_range t a n] reads [n] consecutive words from [a]. *)
@@ -99,9 +127,10 @@ val blit_page : src:t -> t -> int -> t
 
     Chunk identity for content-keyed caches: if [same_page] holds for
     the pages backing an address at two points in time, the page's
-    contents are unchanged ([store] never mutates a published chunk).
-    The converse is false — contents may match across distinct chunks —
-    so identity may only be used to {e validate} cached work, never to
+    contents are unchanged (a published chunk is never mutated; take
+    pages only from memories no live owner is still storing to). The
+    converse is false — contents may match across distinct chunks — so
+    identity may only be used to {e validate} cached work, never to
     distinguish states. *)
 
 type page

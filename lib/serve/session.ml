@@ -7,9 +7,12 @@
      2. the notary enclave is entered, loads the nonce, and asks the
         monitor to MAC it together with the enclave's measurement
         (the Attest SVC — [Attest.create] under the boot secret);
-     3. the client checks the MAC with [Attest.verify] against the
-        expected measurement, and confirms a tampered MAC (one bit
-        flipped) is rejected;
+     3. the client recomputes the MAC it expects for the nonce and the
+        expected measurement ([Attest.create] under the boot secret,
+        once) and compares both the published MAC and a tampered copy
+        (one bit flipped) against it with the constant-shape
+        [Hmac.equal_tags]: the genuine MAC must match, the tampered one
+        must not;
      4. optionally, the check runs *in-enclave* instead: the OS ferries
         (nonce, measurement, MAC) to a verifier enclave whose Verify
         SVC returns the verdict — the two-enclave local-attestation
@@ -28,6 +31,7 @@ module Errors = Komodo_core.Errors
 module Monitor = Komodo_core.Monitor
 module Mapping = Komodo_core.Mapping
 module Attest = Komodo_core.Attest
+module Hmac = Komodo_crypto.Hmac
 module Uprog = Komodo_user.Uprog
 module Abi = Komodo_core.Abi
 open Uprog
@@ -98,9 +102,10 @@ let flip_bit s =
 
 (** Run one attestation session on a notary slot: stage [nonce], enter
     the notary thread, read the published MAC, verify it host-side
-    against [measurement] (and reject a tampered copy). Verification
-    cycles are charged as the deterministic [Attest.verify_cycles]
-    constant per check — the client-side cost model. *)
+    against [measurement] (and reject a tampered copy). Both checks
+    compare against one recomputed MAC, but each is charged the
+    deterministic [Attest.verify_cycles] constant — the client-side cost
+    model. *)
 let attest ~os ~thread ~shared ~measurement ~nonce =
   if String.length nonce <> nonce_bytes then invalid_arg "Session.attest: nonce size";
   let os = Os.write_bytes os shared nonce in
@@ -119,8 +124,9 @@ let attest ~os ~thread ~shared ~measurement ~nonce =
   else
     let mac = Os.read_bytes os (Word.add shared (Word.of_int mac_off)) 32 in
     let key = os.Os.mon.Monitor.attest_key in
-    let ok = Attest.verify ~key ~measurement ~data:nonce ~mac in
-    let tampered = Attest.verify ~key ~measurement ~data:nonce ~mac:(flip_bit mac) in
+    let expected = Attest.create ~key ~measurement ~data:nonce in
+    let ok = Hmac.equal_tags expected mac in
+    let tampered = Hmac.equal_tags expected (flip_bit mac) in
     ( os,
       {
         v_err = err;

@@ -1,8 +1,9 @@
 (** Per-session attestation flow: stage a nonce, enter a notary
     enclave, obtain the monitor's MAC (Attest SVC), verify it —
-    host-side with {!Komodo_core.Attest.verify} or in-enclave through
-    the Verify SVC — and confirm tampered MACs are rejected. Latencies
-    are model cycles. *)
+    host-side against one recomputed {!Komodo_core.Attest.create} with
+    {!Komodo_crypto.Hmac.equal_tags}, or in-enclave through the Verify
+    SVC — and confirm tampered MACs are rejected. Latencies are model
+    cycles. *)
 
 module Word = Komodo_machine.Word
 module Os = Komodo_os.Os

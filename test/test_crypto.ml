@@ -76,6 +76,33 @@ let test_hmac_rfc4231 () =
   t ~key:(String.make 131 '\xaa') ~msg:"Test Using Larger Than Block-Size Key - Hash Key First"
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
 
+(* [Hmac.mac] reuses the pad blocks of the last key its domain saw. The
+   vectors interleave keys so each MAC either reuses them or replaces
+   them: A, B, A again, the 131-byte key for two messages, then the
+   empty key (whose MAC over the empty message is the well-known
+   b613679a...). A fresh domain starts with its own memo. *)
+let test_hmac_memo () =
+  let a = String.make 20 '\x0b' and b = "Jefe" and long = String.make 131 '\xaa' in
+  let vectors =
+    [
+      (a, "Hi There", "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+      (b, "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+      (a, "Hi There", "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+      (long, "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+      ( long,
+        "This is a test using a larger than block-size key and a larger than block-size \
+         data. The key needs to be hashed before being used by the HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+      ("", "", "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+    ]
+  in
+  let macs () = List.map (fun (key, msg, _) -> hex (Hmac.mac ~key msg)) vectors in
+  let want = List.map (fun (_, _, v) -> v) vectors in
+  Alcotest.(check (list string)) "this domain" want (macs ());
+  Alcotest.(check (list string)) "a spawned domain" want (Domain.join (Domain.spawn macs))
+
 let test_hmac_verify () =
   let key = "secret" and msg = "message" in
   let mac = Hmac.mac ~key msg in
@@ -219,6 +246,7 @@ let suite =
     Alcotest.test_case "sha256 word marshalling" `Quick test_sha_words;
     Alcotest.test_case "sha256 block count" `Quick test_blocks_absorbed;
     Alcotest.test_case "hmac RFC 4231 vectors" `Quick test_hmac_rfc4231;
+    Alcotest.test_case "hmac pad reuse across keys and domains" `Quick test_hmac_memo;
     Alcotest.test_case "hmac verify" `Quick test_hmac_verify;
     Alcotest.test_case "hmac compression count" `Quick test_hmac_compressions;
     Alcotest.test_case "bignum basics" `Quick test_bignum_basics;

@@ -461,6 +461,52 @@ let test_hook_idle () =
   done;
   Alcotest.(check bool) "no allocation per boundary" true (Gc.minor_words () -. before < 100.)
 
+(* Eight stores to one data page, with an add between each. *)
+let store_burst =
+  Insn.I (Insn.Mov (r 1, imm 0x1000))
+  :: Insn.I (Insn.Mov (r 2, imm 1))
+  :: List.concat
+       (List.init 8 (fun i ->
+            [ Insn.I (Insn.Str (r 2, r 1, imm (4 * i))); Insn.I (Insn.Add (r 2, r 2, imm 1)) ]))
+  @ exit_seq
+
+let test_hook_keeps_states () =
+  (* A burst writes its pages in place until it hands out a state. A hook
+     that fires every [k]th boundary keeps each state it is handed; once
+     the burst is over, each must still read as it did then, and so must
+     the pre-burst state. Handing the state straight back changes nothing:
+     the burst ends as it does with no hook. *)
+  let page (s : State.t) = List.map Word.to_int (Memory.load_range s.State.mem data_frame 16) in
+  let s0 = machine_with store_burst in
+  let before = page s0 in
+  let plain, plain_e, _ = run_hooked ~inject:(fun () -> None) s0 in
+  Alcotest.(check (list int)) "the burst stores 1..8" [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    (List.filteri (fun i _ -> i < 8) (page plain));
+  List.iter
+    (fun k ->
+      let n = ref 0 and kept = ref [] in
+      let inject () =
+        incr n;
+        if !n mod k <> 0 then None
+        else
+          Some
+            (fun s ->
+              kept := (s, page s) :: !kept;
+              (s, None))
+      in
+      let s, e, _ = run_hooked ~inject s0 in
+      let name what = Printf.sprintf "every %d: %s" k what in
+      Alcotest.(check bool) (name "handed states") true (List.length !kept >= 18 / k);
+      List.iter
+        (fun (kept, seen) -> Alcotest.(check (list int)) (name "a kept state") seen (page kept))
+        !kept;
+      Alcotest.(check (list int)) (name "the pre-burst state") before (page s0);
+      Alcotest.(check bool) (name "same event") true (Exec.equal_event plain_e e);
+      Alcotest.(check bool) (name "same state") true (State.equal plain s);
+      Alcotest.(check bool) (name "same memory") true (Memory.equal plain.State.mem s.State.mem);
+      Alcotest.(check int) (name "same cycles") plain.State.cycles s.State.cycles)
+    [ 1; 2; 3; 5 ]
+
 (* -- Golden interpreter corpus ------------------------------------------ *)
 
 (* Seeded random flat programs, each run at every combination of a few
@@ -691,6 +737,7 @@ let suite =
     Alcotest.test_case "hook: Insn k write seen at k" `Quick test_hook_mem_write;
     Alcotest.test_case "hook: secure write dropped" `Quick test_hook_secure_write_dropped;
     Alcotest.test_case "hook: idle injector never handed a state" `Quick test_hook_idle;
+    Alcotest.test_case "hook: kept states survive the burst" `Quick test_hook_keeps_states;
     Alcotest.test_case "golden corpus" `Quick test_golden_corpus;
     Alcotest.test_case "golden corpus coverage" `Quick test_corpus_coverage;
   ]

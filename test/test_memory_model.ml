@@ -178,6 +178,102 @@ let test_absorb_word =
       in
       Sha256.equal_ctx a b && String.equal (Sha256.finalize a) (Sha256.finalize b))
 
+(* -- Owners ---------------------------------------------------------------
+
+   Stores through an owner write its own chunks in place until release.
+   Sequences mix owned stores, plain stores, whole-page copies (which
+   share a chunk) and releases; a release takes the memory, and later
+   owned stores go either through a fresh owner or on through the
+   released one. Every memory taken must still read as the reference
+   did when it was taken, after all the owned stores that followed.
+   Slots are a few words on each of three pages and values lean to
+   zero, so pages are often emptied and re-created. *)
+
+type owned_op =
+  | Owned of int * int  (* slot, value *)
+  | Plain of int * int
+  | Copy_page of int * int  (* source page, destination page *)
+  | Release of bool  (* then store through a fresh owner? *)
+
+let pp_owned_op = function
+  | Owned (k, v) -> Printf.sprintf "owned %d 0x%x" k v
+  | Plain (k, v) -> Printf.sprintf "plain %d 0x%x" k v
+  | Copy_page (s, d) -> Printf.sprintf "copy page %d->%d" s d
+  | Release fresh -> if fresh then "release, new owner" else "release"
+
+let owner_pages = 3
+let slot_words = [| 0; 1; 517; 1023 |]
+let slot base k = addr base ((1024 * (k / 4)) + slot_words.(k mod 4))
+
+(* Every sequence starts by publishing a page, then emptying it and
+   re-creating it under the next owner. *)
+let drop_and_recreate = [ Owned (0, 7); Release true; Owned (0, 0); Owned (0, 9) ]
+
+let gen_owned_op =
+  let open QCheck.Gen in
+  let k = int_bound ((4 * owner_pages) - 1) and pg = int_bound (owner_pages - 1) in
+  let value = frequency [ (2, return 0); (3, int_range 1 3); (1, int_bound 0xFFFF_FFF) ] in
+  frequency
+    [
+      (8, map2 (fun k v -> Owned (k, v)) k value);
+      (3, map2 (fun k v -> Plain (k, v)) k value);
+      (1, map2 (fun s d -> Copy_page (s, d)) pg pg);
+      (2, map (fun fresh -> Release fresh) bool);
+    ]
+
+let arb_owned =
+  QCheck.make
+    ~print:(fun (base, ops) ->
+      Printf.sprintf "base 0x%x: %s" base (String.concat "; " (List.map pp_owned_op ops)))
+    QCheck.Gen.(pair gen_base (list_size (int_range 0 40) gen_owned_op))
+
+let test_owned_stores =
+  QCheck.Test.make ~count:1000 ~name:"owned stores keep every released memory"
+    arb_owned
+    (fun (base, ops) ->
+      let o = ref (Memory.owner ()) and taken = ref [] in
+      let page p = addr base (1024 * p) in
+      let step (m, r) = function
+        | Owned (k, v) -> (Memory.store_as !o m (slot base k) (w v), Ref.store r (slot base k) (w v))
+        | Plain (k, v) -> (Memory.store m (slot base k) (w v), Ref.store r (slot base k) (w v))
+        | Copy_page (s, d) ->
+            ( Memory.copy_range m ~src:(page s) ~dst:(page d) 1024,
+              Ref.copy_range r ~src:(page s) ~dst:(page d) 1024 )
+        | Release fresh ->
+            Memory.release !o;
+            if fresh then o := Memory.owner ();
+            taken := (m, r) :: !taken;
+            (m, r)
+      in
+      let last = List.fold_left step (Memory.empty, Ref.empty) (drop_and_recreate @ ops) in
+      Memory.release !o;
+      List.for_all (fun (m, r) -> check_agree base m r) (last :: !taken))
+
+let test_owner_in_place () =
+  let a = w 0x5000 and b = w 0x5004 in
+  let o = Memory.owner () in
+  let m1 = Memory.store_as o Memory.empty a (w 1) in
+  let m2 = Memory.store_as o m1 b (w 2) in
+  Alcotest.(check bool) "the owner's second store writes in place" true
+    (Memory.same_page (Memory.page_at m1 a) (Memory.page_at m2 a));
+  let m3 = Memory.store_as o (Memory.store_as o m2 a Word.zero) b Word.zero in
+  Alcotest.(check bool) "emptying the page drops it" true (Memory.page_at m3 a = None);
+  let m4 = Memory.store_as o m3 b (w 3) in
+  Memory.release o;
+  let m5 = Memory.store_as o m4 b (w 4) in
+  Alcotest.(check bool) "a released owner copies" false
+    (Memory.same_page (Memory.page_at m4 b) (Memory.page_at m5 b));
+  Alcotest.(check (list int)) "the re-created page reads as stored" [ 0; 3 ]
+    (List.map Word.to_int (Memory.load_range m4 a 2));
+  let o' = Memory.owner () in
+  let m6 = Memory.store_as o' m4 a (w 5) in
+  let m7 = Memory.store_as o' m6 b (w 6) in
+  Memory.release o';
+  Alcotest.(check (list int)) "the released memory is untouched" [ 0; 3 ]
+    (List.map Word.to_int (Memory.load_range m4 a 2));
+  Alcotest.(check (list int)) "the new owner's memory" [ 5; 6 ]
+    (List.map Word.to_int (Memory.load_range m7 a 2))
+
 (* Chunk identity: unchanged pages keep their chunk across snapshots and
    unrelated stores; any store into a page replaces its chunk. *)
 let test_page_identity () =
@@ -210,6 +306,8 @@ let suite =
     Testlib.qcheck test_load_range_array;
     Testlib.qcheck test_absorb_range;
     Testlib.qcheck test_absorb_word;
+    Testlib.qcheck test_owned_stores;
+    Alcotest.test_case "owner writes in place until release" `Quick test_owner_in_place;
     Alcotest.test_case "page chunk identity" `Quick test_page_identity;
     Alcotest.test_case "page_words constant" `Quick test_page_words;
   ]
