@@ -737,7 +737,7 @@ let suite =
     Alcotest.test_case "hook: Insn k write seen at k" `Quick test_hook_mem_write;
     Alcotest.test_case "hook: secure write dropped" `Quick test_hook_secure_write_dropped;
     Alcotest.test_case "hook: idle injector never handed a state" `Quick test_hook_idle;
-    Alcotest.test_case "hook: kept states survive the burst" `Quick test_hook_keeps_states;
     Alcotest.test_case "golden corpus" `Quick test_golden_corpus;
     Alcotest.test_case "golden corpus coverage" `Quick test_corpus_coverage;
+    Alcotest.test_case "hook: kept states survive the burst" `Quick test_hook_keeps_states;
   ]

@@ -306,8 +306,8 @@ let suite =
     Testlib.qcheck test_load_range_array;
     Testlib.qcheck test_absorb_range;
     Testlib.qcheck test_absorb_word;
-    Testlib.qcheck test_owned_stores;
-    Alcotest.test_case "owner writes in place until release" `Quick test_owner_in_place;
     Alcotest.test_case "page chunk identity" `Quick test_page_identity;
     Alcotest.test_case "page_words constant" `Quick test_page_words;
+    Testlib.qcheck test_owned_stores;
+    Alcotest.test_case "owner writes in place until release" `Quick test_owner_in_place;
   ]
