@@ -148,7 +148,13 @@ let rec insn_due n = function
   | { point = Insn k; _ } :: rest -> k = n || insn_due n rest
   | { point = Commit | Lockstep _; _ } :: rest -> insn_due n rest
 
-let exec_inject inj () =
+(* Boundaries from the [n]th on before the first armed [Insn] item. *)
+let rec insn_quiet n acc = function
+  | [] -> acc
+  | { point = Insn k; _ } :: rest when k >= n -> insn_quiet n (Int.min acc (k - n)) rest
+  | _ :: rest -> insn_quiet n acc rest
+
+let exec_due inj () =
   let n = inj.insns in
   inj.insns <- n + 1;
   if not (insn_due n inj.armed) then None
@@ -180,3 +186,13 @@ let exec_inject inj () =
                    machine; these only make sense at commit points. *)
                 (s, forced))
           (s, None) now)
+
+(* A cycle summary may run up to the next armed [Insn] item; the
+   boundaries it passes still count, so [insns] and the point names in
+   the fired log are those of a step-by-step run. *)
+let exec_inject inj =
+  {
+    Exec.due = exec_due inj;
+    quiet = (fun () -> insn_quiet inj.insns max_int inj.armed);
+    passed = (fun k -> inj.insns <- inj.insns + k);
+  }

@@ -91,4 +91,7 @@ val exec_inject : t -> Exec.inject
     them on the state it is handed: [Irq]/[Fiq] force the corresponding
     event, ending the burst; [Mem_write] perturbs insecure memory under
     the enclave's feet; RNG actions are commit-point-only and ignored
-    here. *)
+    here. Its quiet count runs to the next armed [Insn] item (or is
+    unbounded), again without allocating, and the boundaries a cycle
+    summary passes are added to the count, so [Insn] items fire and
+    are named exactly as in a step-by-step run. *)

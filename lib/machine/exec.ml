@@ -82,9 +82,62 @@ type native_outcome = { nstate : State.t; nevent : event }
     through {!Uview}) and reports how its burst of execution ended. *)
 type native = State.t -> native_outcome
 
+(* -- Cycle summaries ------------------------------------------------- *)
+
+(* A cycle the interpreter runs in closed form: ops [head .. last - 1]
+   are each [Nop] or [Add]/[Sub rd, rd, #imm], and op [last] is
+   [FJmp head]. An iteration reads no memory, no flag and no register it
+   does not also write, and cannot end the burst, so [k] iterations from
+   the head retire [k * len] ops, cost [k * cost] cycles and add
+   [k * delta.(i)] (mod 2^32) to visible register [i]: exactly what [k]
+   trips through the step loop do. *)
+type cycle = { len : int; cost : int; delta : Word.t array }
+
+(* A decoded bytecode program with its summarisable cycles, indexed by
+   the pc of the jump that closes each one. *)
+type program = { fops : Insn.fop array; cycles : cycle option array }
+
+let summarisable = function
+  | Insn.FI Insn.Nop -> true
+  | Insn.FI (Insn.Add (rd, rn, Insn.Imm _) | Insn.Sub (rd, rn, Insn.Imm _)) ->
+      Regs.equal_reg rd rn
+  | _ -> false
+
+let cycle_of fops ~head ~last =
+  let delta = Array.make (Regs.num_gp + 2) Word.zero in
+  let cost = ref 0 in
+  for pc = head to last do
+    cost := !cost + Insn.fop_cost fops.(pc);
+    match fops.(pc) with
+    | Insn.FI (Insn.Add (rd, _, Insn.Imm v)) ->
+        let i = Regs.visible_index rd in
+        delta.(i) <- Word.add delta.(i) v
+    | Insn.FI (Insn.Sub (rd, _, Insn.Imm v)) ->
+        let i = Regs.visible_index rd in
+        delta.(i) <- Word.sub delta.(i) v
+    | _ -> ()
+  done;
+  { len = last - head + 1; cost = !cost; delta }
+
+(* One backward scan per back-jump, stopping at the first op that is not
+   summarisable; the runs scanned for two jumps never overlap, since a
+   jump is not summarisable, so the whole analysis is linear. *)
+let program fops =
+  let cycles =
+    Array.mapi
+      (fun last op ->
+        match op with
+        | Insn.FJmp head when head >= 0 && head <= last ->
+            let rec body pc = pc < head || (summarisable fops.(pc) && body (pc - 1)) in
+            if body (last - 1) then Some (cycle_of fops ~head ~last) else None
+        | _ -> None)
+      fops
+  in
+  { fops; cycles }
+
 (** What an entry-point page contains. *)
 type code_image =
-  | Bytecode of Insn.fop array
+  | Bytecode of program
   | Native_ref of int
   | Bad_image  (** unrecognised or undecodable — prefetch abort *)
 
@@ -158,7 +211,7 @@ let fetch_image_deps s ~entry_va =
             | exception Fetch_fail -> (Bad_image, [])
             | body, bdeps -> (
                 match Insn.decode_flat_array body with
-                | Some prog -> (Bytecode prog, hdeps @ bdeps)
+                | Some fops -> (Bytecode (program fops), hdeps @ bdeps)
                 | None -> (Bad_image, []))
         end
         else (Bad_image, [])
@@ -223,7 +276,11 @@ let sub_with_flags a b =
   let overflow = sa <> sb && sr <> sa in
   (result, carry, overflow)
 
-type inject = unit -> (State.t -> State.t * event option) option
+type inject = {
+  due : unit -> (State.t -> State.t * event option) option;
+  quiet : unit -> int;
+  passed : int -> unit;
+}
 
 (* What a burst of user execution changes, held in place while it runs:
    the 15 registers visible in the current mode, the CPSR, memory, the
@@ -282,18 +339,41 @@ let binop b rd rn o f = set b rd (f (get b rn) (value b o))
 let shift b rd rn o f = set b rd (f (get b rn) (Word.to_int (value b o) land 0xFF))
 let flags b (result, carry, overflow) = b.cpsr <- Psr.set_flags b.cpsr ~result ~carry ~overflow
 
+(* Run whole iterations of cycle [c] from its head in closed form and
+   return the fuel left. It runs as many as fuel, a non-negative budget
+   and the hook's quiet boundaries all allow, less one, so the step loop
+   still takes every step at which the burst could end; the hook is only
+   asked for its quiet count when at least one iteration would run. *)
+let summarise ?(inject : inject option) b c fuel =
+  let room = match b.budget with Some k when k >= 0 -> Int.min fuel k | _ -> fuel in
+  let room =
+    match inject with
+    | Some h when room >= 2 * c.len -> Int.min room (h.quiet ())
+    | _ -> room
+  in
+  let k = (room / c.len) - 1 in
+  if k <= 0 then fuel
+  else begin
+    let steps = k * c.len and kw = Word.of_int k in
+    Array.iteri (fun i d -> b.regs.(i) <- Word.add b.regs.(i) (Word.mul kw d)) c.delta;
+    b.cycles <- b.cycles + (k * c.cost);
+    b.retired <- b.retired + steps;
+    (match b.budget with Some x -> b.budget <- Some (x - steps) | None -> ());
+    (match inject with Some h -> h.passed steps | None -> ());
+    fuel - steps
+  end
+
 (** Run the bytecode program from flat index [start_pc] until an event
     (see the interface). The burst's state lives in a {!burst}; [inject]
     is only handed a [State.t] at a boundary where it has something due. *)
-let run_bytecode ?probe ?(inject : inject option) s (prog : Insn.fop array) ~start_pc
-    ~fuel =
+let interpret ?probe ?(inject : inject option) s { fops = prog; cycles } ~start_pc ~fuel =
   let n = Array.length prog in
   let stop b pc ?(far = b.base.State.far) ev =
     (match probe with Some f -> f ~steps:b.retired | None -> ());
     (leave b ~upc:(Word.of_int pc) ~far, ev)
   in
   let rec boundary b pc fuel =
-    match match inject with None -> None | Some due -> due () with
+    match match inject with None -> None | Some h -> h.due () with
     | None -> step b pc fuel
     | Some fire -> (
         let s, forced = fire (leave b ~upc:b.base.State.upc ~far:b.base.State.far) in
@@ -313,7 +393,10 @@ let run_bytecode ?probe ?(inject : inject option) s (prog : Insn.fop array) ~sta
             b.retired <- b.retired + 1;
             let next = pc + 1 and fuel = fuel - 1 in
             match op with
-            | Insn.FJmp t -> boundary b t fuel
+            | Insn.FJmp t -> (
+                match cycles.(pc) with
+                | None -> boundary b t fuel
+                | Some c -> boundary b t (summarise ?inject b c fuel))
             | Insn.FJcc (c, t) -> boundary b (if Insn.holds c b.cpsr then t else next) fuel
             (* The banked PC of an SVC points past it, so a return
                resumes after it; a fault reports the faulting
@@ -357,6 +440,9 @@ let run_bytecode ?probe ?(inject : inject option) s (prog : Insn.fop array) ~sta
   in
   boundary (enter s ~retired:0) start_pc fuel
 
+let run_bytecode ?probe ?inject s fops ~start_pc ~fuel =
+  interpret ?probe ?inject s (program fops) ~start_pc ~fuel
+
 (** Execute user code at/under [entry_va] starting from flat index
     [start_pc], dispatching native services through [native]. [cache],
     if given, memoises decoded bytecode across bursts (validated against
@@ -378,4 +464,4 @@ let run ?probe ?inject ?cache s ~entry_va ~start_pc ~fuel
           (* Native bursts retire no modelled instructions. *)
           (match probe with Some f -> f ~steps:0 | None -> ());
           (nstate, nevent))
-  | Bytecode prog -> run_bytecode ?probe ?inject s prog ~start_pc ~fuel
+  | Bytecode prog -> interpret ?probe ?inject s prog ~start_pc ~fuel

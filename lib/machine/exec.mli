@@ -54,29 +54,36 @@ type native = State.t -> native_outcome
 (** A native service invocation: one burst of execution ending in an
     event. *)
 
-type code_image = Bytecode of Insn.fop array | Native_ref of int | Bad_image
-
-val fetch_image : State.t -> entry_va:Word.t -> code_image
-(** Read and decode the program at [entry_va] (header: magic, length,
-    body), fetching through the page table. One translation and one
-    bulk load per virtual page. *)
-
 type image_cache
 (** A small per-executor memo of decoded bytecode programs, keyed on
-    entry point. A hit requires every page the image was fetched from
-    to still translate to the same executable frame backed by the same
-    (immutable) memory chunk — so a hit is provably identical to
+    entry point, each kept with its table of summarisable cycles (see
+    {!run_bytecode}). A hit requires every page the image was fetched
+    from to still translate to the same executable frame backed by the
+    same (immutable) memory chunk — so a hit is provably identical to
     refetching, and any store to a code page, remapping, or table edit
     invalidates by construction. *)
 
 val image_cache : unit -> image_cache
 
-type inject = unit -> (State.t -> State.t * event option) option
-(** The fault-injection hook, asked at each instruction boundary
-    whether anything is due. Only on [Some fire] is the machine state
-    built and handed to [fire], which may perturb it (asynchronous
-    hardware writes to memory the attacker owns) and force an event
-    ending the burst, exactly as a real interrupt would. *)
+type inject = {
+  due : unit -> (State.t -> State.t * event option) option;
+      (** Asked at an instruction boundary whether anything is due. Only
+          on [Some fire] is the machine state built and handed to
+          [fire], which may perturb it (asynchronous hardware writes to
+          memory the attacker owns) and force an event ending the burst,
+          exactly as a real interrupt would. *)
+  quiet : unit -> int;
+      (** How many coming boundaries, the next one first, [due] would
+          answer [None] at: [0] if something is due at the next one or
+          the hook cannot say, [max_int] if nothing will ever be due.
+          Asked only where a cycle summary could run. *)
+  passed : int -> unit;
+      (** A cycle summary passed this many boundaries, all within the
+          last [quiet] count, without asking [due] at any of them. *)
+}
+(** The fault-injection hook. A hook whose [quiet] always answers [0]
+    is asked [due] at every boundary, and every burst under it runs
+    step by step. *)
 
 val run_bytecode :
   ?probe:(steps:int -> unit) ->
@@ -92,9 +99,20 @@ val run_bytecode :
     resumption PC (for SVCs, past the SVC; for faults, the faulting
     instruction itself so it can be retried). [probe] observes the
     number of instructions retired in the burst (telemetry hook; never
-    affects execution or cycle charging). [inject] is asked once at the
-    top of every step, before the fuel, budget and pc checks — so also
-    at the step that ends the burst on one of them. *)
+    affects execution or cycle charging). Step by step, [inject.due] is
+    asked once at the top of every step, before the fuel, budget and pc
+    checks — so also at the step that ends the burst on one of them.
+
+    Cycle summaries: a cycle closed by an [FJmp] back to its own head,
+    whose other ops are each [Nop] or [Add]/[Sub rd, rd, #imm], is run
+    in closed form. When that jump lands on the head, whole iterations
+    are applied at once — register deltas, cycles, retired count,
+    budget and fuel — as many as fuel, a non-negative budget and
+    [inject.quiet] all allow, less one; the boundaries they pass are
+    reported to [inject.passed]. The step loop then takes the rest, so
+    the event, the stop point and every field of the result are those
+    of a step-by-step run, and [due] is asked at every boundary where
+    something could be due. *)
 
 val run :
   ?probe:(steps:int -> unit) ->

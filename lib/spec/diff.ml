@@ -480,8 +480,11 @@ let gen_ops w ~seed ~n =
   let enter_workload () =
     let th = pick g [ 14; 15; 16 ] in
     let budget =
-      (* The spinner must always have an armed interrupt source, or the
-         watchdog decides the outcome; the others may run uninterrupted. *)
+      (* Entering the spinner always arms an interrupt source; the others
+         may run uninterrupted. [resume_op] does not do the same: a third
+         of its Resumes, the spinner's included, carry no budget, and
+         then the executor's fuel watchdog ends the spinner as an
+         interrupt. *)
       if th = 16 || rnd g 3 > 0 then Some (pick g [ 1; 2; 5; 20; 50 ]) else None
     in
     [ smc ?budget Aspec.smc_enter [ th; rnd g 16; rnd g 16; 0 ] ]

@@ -409,21 +409,10 @@ let test_smp_bug_same_shrunk_trace bug () =
 let test_smp_committed_trace_replays () =
   (* The committed regression trace: a campaign shrunk from the
      lock-inversion self-test must keep reproducing its deadlock. *)
-  let read_lines path =
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | l -> go (l :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  in
   let lines =
     List.filter
       (fun l -> String.trim l <> "")
-      (read_lines "traces/smp_lock_inversion.jsonl")
+      (Testlib.data_lines "traces/smp_lock_inversion.jsonl")
   in
   match Smp_campaign.of_trace lines with
   | Error e -> Alcotest.failf "committed trace unparseable: %s" e
@@ -466,7 +455,7 @@ let seed_traces =
   lazy
     (explore_seed_trace ()
     :: List.map
-         (fun f -> Result.get_ok (Trace.load ("traces/" ^ f)))
+         (fun f -> Result.get_ok (Trace.load (Testlib.data_file ("traces/" ^ f))))
          [ "partial_remove.jsonl"; "vault_rollback.jsonl"; "smp_lock_inversion.jsonl" ])
 
 (* Maximal runs of [-0-9]: the integer literals of a JSON line (and
@@ -571,7 +560,7 @@ let test_reader_regressions () =
       ("vault", [ vault_h; {|{"update":{"index":-1,"value":0}}|} ]);
       ("smp", [ smp_h; {|{"cpu":7,"call":6,"args":[3,17,40963,0]}|} ]);
       ("smp", [ smp_h; {|{"cpu":0,"call":6,"args":[1,2,3,4,5]}|} ]);
-      ("fault", Result.get_ok (Trace.load "traces/smp_lock_inversion.jsonl"));
+      ("fault", Result.get_ok (Trace.load (Testlib.data_file "traces/smp_lock_inversion.jsonl")));
       ("fault", [ fault_h; {|{"op":{"call":0,"args":[0,0,0,0,0,0],"budget":null},"inj":[]}|} ]);
       ("fault", [ fault_h; {|{"op":{"write_ins":{"addr":4294967295,"value":1}},"inj":[]}|} ]);
       ("fault",

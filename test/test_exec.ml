@@ -330,6 +330,10 @@ module Platform = Komodo_tz.Platform
 
 let spin = [ Insn.While (Insn.AL, [ Insn.I Insn.Nop ]) ]
 
+(* A hook that cannot say how many boundaries are quiet: it is asked at
+   every boundary, and the burst runs step by step. *)
+let stepwise due = { Exec.due; quiet = (fun () -> 0); passed = ignore }
+
 let run_hooked ?(fuel = 10_000) ?budget ~inject s =
   let steps = ref (-1) in
   let s, e =
@@ -342,14 +346,16 @@ let run_hooked ?(fuel = 10_000) ?budget ~inject s =
   (s, e, !steps)
 
 let test_hook_boundaries () =
-  (* The hook is asked once at the top of every step, including the
-     step that ends the burst on fuel, budget or a bad pc; an SVC or a
-     fault ends the burst inside its step, so no boundary follows it. *)
+  (* A hook that cannot say how many boundaries are quiet is asked once
+     at the top of every step, including the step that ends the burst on
+     fuel, budget or a bad pc; an SVC or a fault ends the burst inside
+     its step, so no boundary follows it. *)
   let asked_on ?fuel ?budget prog =
     let asked = ref 0 in
-    let inject () =
-      incr asked;
-      None
+    let inject =
+      stepwise (fun () ->
+          incr asked;
+          None)
     in
     let _, _, steps = run_hooked ?fuel ?budget ~inject (machine_with prog) in
     (!asked, steps)
@@ -367,7 +373,7 @@ let test_hook_boundaries () =
   let asked = ref 0 in
   let s = machine_with [ Insn.I Insn.Nop ] in
   let s = { s with State.mem = Memory.store s.State.mem code_frame (w 0x1234) } in
-  let _ = run_hooked ~inject:(fun () -> incr asked; None) s in
+  let _ = run_hooked ~inject:(stepwise (fun () -> incr asked; None)) s in
   Alcotest.(check int) "bad image" 0 !asked
 
 let injector items =
@@ -429,8 +435,9 @@ let test_hook_secure_write_dropped () =
 
 let test_hook_idle () =
   (* Armed only for other kinds of point, or for a boundary the burst
-     never reaches, the injector answers every boundary with [None] —
-     without allocating — and is never handed a state. *)
+     never reaches, the injector answers [None] at every boundary it is
+     asked at and counts its quiet boundaries — both without allocating —
+     and is never handed a state. *)
   let items =
     [
       { Inject.point = Inject.Commit; action = Inject.Irq };
@@ -439,14 +446,19 @@ let test_hook_idle () =
     ]
   in
   let inj = injector items in
-  let due = Inject.exec_inject inj in
+  let hook = Inject.exec_inject inj in
   let handed = ref 0 in
-  let inject () =
-    Option.map
-      (fun fire s ->
-        incr handed;
-        fire s)
-      (due ())
+  let inject =
+    {
+      hook with
+      Exec.due =
+        (fun () ->
+          Option.map
+            (fun fire s ->
+              incr handed;
+              fire s)
+            (hook.Exec.due ()));
+    }
   in
   let _, e, steps = run_hooked ~fuel:100 ~inject (machine_with spin) in
   Alcotest.(check bool) "ran out of fuel" true (Exec.equal_event e Exec.Ev_irq);
@@ -454,10 +466,11 @@ let test_hook_idle () =
   Alcotest.(check int) "never handed a state" 0 !handed;
   Alcotest.(check int) "nothing fired" 0 (Inject.fired_count inj);
   let inj = injector items in
-  let due = Inject.exec_inject inj in
+  let hook = Inject.exec_inject inj in
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
-    ignore (Sys.opaque_identity (due ()))
+    ignore (Sys.opaque_identity (hook.Exec.due ()));
+    ignore (Sys.opaque_identity (hook.Exec.quiet ()))
   done;
   Alcotest.(check bool) "no allocation per boundary" true (Gc.minor_words () -. before < 100.)
 
@@ -479,20 +492,21 @@ let test_hook_keeps_states () =
   let page (s : State.t) = List.map Word.to_int (Memory.load_range s.State.mem data_frame 16) in
   let s0 = machine_with store_burst in
   let before = page s0 in
-  let plain, plain_e, _ = run_hooked ~inject:(fun () -> None) s0 in
+  let plain, plain_e, _ = run_hooked ~inject:(stepwise (fun () -> None)) s0 in
   Alcotest.(check (list int)) "the burst stores 1..8" [ 1; 2; 3; 4; 5; 6; 7; 8 ]
     (List.filteri (fun i _ -> i < 8) (page plain));
   List.iter
     (fun k ->
       let n = ref 0 and kept = ref [] in
-      let inject () =
-        incr n;
-        if !n mod k <> 0 then None
-        else
-          Some
-            (fun s ->
-              kept := (s, page s) :: !kept;
-              (s, None))
+      let inject =
+        stepwise (fun () ->
+            incr n;
+            if !n mod k <> 0 then None
+            else
+              Some
+                (fun s ->
+                  kept := (s, page s) :: !kept;
+                  (s, None)))
       in
       let s, e, _ = run_hooked ~inject s0 in
       let name what = Printf.sprintf "every %d: %s" k what in
@@ -643,19 +657,8 @@ let corpus_rows () =
         corpus_budgets)
     (List.init corpus_programs Fun.id)
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
 let expected_rows () =
-  List.filter (fun l -> l <> "" && l.[0] <> '#') (read_lines "exec_corpus.expected")
+  List.filter (fun l -> l <> "" && l.[0] <> '#') (Testlib.data_lines "exec_corpus.expected")
 
 let test_golden_corpus () =
   let expected = expected_rows () in
@@ -710,6 +713,192 @@ let test_corpus_coverage () =
     [ "(Ev_svc"; "Ev_irq"; "(Ev_fault Alignment)"; "(Ev_fault Translation)";
       "(Ev_fault Permission)"; "(Ev_fault Prefetch)"; "(Ev_fault Undef_insn)" ]
 
+(* -- Cycle summaries ----------------------------------------------------- *)
+
+(* A summarisable cycle (0-4 ops of Nop and Add/Sub rd, rd, #imm, then a
+   jump back to its head; 0 ops is [B .]) after a straight-line prefix,
+   started before, at or inside the cycle, from random registers. Fuel
+   and budget are drawn around the cycle length; [items] are [Insn k]
+   injections as (k, action). *)
+type cycle_case = {
+  prog : Insn.fop array;
+  start_pc : int;
+  regs : Word.t list;
+  fuel : int;
+  budget : int option;
+  items : (int * int) list;
+}
+
+let gen_word =
+  QCheck.Gen.(
+    oneof
+      [
+        return 0;
+        return 1;
+        return 0xFFFF_FFFF;
+        map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF);
+      ])
+
+let gen_reg =
+  QCheck.Gen.(oneof [ map (fun n -> r n) (int_bound 12); return Regs.SP; return Regs.LR ])
+
+let gen_cycle_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Insn.Nop);
+        (2, map2 (fun rd v -> Insn.Add (rd, rd, imm v)) gen_reg gen_word);
+        (2, map2 (fun rd v -> Insn.Sub (rd, rd, imm v)) gen_reg gen_word);
+      ])
+
+let gen_prefix_op =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun rd v -> Insn.Mov (rd, imm v)) gen_reg gen_word;
+        map3 (fun rd rn rm -> Insn.Add (rd, rn, Insn.Reg rm)) gen_reg gen_reg gen_reg;
+        map2 (fun rn v -> Insn.Cmp (rn, imm v)) gen_reg gen_word;
+      ])
+
+(* 0, 1, l - 1, l, l + 1, odd, even, large, or -1: a budget that never
+   fires but still counts down (the golden corpus runs it too). *)
+let gen_amount l =
+  QCheck.Gen.(
+    oneof
+      [
+        return 0;
+        return 1;
+        return (l - 1);
+        return l;
+        return (l + 1);
+        map (fun n -> (2 * n) + 1) (int_bound 200);
+        map (fun n -> 2 * n) (int_bound 200);
+        int_range 5_000 20_000;
+        return (-1);
+      ])
+
+let gen_cycle_case =
+  QCheck.Gen.(
+    let* prefix = list_size (int_bound 3) gen_prefix_op in
+    let* body = list_size (int_bound 4) gen_cycle_op in
+    let head = List.length prefix in
+    let l = List.length body + 1 in
+    let prog = Array.of_list (List.map (fun i -> Insn.FI i) (prefix @ body) @ [ Insn.FJmp head ]) in
+    let* start_pc = int_bound (head + l - 1) in
+    let* regs = list_repeat 15 (map w gen_word) in
+    let* fuel = gen_amount l in
+    let* budget = opt (gen_amount l) in
+    let* items =
+      list_size (int_bound 3) (pair (oneof [ int_bound ((3 * l) + 4); gen_amount l ]) (int_bound 2))
+    in
+    return { prog; start_pc; regs; fuel; budget; items })
+
+let show_cycle_case c =
+  let reg x = Format.asprintf "%a" Regs.pp_reg x in
+  let opnd = function Insn.Reg x -> reg x | Insn.Imm v -> Printf.sprintf "#0x%x" (Word.to_int v) in
+  let op = function
+    | Insn.FI Insn.Nop -> "nop"
+    | Insn.FI (Insn.Add (d, n, o)) -> Printf.sprintf "add %s, %s, %s" (reg d) (reg n) (opnd o)
+    | Insn.FI (Insn.Sub (d, n, o)) -> Printf.sprintf "sub %s, %s, %s" (reg d) (reg n) (opnd o)
+    | Insn.FI (Insn.Mov (d, o)) -> Printf.sprintf "mov %s, %s" (reg d) (opnd o)
+    | Insn.FI (Insn.Cmp (n, o)) -> Printf.sprintf "cmp %s, %s" (reg n) (opnd o)
+    | Insn.FJmp t -> Printf.sprintf "b %d" t
+    | _ -> "?"
+  in
+  Printf.sprintf "[%s] start %d fuel %d budget %s items [%s]"
+    (String.concat "; " (List.map op (Array.to_list c.prog)))
+    c.start_pc c.fuel
+    (match c.budget with None -> "-" | Some b -> string_of_int b)
+    (String.concat "; " (List.map (fun (k, a) -> Printf.sprintf "%d:%d" k a) c.items))
+
+let arb_cycle_case = QCheck.make ~print:show_cycle_case gen_cycle_case
+
+let run_case ?inject c =
+  let s = machine_with [] in
+  let s =
+    {
+      s with
+      State.regs = Regs.set_user_visible s.State.regs c.regs;
+      irq_budget = c.budget;
+      cycles = 1000;
+    }
+  in
+  let steps = ref (-1) in
+  let s, e =
+    Exec.run_bytecode ~probe:(fun ~steps:n -> steps := n) ?inject s c.prog ~start_pc:c.start_pc
+      ~fuel:c.fuel
+  in
+  (s, e, !steps)
+
+(* Equal in every field a burst writes, event and probe steps too. *)
+let same_run (s, e, n) (s', e', n') =
+  State.equal s s'
+  && s.State.cycles = s'.State.cycles
+  && s.State.irq_budget = s'.State.irq_budget
+  && Word.equal s.State.upc s'.State.upc
+  && Word.equal s.State.far s'.State.far
+  && Exec.equal_event e e' && n = n'
+
+let case_injector c =
+  injector
+    (List.map
+       (fun (k, a) ->
+         at k
+           (match a with
+           | 0 -> Inject.Irq
+           | 1 -> Inject.Fiq
+           | _ -> Inject.Mem_write { addr = Word.to_int data_frame; value = k }))
+       c.items)
+
+let prop_summary_exact =
+  QCheck.Test.make ~name:"cycle summaries equal step-by-step runs" ~count:500 arb_cycle_case
+    (fun c -> same_run (run_case c) (run_case ~inject:(stepwise (fun () -> None)) c))
+
+let prop_summary_inject_exact =
+  QCheck.Test.make ~name:"cycle summaries keep Insn injections exact" ~count:500 arb_cycle_case
+    (fun c ->
+      let inj = case_injector c and reference = case_injector c in
+      same_run
+        (run_case ~inject:(Inject.exec_inject inj) c)
+        (run_case ~inject:(stepwise (Inject.exec_inject reference).Exec.due) c)
+      && Inject.fired inj = Inject.fired reference)
+
+let test_summary_watchdog () =
+  (* The spinner as a Resume with no budget runs it: until the
+     executor's 2,000,000-step fuel ends it as an interrupt. *)
+  let c =
+    {
+      prog = Insn.flatten Komodo_user.Progs.spin_forever;
+      start_pc = 0;
+      regs = List.init 15 w;
+      fuel = 2_000_000;
+      budget = None;
+      items = [];
+    }
+  in
+  let want = run_case ~inject:(stepwise (fun () -> None)) c in
+  let passed = ref 0 in
+  let counting =
+    { (stepwise (fun () -> None)) with quiet = (fun () -> max_int); passed = (fun k -> passed := !passed + k) }
+  in
+  let got = run_case ~inject:counting c in
+  Alcotest.(check bool) "same as step by step" true (same_run want got);
+  Alcotest.(check bool) "without a hook too" true (same_run want (run_case c));
+  Alcotest.(check bool) "summarised" true (!passed > 1_999_000);
+  let s, e, steps = got in
+  Alcotest.(check bool) "watchdog interrupt" true (Exec.equal_event e Exec.Ev_irq);
+  Alcotest.(check int) "steps" 2_000_000 steps;
+  Alcotest.(check int) "r3 counts the adds" 1_000_000 (reg_of s 3);
+  let c = { c with items = [ (1_234_567, 0) ] } in
+  let inj = case_injector c and reference = case_injector c in
+  let got = run_case ~inject:(Inject.exec_inject inj) c in
+  let want = run_case ~inject:(stepwise (Inject.exec_inject reference).Exec.due) c in
+  Alcotest.(check bool) "injected: same as step by step" true (same_run want got);
+  Alcotest.(check (list (pair string string))) "injected: fired" [ ("insn:1234567", "irq") ]
+    (Inject.fired inj);
+  Alcotest.(check (list (pair string string))) "injected: fired as step by step"
+    (Inject.fired reference) (Inject.fired inj)
+
 let suite =
   [
     Alcotest.test_case "alu semantics" `Quick test_alu;
@@ -740,4 +929,7 @@ let suite =
     Alcotest.test_case "golden corpus" `Quick test_golden_corpus;
     Alcotest.test_case "golden corpus coverage" `Quick test_corpus_coverage;
     Alcotest.test_case "hook: kept states survive the burst" `Quick test_hook_keeps_states;
+    Testlib.qcheck prop_summary_exact;
+    Testlib.qcheck prop_summary_inject_exact;
+    Alcotest.test_case "summary: the spinner at watchdog fuel" `Quick test_summary_watchdog;
   ]

@@ -132,22 +132,11 @@ let test_trace_roundtrip () =
       Alcotest.(check (list string)) "re-serialises identically" lines
         (Fault_campaign.to_trace ~seed:5 cfg fops')
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
 let test_committed_trace_replays () =
   (* The committed regression trace: a campaign shrunk from the
      partial-remove self-test must keep reproducing its violation. *)
   let lines =
-    List.filter (fun l -> String.trim l <> "") (read_lines "traces/partial_remove.jsonl")
+    List.filter (fun l -> String.trim l <> "") (Testlib.data_lines "traces/partial_remove.jsonl")
   in
   match Fault_campaign.of_trace lines with
   | Error e -> Alcotest.failf "committed trace unparseable: %s" e

@@ -240,17 +240,6 @@ let test_trace_roundtrip () =
       Alcotest.(check (list string)) "re-serialises identically" lines
         (Campaign.to_trace ~seed:11 cfg sops')
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
 let test_committed_trace_replays () =
   (* The committed regression trace: a rollback silently accepted by
      the accept_stale bug, shrunk by the campaign engine. It must keep
@@ -258,7 +247,7 @@ let test_committed_trace_replays () =
   let lines =
     List.filter
       (fun l -> String.trim l <> "")
-      (read_lines "traces/vault_rollback.jsonl")
+      (Testlib.data_lines "traces/vault_rollback.jsonl")
   in
   match Campaign.of_trace lines with
   | Error e -> Alcotest.failf "committed trace unparseable: %s" e

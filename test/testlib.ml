@@ -96,6 +96,18 @@ let clear_irq_budget (os : Os.t) =
 
 let enter0 os ~thread = Os.enter os ~thread ~args:(Word.zero, Word.zero, Word.zero)
 
+(* Data files (the golden corpus, committed traces) are copied beside
+   the test executable by the [deps] of the test stanza; find them there,
+   so a suite reads them from any working directory. *)
+let data_file name = Filename.concat (Filename.dirname Sys.executable_name) name
+
+let data_lines name =
+  In_channel.with_open_text (data_file name) (fun ic ->
+      let rec go acc =
+        match In_channel.input_line ic with Some l -> go (l :: acc) | None -> List.rev acc
+      in
+      go [])
+
 (* Reproducible property tests: every qcheck case runs from one seed,
    taken from QCHECK_SEED when set (rerun a failure exactly) and chosen
    randomly otherwise — in which case the failing case names the seed to
