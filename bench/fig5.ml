@@ -16,47 +16,13 @@ module Os = Komodo_os.Os
 module Loader = Komodo_os.Loader
 module Image = Komodo_os.Image
 module Errors = Komodo_core.Errors
-module Mapping = Komodo_core.Mapping
-module Uprog = Komodo_user.Uprog
 module Notary = Komodo_user.Notary
 
 let sizes_kb = [ 4; 8; 16; 32; 64; 128; 256; 512 ]
 let max_pages = 512 * 1024 / Ptable.page_size
 
-let notary_image =
-  let zero_page = String.make Ptable.page_size '\000' in
-  let code = Uprog.to_page_images (Uprog.native_words ~id:Notary.native_id) in
-  let img = Image.empty ~name:"notary" in
-  let img = Image.add_blob img ~va:Notary.code_va ~w:false ~x:true code in
-  let img =
-    Image.add_secure_page img
-      ~mapping:(Mapping.make ~va:Notary.state_va ~w:true ~x:false)
-      ~contents:zero_page
-  in
-  let img =
-    Image.add_secure_page img
-      ~mapping:(Mapping.make ~va:Notary.heap_va ~w:true ~x:false)
-      ~contents:zero_page
-  in
-  let img =
-    Image.add_insecure_mapping img
-      ~mapping:(Mapping.make ~va:Notary.output_va ~w:true ~x:false)
-      ~target:Os.shared_base
-  in
-  (* A 512 kB insecure input window. *)
-  let img =
-    List.fold_left
-      (fun img i ->
-        Image.add_insecure_mapping img
-          ~mapping:
-            (Mapping.make
-               ~va:(Word.add Notary.input_va (Word.of_int (i * Ptable.page_size)))
-               ~w:false ~x:false)
-          ~target:(Word.add Os.document_base (Word.of_int (i * Ptable.page_size))))
-      img
-      (List.init max_pages (fun i -> i))
-  in
-  Image.add_thread img ~entry:Notary.code_va
+(* A 512 kB insecure input window. *)
+let notary_image = Image.notary ~input_pages:max_pages ()
 
 type point = { kb : int; enclave_ms : float; native_ms : float }
 

@@ -3,7 +3,7 @@
    Subcommands:
      run       boot the platform and run a named demo enclave
      trace     run an enclave through its full lifecycle, emitting a
-               JSONL telemetry trace and auditing it
+               JSONL telemetry trace and replaying it against the spec
      attest    run an enclave and print/check its attestation
      inspect   boot, load, and dump the PageDB and memory layout
      notary    drive the notary enclave over a document file
@@ -30,14 +30,12 @@ module Image = Komodo_os.Image
 module Errors = Komodo_core.Errors
 module Monitor = Komodo_core.Monitor
 module Pagedb = Komodo_core.Pagedb
-module Mapping = Komodo_core.Mapping
 module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
 module Notary = Komodo_user.Notary
 module Sha256 = Komodo_crypto.Sha256
 module Sink = Komodo_telemetry.Sink
 module Metrics = Komodo_telemetry.Metrics
-module Audit = Komodo_telemetry.Audit
 module Json = Komodo_telemetry.Json
 module Span = Komodo_telemetry.Span
 module Hist = Komodo_telemetry.Hist
@@ -45,6 +43,7 @@ module Campaign = Komodo_campaign.Campaign
 module Progress = Komodo_campaign.Progress
 module Drive = Komodo_fault.Drive
 module Diff = Komodo_spec.Diff
+module Trace_check = Komodo_spec.Trace_check
 open Cmdliner
 
 let programs =
@@ -169,7 +168,10 @@ let budget_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "irq-budget" ] ~docv:"STEPS" ~doc:"Interrupt after this many user steps.")
+    & info [ "irq-budget" ] ~docv:"STEPS"
+        ~doc:
+          "Interrupt each crossing after this many user steps (positive), and resume \
+           until the crossings add up to the interpreter's fuel watchdog.")
 
 let file_arg =
   Arg.(
@@ -198,7 +200,9 @@ let read_kasm cmd path =
 (* The run/trace enclave: the demo or .kasm program with its spares,
    checked against the page budget and IRQ budget before boot. *)
 let program_image cmd ~npages ~file ~spares ~budget prog =
-  Option.iter (non_negative cmd "irq-budget") budget;
+  (* A zero budget interrupts every crossing before its first step, so
+     the thread could never run; a negative one keeps its own message. *)
+  Option.iter (fun b -> non_negative cmd "irq-budget" b; positive cmd "irq-budget" b) budget;
   non_negative cmd "spares" spares;
   let prog = Option.fold ~none:prog ~some:(read_kasm cmd) file in
   match simple_image ~spares prog with
@@ -256,7 +260,7 @@ let trace_cmd =
        bare; --trace-out FILE redirects it. *)
     let trace_out = Some (Option.value trace_out ~default:"-") in
     let sink, reg, finish = telemetry_setup ~trace_out ~metrics in
-    (* Keep a copy of the stream in memory for the audit pass, and —
+    (* Keep a copy of the stream in memory for the spec replay, and —
        when metrics are on — count retired user instructions via the
        machine layer's probe. *)
     let collect_sink, collected = Sink.collect () in
@@ -287,12 +291,16 @@ let trace_cmd =
     let _os, terr = Os.teardown os ~addrspace:h.Loader.addrspace in
     finish ();
     let events = collected () in
-    let violations = Audit.check events in
-    List.iter (fun v -> Format.eprintf "audit: %a@." Audit.pp_violation v) violations;
+    let violations =
+      match Trace_check.check ~npages events with
+      | Error e -> [ e ]
+      | Ok r -> List.map (fun (i, m) -> Printf.sprintf "event %d: %s" i m) r.Trace_check.violations
+    in
+    List.iter (Printf.eprintf "audit: %s\n") violations;
     if violations = [] then
       Printf.eprintf "audit: trace orderly (%d events)\n" (List.length events);
     (* Distinct exit codes so CI can gate on the audit specifically:
-       0 clean, 1 enclave/teardown error, 3 lifecycle audit rejected. *)
+       0 clean, 1 enclave/teardown error, 3 the spec replay rejected it. *)
     if violations <> [] then 3
     else if Errors.is_success err && Errors.is_success terr then 0
     else 1
@@ -301,8 +309,9 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:
          "Run an enclave through its full lifecycle (init, finalise, enter, stop, remove), \
-          emitting a JSONL telemetry trace and checking it with the audit log. Exits 0 on \
-          a clean run, 1 on an enclave error, 3 when the lifecycle audit rejects the trace.")
+          emitting a JSONL telemetry trace and replaying it against the abstract spec. \
+          Exits 0 on a clean run, 1 on an enclave error, 3 when the spec replay rejects \
+          the trace.")
     Term.(
       const run $ verbosity $ seed_arg $ npages_arg $ program_arg $ args_arg $ budget_arg
       $ file_arg $ spares_arg $ trace_out_arg $ metrics_arg $ pretty)
@@ -374,38 +383,7 @@ let notary_cmd =
   in
   let run level seed npages document =
     setup_logs level;
-    let zero_page = String.make Ptable.page_size '\000' in
-    let code = Uprog.to_page_images (Uprog.native_words ~id:Notary.native_id) in
-    let img = Image.empty ~name:"notary" in
-    let img = Image.add_blob img ~va:Notary.code_va ~w:false ~x:true code in
-    let img =
-      Image.add_secure_page img
-        ~mapping:(Mapping.make ~va:Notary.state_va ~w:true ~x:false)
-        ~contents:zero_page
-    in
-    let img =
-      Image.add_secure_page img
-        ~mapping:(Mapping.make ~va:Notary.heap_va ~w:true ~x:false)
-        ~contents:zero_page
-    in
-    let img =
-      Image.add_insecure_mapping img
-        ~mapping:(Mapping.make ~va:Notary.output_va ~w:true ~x:false)
-        ~target:Os.shared_base
-    in
-    let img =
-      List.fold_left
-        (fun img i ->
-          Image.add_insecure_mapping img
-            ~mapping:
-              (Mapping.make
-                 ~va:(Word.add Notary.input_va (Word.of_int (i * Ptable.page_size)))
-                 ~w:false ~x:false)
-            ~target:(Word.add Os.document_base (Word.of_int (i * Ptable.page_size))))
-        img
-        (List.init 64 (fun i -> i))
-    in
-    let img = Image.add_thread img ~entry:Notary.code_va in
+    let img = Image.notary ~input_pages:64 () in
     check_fits "notary" ~why:"the notary enclave" ~npages [ img ];
     let os = Os.boot ~seed ~npages () in
     let os, h = load os img in
@@ -755,15 +733,15 @@ let replay_check ~pages path =
           Printf.printf "replayed explore counterexample DIVERGENCE:\n%s\n" (Diff.pp_divergence d);
           4)
   | Ok _ -> (
-      match Komodo_spec.Trace_check.replay_file ~npages:pages path with
+      match Trace_check.replay_file ~npages:pages path with
       | Error e -> cannot e
       | Ok r ->
           Printf.printf "replayed %d events (%d monitor calls) against the spec\n"
-            r.Komodo_spec.Trace_check.events r.Komodo_spec.Trace_check.calls;
+            r.Trace_check.events r.Trace_check.calls;
           List.iter
             (fun (i, msg) -> Printf.printf "event %d: VIOLATION: %s\n" i msg)
-            r.Komodo_spec.Trace_check.violations;
-          if r.Komodo_spec.Trace_check.violations = [] then (
+            r.Trace_check.violations;
+          if r.Trace_check.violations = [] then (
             print_endline "trace refines the spec";
             0)
           else 1)

@@ -38,7 +38,9 @@ type t = {
 
 (* -- Concrete interpretation ------------------------------------------ *)
 
-let concrete ?(fuel = 2_000_000) ?(native = fun _ -> None) ?probe ?inject () =
+let default_fuel = 2_000_000
+
+let concrete ?(fuel = default_fuel) ?(native = fun _ -> None) ?probe ?inject () =
   (* One decoded-program cache per executor (one executor per booted
      world): probe programs are re-entered for every burst, and the
      cache revalidates against page chunk identity on each entry. *)

@@ -29,6 +29,11 @@ type t = {
           havoc model a fresh seed per burst. *)
 }
 
+val default_fuel : int
+(** The watchdog's instruction budget per burst when {!concrete} is not
+    given [fuel]: a burst that retires this many steps ends as an
+    interrupt. *)
+
 val concrete :
   ?fuel:int ->
   ?native:(int -> Exec.native option) ->

@@ -196,16 +196,10 @@ let run_fops ?bug w fops =
 
 (* -- campaign generation ------------------------------------------------ *)
 
-let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
-
 let gen_fops w ~faults ~seed ~n =
   ignore w;
   let has c = List.mem c faults in
-  let g = ref ((seed lxor 0xfa17) land 0x3fffffff) in
-  let rnd n =
-    g := lcg !g;
-    if n <= 0 then 0 else !g mod n
-  in
+  let rnd = Komodo_rand.Lcg.(below (make ((seed lxor 0xfa17) land 0x3fffffff))) in
   let pick l = List.nth l (rnd (List.length l)) in
   let staging = Word.to_int Os.staging_base in
   let shared = Word.to_int Os.shared_base in

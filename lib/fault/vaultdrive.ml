@@ -351,15 +351,9 @@ let replay c ~seed sops : (stats, violation) result =
 
 (* -- Campaign generation -------------------------------------------------- *)
 
-let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
-
 let gen_sops ~classes ~seed ~n =
   let has c = List.mem c classes in
-  let g = ref ((seed lxor 0x5ea1ed) land 0x3fffffff) in
-  let rnd n =
-    g := lcg !g;
-    if n <= 0 then 0 else !g mod n
-  in
+  let rnd = Komodo_rand.Lcg.(below (make ((seed lxor 0x5ea1ed) land 0x3fffffff))) in
   let faults_for () =
     let fs = ref [] in
     let add f = fs := f :: !fs in

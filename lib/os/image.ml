@@ -49,6 +49,29 @@ let add_insecure_mapping img ~mapping ~target =
 let add_thread img ~entry = { img with threads = img.threads @ [ entry ] }
 let with_spares img n = { img with spares = n }
 
+(** The notary enclave (§8.2), laid out as every caller maps it. *)
+let notary ?(output = Os.shared_base) ~input_pages () =
+  let module Notary = Komodo_user.Notary in
+  let rw va = Mapping.make ~va ~w:true ~x:false in
+  let zero_page = String.make Ptable.page_size '\000' in
+  let page i = Word.of_int (i * Ptable.page_size) in
+  let code =
+    Komodo_user.Uprog.to_page_images (Komodo_user.Uprog.native_words ~id:Notary.native_id)
+  in
+  let img = add_blob (empty ~name:"notary") ~va:Notary.code_va ~w:false ~x:true code in
+  let img = add_secure_page img ~mapping:(rw Notary.state_va) ~contents:zero_page in
+  let img = add_secure_page img ~mapping:(rw Notary.heap_va) ~contents:zero_page in
+  let img = add_insecure_mapping img ~mapping:(rw Notary.output_va) ~target:output in
+  let img =
+    List.fold_left
+      (fun img i ->
+        add_insecure_mapping img
+          ~mapping:(Mapping.make ~va:(Word.add Notary.input_va (page i)) ~w:false ~x:false)
+          ~target:(Word.add Os.document_base (page i)))
+      img (List.init input_pages Fun.id)
+  in
+  add_thread img ~entry:Notary.code_va
+
 (** The distinct first-level table slots the image's virtual addresses
     need (both secure and insecure mappings), in increasing order. *)
 let l1_indices img =

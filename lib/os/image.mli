@@ -34,6 +34,13 @@ val add_insecure_mapping : t -> mapping:Mapping.t -> target:Word.t -> t
 val add_thread : t -> entry:Word.t -> t
 val with_spares : t -> int -> t
 
+val notary : ?output:Word.t -> input_pages:int -> unit -> t
+(** The notary enclave (§8.2): its native code blob, a zeroed state page
+    and heap page, a writable output window onto [output] (default
+    {!Os.shared_base}), [input_pages] read-only input pages from
+    {!Komodo_user.Notary.input_va} onto {!Os.document_base}, and one
+    thread at the code. *)
+
 val l1_indices : t -> int list
 (** The distinct first-level slots the image's addresses need. *)
 

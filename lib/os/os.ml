@@ -141,8 +141,14 @@ let remove t ~page =
 
 (** Enter a thread and keep resuming across interrupts until it exits
     or faults. [budget], when given, installs an interrupt budget
-    before each crossing (modelling the interrupt source). *)
+    before each crossing (modelling the interrupt source). Without a
+    budget an interrupted return can only be the executor's fuel
+    watchdog, so it is returned; with one, the thread gets as many
+    crossings as together make up the watchdog's fuel. *)
 let run_thread ?budget t ~thread ~args =
+  (match budget with
+  | Some n when n <= 0 -> invalid_arg "Os.run_thread: budget must be positive"
+  | _ -> ());
   let set_budget t =
     match budget with
     | None -> t
@@ -156,13 +162,15 @@ let run_thread ?budget t ~thread ~args =
             };
         }
   in
-  let rec go t first =
-    let t, err, v =
+  let rec go t first ran =
+    let ((t, err, _) as r) =
       if first then enter (set_budget t) ~thread ~args else resume (set_budget t) ~thread
     in
-    match err with Errors.Interrupted -> go t false | _ -> (t, err, v)
+    match (err, budget) with
+    | Errors.Interrupted, Some n when ran + n < Uexec.default_fuel -> go t false (ran + n)
+    | _ -> r
   in
-  go t true
+  go t true 0
 
 let cycles t = Monitor.cycles t.mon
 
@@ -176,10 +184,9 @@ let cycles t = Monitor.cycles t.mon
 let crash_reboot ?(seed = 0) t =
   let junk seed n =
     let b = Bytes.create n in
-    let s = ref ((seed lxor 0x5eed1e55) land 0x3fffffff) in
+    let g = Komodo_rand.Lcg.make ((seed lxor 0x5eed1e55) land 0x3fffffff) in
     for i = 0 to n - 1 do
-      s := ((!s * 1103515245) + 12345) land 0x3fffffff;
-      Bytes.set b i (Char.chr (!s land 0xff))
+      Bytes.set b i (Char.chr (Komodo_rand.Lcg.bits g land 0xff))
     done;
     Bytes.to_string b
   in
@@ -193,7 +200,7 @@ let crash_reboot ?(seed = 0) t =
     the address-space page. Returns the first non-success error (the
     teardown keeps going so later removes still run) — the OS-side
     mirror of the paper's Figure 3 exit arc, and the tail of the
-    lifecycle the telemetry audit log checks. *)
+    lifecycle a `komodo trace` run replays against the spec. *)
 let teardown t ~addrspace =
   let worst = ref Errors.Success in
   let note e = if Errors.is_success !worst && not (Errors.is_success e) then worst := e in

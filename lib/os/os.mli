@@ -74,7 +74,11 @@ val remove : t -> page:int -> t * Errors.t
 val run_thread :
   ?budget:int -> t -> thread:int -> args:Word.t * Word.t * Word.t -> t * Errors.t * Word.t
 (** Enter and keep resuming across interrupts until the thread exits or
-    faults; [budget] arms the interrupt source before each crossing. *)
+    faults; [budget] arms the interrupt source before each crossing.
+    Without [budget] an interrupted return (the executor's fuel
+    watchdog) is returned; with it, interrupted crossings stop once
+    their budgets add up to {!Komodo_core.Uexec.default_fuel}.
+    @raise Invalid_argument unless [budget] is positive. *)
 
 val cycles : t -> int
 
@@ -87,5 +91,5 @@ val crash_reboot : ?seed:int -> t -> t
 val teardown : t -> addrspace:int -> t * Errors.t
 (** Stop the enclave, Remove every owned page, then Remove the
     address-space page itself; returns the first non-success error.
-    The tail of the lifecycle the telemetry audit log checks. Flushes
+    The tail of the lifecycle a `komodo trace` run replays. Flushes
     the monitor's telemetry sink (trace files are complete on disk). *)

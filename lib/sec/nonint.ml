@@ -140,11 +140,7 @@ let pp_op fmt = function
     victim's and adversary's thread pages are targeted explicitly so
     Enter/Resume paths fire often. *)
 let gen_ops ~seed ~world ~n =
-  let lcg = ref (seed * 2654435761 land 0x3FFFFFFF) in
-  let next m =
-    lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
-    !lcg mod m
-  in
+  let next = Komodo_rand.Lcg.(below (make (seed * 2654435761 land 0x3FFFFFFF))) in
   let page () = Word.of_int (next 48) in
   let some_thread () =
     match next 3 with

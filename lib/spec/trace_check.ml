@@ -19,10 +19,24 @@ let spec_transitions before after =
   in
   go 0 []
 
+(* Lifecycle events the monitor reports for a call the spec completed
+   with [err], as [Smc.handle] emits them: a successful InitAddrspace,
+   Finalise or Stop, and a successful Remove of an address space. *)
+let spec_lifecycle spec ~call ~args err =
+  let arg1 = match args with a :: _ -> a | [] -> 0 in
+  if err <> Aspec.e_success then []
+  else if call = Aspec.smc_init_addrspace then [ (arg1, Event.Ls_init) ]
+  else if call = Aspec.smc_finalise then [ (arg1, Event.Ls_finalise) ]
+  else if call = Aspec.smc_stop then [ (arg1, Event.Ls_stop) ]
+  else if call = Aspec.smc_remove then
+    match Astate.get spec arg1 with Astate.Aaddrspace _ -> [ (arg1, Event.Ls_remove) ] | _ -> []
+  else []
+
 type st = {
   spec : Astate.t;
   pending : (int * int list) option;  (** Smc_entry awaiting its exit *)
   trans : (int * string * string) list;  (** transitions since that entry *)
+  life : (int * Event.lifecycle_stage) list;  (** lifecycle events since that entry *)
   calls : int;
   violations : (int * string) list;
 }
@@ -46,32 +60,39 @@ let check_transitions st i spec' observed =
       ("trace retypes the spec does not predict: "
       ^ String.concat "; " (List.map show surplus))
 
+let check_lifecycle st i expected =
+  let show l =
+    if l = [] then "none"
+    else
+      String.concat "; "
+        (List.map (fun (asp, s) -> Printf.sprintf "%s %d" (Event.stage_name s) asp) l)
+  in
+  if expected = st.life then st
+  else
+    violation st i
+      (Printf.sprintf "lifecycle events: spec predicts %s, trace has %s" (show expected)
+         (show st.life))
+
 (* Retypings observed during opaque enclave execution: the enclave may
-   only reshape its own pages among spare/data/second-level table. *)
+   only reshape its own pages among spare/data/second-level table, and
+   each retyping starts from the type the spec holds. *)
 let apply_enclave_transitions st i asp spec =
   List.fold_left
-    (fun (st, spec) (pg, _, to_t) ->
-      let owned =
-        pg >= 0
-        && pg < spec.Astate.plat.Astate.npages
-        && Astate.owner_of (Astate.get spec pg) = Some asp
-      in
-      if not owned then
-        ( violation st i
-            (Printf.sprintf
-               "enclave run retyped page %d, which addrspace %d does not own" pg asp),
-          spec )
-      else
-        match to_t with
-        | "sparepage" -> (st, Astate.set spec pg (Astate.Aspare { asp }))
-        | "datapage" -> (st, Astate.set spec pg (Astate.Adata { asp }))
-        | "l2ptable" ->
-            (st, Astate.set spec pg (Astate.Al2 { asp; slots = Imap.empty }))
-        | t ->
-            ( violation st i
-                (Printf.sprintf "enclave run retyped page %d to %s: outside its authority"
-                   pg t),
-              spec ))
+    (fun (st, spec) (pg, from_t, to_t) ->
+      let bad fmt = Printf.ksprintf (fun m -> (violation st i m, spec)) fmt in
+      let in_range = pg >= 0 && pg < spec.Astate.plat.Astate.npages in
+      match if in_range then Some (Astate.get spec pg) else None with
+      | Some p when Astate.owner_of p = Some asp -> (
+          if from_t <> Astate.type_name p then
+            bad "enclave run retyped page %d from %s, but the spec holds it as %s" pg from_t
+              (Astate.type_name p)
+          else
+            match to_t with
+            | "sparepage" -> (st, Astate.set spec pg (Astate.Aspare { asp }))
+            | "datapage" -> (st, Astate.set spec pg (Astate.Adata { asp }))
+            | "l2ptable" -> (st, Astate.set spec pg (Astate.Al2 { asp; slots = Imap.empty }))
+            | t -> bad "enclave run retyped page %d to %s: outside its authority" pg t)
+      | _ -> bad "enclave run retyped page %d, which addrspace %d does not own" pg asp)
     (st, spec) st.trans
 
 let step st i (ev : Event.t) =
@@ -82,11 +103,17 @@ let step st i (ev : Event.t) =
         | Some _ -> violation st i "nested smc_entry without smc_exit"
         | None -> st
       in
-      { st with pending = Some (call, args); trans = [] }
+      { st with pending = Some (call, args); trans = []; life = [] }
+  | Event.Fault_injected _ -> st
+  | Event.Page_transition _ | Event.Enclave_lifecycle _ | Event.Svc_entry _
+  | Event.Svc_exit _ | Event.Exception _
+    when st.pending = None ->
+      violation st i (Event.kind_name ev ^ " outside any monitor call")
   | Event.Page_transition { page; from_type; to_type } ->
-      if st.pending = None then
-        violation st i "page_transition outside any monitor call"
-      else { st with trans = st.trans @ [ (page, from_type, to_type) ] }
+      { st with trans = st.trans @ [ (page, from_type, to_type) ] }
+  | Event.Enclave_lifecycle { addrspace; stage } ->
+      { st with life = st.life @ [ (addrspace, stage) ] }
+  | Event.Svc_entry _ | Event.Svc_exit _ | Event.Exception _ -> st
   | Event.Smc_exit { call; err; retval; _ } -> (
       match st.pending with
       | None -> violation st i "smc_exit without smc_entry"
@@ -109,6 +136,7 @@ let step st i (ev : Event.t) =
                     (Printf.sprintf "return value: spec 0x%x, trace 0x%x" sret retval)
                 else
                   let st = check_transitions st i spec' st.trans in
+                  let st = check_lifecycle st i (spec_lifecycle st.spec ~call ~args serr) in
                   { st with spec = spec' }
             | Aspec.Pending p -> (
                 match Aspec.allowed_outcome err with
@@ -118,21 +146,21 @@ let step st i (ev : Event.t) =
                          "%s returned %s (%d): not a legal enclave outcome"
                          (Aspec.smc_name call) (Aspec.err_name err) err)
                 | Some outcome ->
+                    let stage = if p.Aspec.resume then Event.Ls_resume else Event.Ls_enter in
+                    let st = check_lifecycle st i [ (p.Aspec.asp, stage) ] in
                     let spec' = Aspec.resolve st.spec p ~outcome in
                     let st, spec' = apply_enclave_transitions st i p.Aspec.asp spec' in
                     { st with spec = spec' })
           end)
-  | Event.Svc_entry _ | Event.Svc_exit _ | Event.Exception _
-  | Event.Enclave_lifecycle _ | Event.Fault_injected _ ->
-      st
 
 (* Fields a trace states twice must agree with Table 1: a call's name
    is its number's, an error's name is its word's, and no event is
-   stamped before cycle 0. A trace that breaks this was not written by
-   the monitor; it is malformed input, not a refinement failure. *)
+   stamped before cycle 0 or before the event ahead of it. A trace that
+   breaks this was not written by the monitor; it is malformed input,
+   not a refinement failure. *)
 let validate (events : Event.stamped list) =
   let ( let* ) = Result.bind in
-  let check i { Event.at; ev } =
+  let check i prev { Event.at; ev } =
     let named what n got expected =
       if got = expected then Ok ()
       else
@@ -141,6 +169,8 @@ let validate (events : Event.stamped list) =
              (Event.kind_name ev) what n got expected)
     in
     if at < 0 then Error (Printf.sprintf "event %d: negative cycle stamp %d" i at)
+    else if at < prev then
+      Error (Printf.sprintf "event %d: cycle stamp %d goes back from %d" i at prev)
     else
       match ev with
       | Event.Smc_entry { call; name; _ } -> named "call" call name (Aspec.smc_name call)
@@ -155,13 +185,13 @@ let validate (events : Event.stamped list) =
       | Event.Fault_injected _ ->
           Ok ()
   in
-  let rec go i = function
+  let rec go i prev = function
     | [] -> Ok ()
     | e :: rest ->
-        let* () = check i e in
-        go (i + 1) rest
+        let* () = check i prev e in
+        go (i + 1) e.Event.at rest
   in
-  go 0 events
+  go 0 0 events
 
 let replay ~npages (events : Event.stamped list) =
   let st0 =
@@ -169,6 +199,7 @@ let replay ~npages (events : Event.stamped list) =
       spec = Astate.boot (Abs.plat ~npages);
       pending = None;
       trans = [];
+      life = [];
       calls = 0;
       violations = [];
     }
@@ -178,7 +209,14 @@ let replay ~npages (events : Event.stamped list) =
       (fun (st, i) { Event.ev; _ } -> (step st i ev, i + 1))
       (st0, 0) events
   in
+  let st =
+    match st.pending with
+    | Some (call, _) -> violation st n ("trace ends inside SMC " ^ Aspec.smc_name call)
+    | None -> st
+  in
   { events = n; calls = st.calls; violations = List.rev st.violations }
+
+let check ~npages events = Result.map (fun () -> replay ~npages events) (validate events)
 
 let replay_file ~npages path =
   match
@@ -188,7 +226,4 @@ let replay_file ~npages path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with
   | exception Sys_error e -> Error e
-  | contents -> (
-      match Event.parse_trace contents with
-      | Error e -> Error e
-      | Ok events -> Result.map (fun () -> replay ~npages events) (validate events))
+  | contents -> Result.bind (Event.parse_trace contents) (check ~npages)

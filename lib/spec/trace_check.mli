@@ -1,15 +1,22 @@
-(** Replay a PR-1 telemetry trace (JSONL) against the abstract spec.
+(** Replay a telemetry trace (JSONL) against the abstract spec: the one
+    checker of a trace the monitor wrote.
 
     The trace only records what crossed the monitor boundary — calls,
-    arguments, error words, return values, and page retypings — so the
-    replay runs the spec with every thread opaque and every MapSecure
-    content unobservable (measurements degrade to [Mopaque]). Within
-    those limits every deterministic fact is checked: the error word of
-    every SMC, the return value of every call outside Enter/Resume,
-    the legality of every Enter/Resume outcome, and the page-type
-    transitions of every deterministic call. Retypings observed during
-    opaque enclave execution are applied as an oracle (slot-level
-    page-table state is not recoverable from a trace). *)
+    arguments, error words, return values, page retypings and lifecycle
+    milestones — so the replay runs the spec with every thread opaque
+    and every MapSecure content unobservable (measurements degrade to
+    [Mopaque]). Within those limits every deterministic fact is
+    checked: the error word of every SMC, the return value of every
+    call outside Enter/Resume, the legality of every Enter/Resume
+    outcome, the page-type transitions of every deterministic call, and
+    the lifecycle events of every call (init, finalise, stop and the
+    Remove of an address space on success; enter or resume once the
+    spec validates the thread). Retypings observed during opaque
+    enclave execution are applied as an oracle (slot-level page-table
+    state is not recoverable from a trace), each from the type the spec
+    holds. Every event but an injected fault must sit inside an SMC,
+    and the trace must not end inside one. Guardian-style orderliness
+    (no Enter before Finalise, nothing after Remove) follows. *)
 
 type report = {
   events : int;  (** events consumed *)
@@ -18,10 +25,16 @@ type report = {
 }
 
 val replay : npages:int -> Komodo_telemetry.Event.stamped list -> report
+(** The spec replay alone, on a trace assumed well formed. *)
+
+val check : npages:int -> Komodo_telemetry.Event.stamped list -> (report, string) result
+(** Validate, then {!replay}. [Error] is the first event whose fields
+    contradict each other or the clock: a negative cycle stamp, a stamp
+    below the one before it, an SMC/SVC name that is not Table 1's name
+    for its call number, or an error name that is not its word's. Such
+    a trace was not written by the monitor. Check [report.violations]
+    for refinement failures. *)
 
 val replay_file : npages:int -> string -> (report, string) result
-(** Parse a JSONL trace file and replay it. [Error] is a parse error or
-    the first event whose fields contradict each other: a negative
-    cycle stamp, an SMC/SVC name that is not Table 1's name for its
-    call number, or an error name that is not its word's. Check
-    [report.violations] for semantic errors. *)
+(** Parse a JSONL trace file and {!check} it; [Error] is also a read or
+    parse error. *)

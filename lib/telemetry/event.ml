@@ -11,8 +11,8 @@
     The event stream is exactly the paper's evaluation surface (§8,
     Table 3 / Figure 5): per-call latencies come from entry/exit cycle
     deltas, and the enclave lifecycle breakdown is the ordered
-    [Enclave_lifecycle] / [Page_transition] subsequence — which
-    {!Audit} can replay and check for orderliness. *)
+    [Enclave_lifecycle] / [Page_transition] subsequence, which the
+    spec replay ([Komodo_spec.Trace_check]) predicts call by call. *)
 
 type lifecycle_stage = Ls_init | Ls_finalise | Ls_enter | Ls_resume | Ls_stop | Ls_remove
 

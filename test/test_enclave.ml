@@ -254,6 +254,38 @@ let test_cycles_monotone () =
   let os, _, _ = enter0 os ~thread:(List.hd h.Loader.threads) in
   Alcotest.(check bool) "cycles advanced" true (Os.cycles os > c0)
 
+(* [run_thread] ends a thread that never exits: without a budget at the
+   fuel watchdog's one interrupt, with one once the crossings' budgets
+   add up to the watchdog's fuel. A zero budget could never run. *)
+let test_run_thread_ends_spinners () =
+  let module Event = Komodo_telemetry.Event in
+  let spinner () =
+    let sink, collected = Komodo_telemetry.Sink.collect () in
+    let os = Os.boot ~seed:0x7E57 ~npages:32 ~sink () in
+    let os, h = load_prog os Progs.spin_forever in
+    (os, List.hd h.Loader.threads, collected)
+  in
+  let crossings budget =
+    let os, th, collected = spinner () in
+    let _, e, _ = Os.run_thread ?budget os ~thread:th ~args:(Word.zero, Word.zero, Word.zero) in
+    check_err "interrupted" Errors.Interrupted e;
+    List.length
+      (List.filter
+         (fun s ->
+           match s.Event.ev with
+           | Event.Smc_exit { name = "Enter" | "Resume"; _ } -> true
+           | _ -> false)
+         (collected ()))
+  in
+  let fuel = Komodo_core.Uexec.default_fuel in
+  Alcotest.(check int) "no budget: the watchdog's one crossing" 1 (crossings None);
+  Alcotest.(check int) "budgets that add up to the fuel" 40 (crossings (Some (fuel / 40)));
+  Alcotest.(check int) "the last crossing may overshoot" 3 (crossings (Some ((fuel / 3) + 1)));
+  let os, thread, _ = spinner () in
+  let args = (Word.zero, Word.zero, Word.zero) in
+  Alcotest.check_raises "zero budget" (Invalid_argument "Os.run_thread: budget must be positive")
+    (fun () -> ignore (Os.run_thread ~budget:0 os ~thread ~args))
+
 let suite =
   [
     Alcotest.test_case "args delivered in r0-r2" `Quick test_enter_args_delivered;
@@ -271,4 +303,5 @@ let suite =
     Alcotest.test_case "shared-page publication" `Quick test_shared_page_communication;
     Alcotest.test_case "OS updates visible via shared page" `Quick test_enclave_reads_os_updates;
     Alcotest.test_case "cycles monotone" `Quick test_cycles_monotone;
+    Alcotest.test_case "run_thread ends a spinning thread" `Quick test_run_thread_ends_spinners;
   ]

@@ -12,7 +12,6 @@ module Notary = Komodo_user.Notary
 module Sha256 = Komodo_crypto.Sha256
 module Rsa = Komodo_crypto.Rsa
 module Bignum = Komodo_crypto.Bignum
-module Ptable = Komodo_machine.Ptable
 
 let test_loader_produces_wf_enclave () =
   let os = boot () in
@@ -101,31 +100,7 @@ let test_out_of_pages () =
 
 let notary_world () =
   let os = Os.boot ~seed:0x707A21 ~npages:64 () in
-  let zero_page = String.make Ptable.page_size '\000' in
-  let code = Uprog.to_page_images (Uprog.native_words ~id:Notary.native_id) in
-  let img = Image.empty ~name:"notary" in
-  let img = Image.add_blob img ~va:Notary.code_va ~w:false ~x:true code in
-  let img =
-    Image.add_secure_page img
-      ~mapping:(Mapping.make ~va:Notary.state_va ~w:true ~x:false)
-      ~contents:zero_page
-  in
-  let img =
-    Image.add_secure_page img
-      ~mapping:(Mapping.make ~va:Notary.heap_va ~w:true ~x:false)
-      ~contents:zero_page
-  in
-  let img =
-    Image.add_insecure_mapping img
-      ~mapping:(Mapping.make ~va:Notary.output_va ~w:true ~x:false)
-      ~target:Os.shared_base
-  in
-  let img =
-    Image.add_insecure_mapping img
-      ~mapping:(Mapping.make ~va:Notary.input_va ~w:false ~x:false)
-      ~target:Os.document_base
-  in
-  let img = Image.add_thread img ~entry:Notary.code_va in
+  let img = Image.notary ~input_pages:1 () in
   match Loader.load os img with
   | Ok (os, h) -> (os, h, List.hd h.Loader.threads)
   | Error e -> Alcotest.failf "notary load: %a" Loader.pp_error e

@@ -24,6 +24,7 @@ module Cover = Komodo_spec.Cover
 module Diff = Komodo_spec.Diff
 module Campaign = Komodo_campaign.Campaign
 module Trace_check = Komodo_spec.Trace_check
+module Drive = Komodo_fault.Drive
 module Imap = Map.Make (Int)
 
 let test_abs_boot () =
@@ -390,6 +391,92 @@ let test_opaque_nothing_to_adopt () =
         "the spec state is the implementation's abstraction" true
         (Astate.equal rs'.Diff.spec (Abs.abs rs'.Diff.os.Os.mon))
 
+(* -- Campaign traces through the spec replay ----------------------------- *)
+
+(* A trial world built fresh with a collecting sink, so its trace holds
+   the prelude and every op; [violations] replays what was collected. *)
+let traced_world ~seed =
+  let sink, collected = Sink.collect () in
+  let w = Diff.make_world ~npages:Diff.default.Diff.npages ~sink ~seed () in
+  let violations () =
+    match Trace_check.check ~npages:Diff.default.Diff.npages (collected ()) with
+    | Error e -> [ "malformed: " ^ e ]
+    | Ok r -> List.map snd r.Trace_check.violations
+  in
+  (w, violations)
+
+let test_replay_campaign_traces () =
+  for seed = 0 to 19 do
+    let w, violations = traced_world ~seed in
+    let ran = Diff.run_ops w (Diff.gen_ops w ~seed ~n:Diff.default.Diff.ops_per_trial) in
+    Alcotest.(check bool) (Printf.sprintf "check trial %d refines" seed) true (Result.is_ok ran);
+    Alcotest.(check (list string))
+      (Printf.sprintf "check trial %d replays" seed)
+      [] (violations ())
+  done;
+  let fault ?bug seed =
+    let w, violations = traced_world ~seed in
+    let n = Drive.default.Drive.ops_per_trial in
+    let fops = Drive.gen_fops w ~faults:Drive.all_classes ~seed ~n in
+    let ran = Drive.run_fops ?bug w fops in
+    (ran, violations ())
+  in
+  for seed = 0 to 29 do
+    let ran, violations = fault seed in
+    Alcotest.(check bool) (Printf.sprintf "fault trial %d holds" seed) true (Result.is_ok ran);
+    Alcotest.(check (list string)) (Printf.sprintf "fault trial %d replays" seed) [] violations
+  done;
+  (* A Remove that frees the page but leaves the owner's refcount: the
+     trace shows a retype the spec refuses. *)
+  let caught = ref 0 in
+  for seed = 0 to 59 do
+    match fault ~bug:Monitor.Bug_partial_remove seed with
+    | Ok _, _ -> ()
+    | Error _, violations ->
+        incr caught;
+        let surplus = "trace retypes the spec does not predict" in
+        Alcotest.(check bool)
+          (Printf.sprintf "partial_remove trial %d rejected (%s)" seed
+             (String.concat " | " violations))
+          true
+          (List.exists (fun m -> String.starts_with ~prefix:surplus m) violations)
+  done;
+  Alcotest.(check bool) "partial_remove fires" true (!caught > 0)
+
+(* An enclave may retype its own spare page, but only from the type the
+   spec holds: here the trace claims it was a data page. *)
+let test_replay_enclave_from_type () =
+  let open Testlib in
+  let trace data_from =
+    init_addrspace_events 0
+    @ smc_events 1 Aspec.smc_init_thread [ 0; 2; 0 ] [ retype 2 "free" "thread" ]
+    @ smc_events 2 Aspec.smc_alloc_spare [ 0; 3 ] [ retype 3 "free" "sparepage" ]
+    @ smc_events 3 Aspec.smc_finalise [ 0 ] [ lifecycle 0 Event.Ls_finalise ]
+    @ smc_events 4 Aspec.smc_enter [ 2; 0; 0; 0 ]
+        [ lifecycle 0 Event.Ls_enter; retype 3 data_from "datapage" ]
+  in
+  let messages events =
+    List.map snd (Trace_check.replay ~npages:32 events).Trace_check.violations
+  in
+  Alcotest.(check (list string)) "from its spec type" [] (messages (trace "sparepage"));
+  Alcotest.(check (list string))
+    "from another type"
+    [ "enclave run retyped page 3 from datapage, but the spec holds it as sparepage" ]
+    (messages (trace "datapage"))
+
+let test_replay_backwards_stamp () =
+  let events = lifecycle_events () in
+  let n = List.length events in
+  let prev = (List.nth events (n - 2)).Event.at in
+  Alcotest.(check bool) "the clock has moved" true (prev > 0);
+  let rewound = List.mapi (fun i s -> if i = n - 1 then { s with Event.at = 0 } else s) events in
+  match replay_via_file rewound with
+  | Ok _ -> Alcotest.fail "a trace whose clock runs backwards replayed"
+  | Error e ->
+      Alcotest.(check string) "names the stamp"
+        (Printf.sprintf "event %d: cycle stamp 0 goes back from %d" (n - 1) prev)
+        e
+
 let suite =
   [
     Alcotest.test_case "abstraction: fresh boot is all-free" `Quick test_abs_boot;
@@ -420,4 +507,10 @@ let suite =
       test_opaque_probe_adopts;
     Alcotest.test_case "opaque workload Enter: nothing to adopt" `Quick
       test_opaque_nothing_to_adopt;
+    Alcotest.test_case "replay: check and fault trial traces refine the spec" `Quick
+      test_replay_campaign_traces;
+    Alcotest.test_case "replay: enclave retypes start from the spec's type" `Quick
+      test_replay_enclave_from_type;
+    Alcotest.test_case "replay: a backwards cycle stamp is malformed" `Quick
+      test_replay_backwards_stamp;
   ]

@@ -1,17 +1,18 @@
 (* Telemetry: metrics counters against known call sequences, JSONL
-   round-trips, the lifecycle audit log, and the null sink's
-   zero-observable-cost guarantee. *)
+   round-trips, the spec replay that audits a trace, and the null
+   sink's zero-observable-cost guarantee. *)
 
 open Testlib
 module Event = Komodo_telemetry.Event
 module Sink = Komodo_telemetry.Sink
 module Metrics = Komodo_telemetry.Metrics
-module Audit = Komodo_telemetry.Audit
+module Trace_check = Komodo_spec.Trace_check
+module Aspec = Komodo_spec.Aspec
 module Json = Komodo_telemetry.Json
 module Span = Komodo_telemetry.Span
 
 let stamp at ev = { Event.at; ev }
-let lc at addrspace stage = stamp at (Event.Enclave_lifecycle { addrspace; stage })
+let lc at addrspace stage = stamp at (lifecycle addrspace stage)
 
 let stamped = Alcotest.testable Event.pp_stamped Event.equal_stamped
 
@@ -249,7 +250,7 @@ let test_span_readout_is_deterministic () =
       Alcotest.(check int) "op occurrences" 3 (Komodo_telemetry.Hist.count oh)
   | l -> Alcotest.failf "%d duration entries" (List.length l)
 
-(* -- Trace file + audit (the CLI's `komodo trace` contract) ------------- *)
+(* -- Trace file + spec replay (the CLI's `komodo trace` contract) ------- *)
 
 let test_trace_file_is_orderly () =
   let path = Filename.temp_file "komodo_trace" ".jsonl" in
@@ -263,9 +264,12 @@ let test_trace_file_is_orderly () =
   match Event.parse_trace text with
   | Error e -> Alcotest.failf "trace parse failed: %s" e
   | Ok events ->
-      Alcotest.(check (list string))
-        "audit clean" []
-        (List.map (Format.asprintf "%a" Audit.pp_violation) (Audit.check events));
+      (match Trace_check.check ~npages:32 events with
+      | Error e -> Alcotest.failf "trace malformed: %s" e
+      | Ok r ->
+          Alcotest.(check (list string))
+            "audit clean" []
+            (List.map (fun (i, m) -> Printf.sprintf "%d: %s" i m) r.Trace_check.violations));
       let stages =
         List.filter_map
           (fun { Event.ev; _ } ->
@@ -312,55 +316,69 @@ let test_ring_keeps_tail () =
     [ lc 2 0 Event.Ls_init; lc 3 0 Event.Ls_init; lc 4 0 Event.Ls_init ]
     (contents ())
 
-(* -- Audit rejections --------------------------------------------------- *)
+(* -- Spec-replay rejections ---------------------------------------------- *)
 
 let expect_violation name trace needle =
-  match Audit.check trace with
-  | [] -> Alcotest.failf "%s: accepted" name
-  | v :: _ ->
-      let contains s sub =
-        let n = String.length sub in
-        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: message mentions %S (got %S)" name needle v.Audit.message)
-        true (contains v.Audit.message needle)
+  let message =
+    match Trace_check.check ~npages:32 trace with
+    | Error e -> e
+    | Ok { Trace_check.violations = (_, m) :: _; _ } -> m
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: message mentions %S (got %S)" name needle message)
+    true (contains message needle)
 
 let test_audit_rejects_disorder () =
   expect_violation "enter before finalise"
     [ lc 0 0 Event.Ls_init; lc 1 0 Event.Ls_enter ]
-    "before Finalise";
+    "outside any monitor call";
   expect_violation "enter after remove"
     [ lc 0 0 Event.Ls_init; lc 1 0 Event.Ls_finalise; lc 2 0 Event.Ls_stop;
       lc 3 0 Event.Ls_remove; lc 4 0 Event.Ls_enter ]
-    "after Remove";
+    "outside any monitor call";
   expect_violation "remove before stop"
     [ lc 0 0 Event.Ls_init; lc 1 0 Event.Ls_finalise; lc 2 0 Event.Ls_remove ]
-    "before Stop";
+    "outside any monitor call";
   expect_violation "retype from wrong type"
-    [ stamp 0 (Event.Page_transition { page = 3; from_type = "datapage"; to_type = "free" }) ]
-    "its type is free";
+    [ stamp 0 (retype 3 "datapage" "free") ]
+    "outside any monitor call";
   expect_violation "svc outside smc"
     [ stamp 0 (Event.Svc_entry { call = 0; name = "Exit" }) ]
-    "outside any SMC";
+    "outside any monitor call";
   expect_violation "time regression"
     [ lc 10 0 Event.Ls_init; lc 5 0 Event.Ls_finalise ]
-    "regresses";
+    "goes back";
   expect_violation "unterminated smc"
     [ stamp 0 (Event.Smc_entry { call = 1; name = "GetPhysPages"; args = [] }) ]
     "ends inside";
-  (* And the positive case: a well-bracketed fragment is orderly. *)
-  Alcotest.(check bool) "orderly fragment" true
-    (Audit.orderly
-       [
-         stamp 0 (Event.Smc_entry { call = 2; name = "InitAddrspace"; args = [ 0; 1 ] });
-         stamp 9 (Event.Page_transition { page = 0; from_type = "free"; to_type = "addrspace" });
-         lc 9 0 Event.Ls_init;
-         stamp 9
-           (Event.Smc_exit
-              { call = 2; name = "InitAddrspace"; err = 0; err_name = "Success"; retval = 0; cycles = 9 });
-       ])
+  (* Milestones inside a call that the spec does not predict. *)
+  expect_violation "enter of a space not final"
+    (init_addrspace_events 0
+    @ smc_events 1 Aspec.smc_init_thread [ 0; 2; 0 ] [ retype 2 "free" "thread" ]
+    @ smc_events 2 ~err:Aspec.e_not_final Aspec.smc_enter [ 2; 0; 0; 0 ]
+        [ lifecycle 0 Event.Ls_enter ])
+    "spec predicts none, trace has enter 0";
+  expect_violation "finalise reported twice"
+    (init_addrspace_events 0
+    @ smc_events 1 Aspec.smc_finalise [ 0 ]
+        [ lifecycle 0 Event.Ls_finalise; lifecycle 0 Event.Ls_finalise ])
+    "trace has finalise 0; finalise 0";
+  expect_violation "remove of a live space"
+    (init_addrspace_events 0
+    @ smc_events 1 ~err:Aspec.e_not_stopped Aspec.smc_remove [ 0 ]
+        [ lifecycle 0 Event.Ls_remove ])
+    "spec predicts none, trace has remove 0";
+  (* And the positive case: a whole InitAddrspace call refines the spec. *)
+  match Trace_check.check ~npages:32 (init_addrspace_events 0) with
+  | Ok r ->
+      Alcotest.(check int) "orderly call" 0 (List.length r.Trace_check.violations)
+  | Error e -> Alcotest.failf "orderly call malformed: %s" e
 
 let suite =
   [

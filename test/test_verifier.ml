@@ -143,26 +143,8 @@ let suite =
 (* -- Cross-enclave integration: the verifier endorses the notary -------- *)
 
 let notary_image =
-  let zero_page = String.make 4096 '\000' in
   let notary_out = Word.add Os.shared_base (Word.of_int 0x4000) in
-  ( notary_out,
-    Image.empty ~name:"notary"
-    |> fun img ->
-    Image.add_blob img ~va:Komodo_user.Notary.code_va ~w:false ~x:true
-      (Uprog.to_page_images (Uprog.native_words ~id:Komodo_user.Notary.native_id))
-    |> fun img ->
-    Image.add_secure_page img
-      ~mapping:(Mapping.make ~va:Komodo_user.Notary.state_va ~w:true ~x:false)
-      ~contents:zero_page
-    |> fun img ->
-    Image.add_secure_page img
-      ~mapping:(Mapping.make ~va:Komodo_user.Notary.heap_va ~w:true ~x:false)
-      ~contents:zero_page
-    |> fun img ->
-    Image.add_insecure_mapping img
-      ~mapping:(Mapping.make ~va:Komodo_user.Notary.output_va ~w:true ~x:false)
-      ~target:notary_out
-    |> fun img -> Image.add_thread img ~entry:Komodo_user.Notary.code_va )
+  (notary_out, Image.notary ~output:notary_out ~input_pages:0 ())
 
 let test_verifier_endorses_notary () =
   (* The full trust chain of the paper's §4: the notary locally attests

@@ -96,6 +96,36 @@ let clear_irq_budget (os : Os.t) =
 
 let enter0 os ~thread = Os.enter os ~thread ~args:(Word.zero, Word.zero, Word.zero)
 
+(* -- Hand-built telemetry traces ------------------------------------------ *)
+
+let retype page from_type to_type =
+  Komodo_telemetry.Event.Page_transition { page; from_type; to_type }
+
+let lifecycle addrspace stage = Komodo_telemetry.Event.Enclave_lifecycle { addrspace; stage }
+
+(** One SMC in a telemetry trace as [Smc.handle] brackets it, with
+    [inner] between its entry and exit and every event stamped [at]. *)
+let smc_events ?(err = Komodo_core.Abi.e_success) at call args inner =
+  let module Event = Komodo_telemetry.Event in
+  let name = Komodo_core.Abi.smc_name call in
+  let stamp ev = { Event.at; ev } in
+  (stamp (Event.Smc_entry { call; name; args }) :: List.map stamp inner)
+  @ [
+      stamp
+        (Event.Smc_exit
+           { call; name; err; err_name = Komodo_core.Abi.err_name err; retval = 0; cycles = 0 });
+    ]
+
+(** InitAddrspace(0, 1) at [at], reported whole: both retypes and the
+    milestone. *)
+let init_addrspace_events at =
+  smc_events at Komodo_core.Abi.smc_init_addrspace [ 0; 1 ]
+    [
+      retype 0 "free" "addrspace";
+      retype 1 "free" "l1ptable";
+      lifecycle 0 Komodo_telemetry.Event.Ls_init;
+    ]
+
 (* Data files (the golden corpus, committed traces) are copied beside
    the test executable by the [deps] of the test stanza; find them there,
    so a suite reads them from any working directory. *)
