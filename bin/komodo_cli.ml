@@ -188,12 +188,18 @@ let spares_arg =
           "Grant N spare pages to the enclave; their page numbers are \
            appended to the entry arguments (a1 = first spare, ...).")
 
+(* An input file (a .kasm program, a document) read whole; one that
+   cannot be read, such as a directory, is a usage error. *)
+let read_input cmd path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> s
+  | exception Sys_error e ->
+      let prefix = path ^ ": " in
+      usage_error cmd (if String.starts_with ~prefix e then e else prefix ^ e)
+
 (* A .kasm file that does not assemble is a usage error. *)
 let read_kasm cmd path =
-  let ic = open_in_bin path in
-  let src = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Komodo_user.Kasm.parse src with
+  match Komodo_user.Kasm.parse (read_input cmd path) with
   | Ok prog -> prog
   | Error e -> usage_error cmd (Format.asprintf "%s: %a" path Komodo_user.Kasm.pp_error e)
 
@@ -383,6 +389,13 @@ let notary_cmd =
   in
   let run level seed npages document =
     setup_logs level;
+    let doc =
+      match document with
+      | Some path ->
+          let s = read_input "notary" path in
+          String.sub s 0 (min (String.length s) (60 * Ptable.page_size))
+      | None -> "komodo notary demo document"
+    in
     let img = Image.notary ~input_pages:64 () in
     check_fits "notary" ~why:"the notary enclave" ~npages [ img ];
     let os = Os.boot ~seed ~npages () in
@@ -390,16 +403,6 @@ let notary_cmd =
     let th = List.hd h.Loader.threads in
     let os, err, _ = Os.enter os ~thread:th ~args:(Word.zero, Word.zero, Word.zero) in
     assert (Errors.is_success err);
-    let doc =
-      match document with
-      | Some path ->
-          let ic = open_in_bin path in
-          let n = min (in_channel_length ic) (60 * Ptable.page_size) in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
-      | None -> "komodo notary demo document"
-    in
     let padded = doc ^ String.make ((4 - (String.length doc mod 4)) mod 4) '\000' in
     let os = Os.write_bytes os Os.document_base padded in
     let os, err, stamp =

@@ -1,19 +1,22 @@
 (** Multi-core lock-discipline campaigns over the interleaved stepper.
 
-    Each trial boots the platform, runs a short sequential prelude
-    giving every CPU its own unfinalised address space, then races a
-    seeded per-CPU stream of construction calls over a small shared
-    page pool through {!Komodo_os.Smp.run}. Three oracles judge the
-    run:
+    Each trial boots the platform with a collecting telemetry sink,
+    runs a short sequential prelude giving every CPU its own
+    unfinalised address space, then races a seeded per-CPU stream of
+    construction calls over a small shared page pool through
+    {!Komodo_os.Smp.run}. Three oracles judge the run:
 
     - {b deadlock}: the stepper's wait-for cycle detector fired — with
       the ascending acquisition order this is impossible by
       construction, so any cycle is a violation;
     - {b invariant}: {!Komodo_core.Pagedb.check} on the final shared
       state (lost updates from under-locking corrupt the PageDB);
-    - {b linearisability}: {!Komodo_spec.Linz.check} — the retired
-      calls must admit a sequential order through the abstract spec
-      explaining every observed result and the final abstract state.
+    - {b linearisability}: {!Komodo_spec.Trace_check.replay} of the
+      monitor's own trace, which lists the prelude and every call in
+      validation order: the first event the spec refuses, or a final
+      spec state other than {!Komodo_spec.Abs.abs} of the committed
+      state, refutes the stepper's claim that each validation is its
+      call's linearisation point.
 
     Violations shrink greedily ({!Komodo_spec.Diff.shrink_seq}) to a
     1-minimal flattened op list and serialise to JSONL replay traces,
@@ -33,10 +36,11 @@ module Errors = Komodo_core.Errors
 module Os = Komodo_os.Os
 module Smp = Komodo_os.Smp
 module Abs = Komodo_spec.Abs
-module Aspec = Komodo_spec.Aspec
-module Linz = Komodo_spec.Linz
+module Astate = Komodo_spec.Astate
+module Trace_check = Komodo_spec.Trace_check
 module Diff = Komodo_spec.Diff
 module Json = Komodo_telemetry.Json
+module Sink = Komodo_telemetry.Sink
 module Seedsplit = Komodo_rand.Seedsplit
 
 type sop = { s_cpu : int; s_call : int; s_args : int list }
@@ -79,20 +83,6 @@ let apply_prelude os ~cpus =
         failwith "Smpdrive: prelude call failed";
       os)
     os (prelude_calls ~cpus)
-
-(* The spec's view of the prelude: [Abs.abs] renders unfinalised
-   measurements as completed digests, which the spec cannot extend, so
-   the initial abstract state must be built by stepping the spec over
-   the prelude from the (addrspace-free) boot state. *)
-let spec_prelude st ~cpus =
-  List.fold_left
-    (fun st (call, args) ->
-      match
-        Aspec.step_smc st ~probe:(fun _ _ -> false) ~contents:None ~call ~args
-      with
-      | Aspec.Done (st', err, _) when err = Aspec.e_success -> st'
-      | _ -> failwith "Smpdrive: spec prelude failed")
-    st (prelude_calls ~cpus)
 
 (* Each CPU's prelude takes pages, so [cpus <= npages] costs no valid
    world and keeps [pool_base] from overflowing on an absurd count. *)
@@ -176,9 +166,8 @@ let validate c =
 let replay c ~seed sops =
   Result.iter_error invalid_arg (validate c);
   let cpus = c.cpus in
-  let os0 = Os.boot ~seed ~npages:c.npages () in
-  let init_abs = spec_prelude (Abs.abs os0.Os.mon) ~cpus in
-  let os = apply_prelude os0 ~cpus in
+  let sink, trace = Sink.collect () in
+  let os = apply_prelude (Os.boot ~seed ~npages:c.npages ~sink ()) ~cpus in
   let os, inj =
     if not c.faults then (os, None)
     else begin
@@ -214,11 +203,17 @@ let replay c ~seed sops =
             (Format.asprintf "final PageDB ill-formed: %a" Pagedb.pp_violation
                pv)
       | [] -> (
-          match
-            Linz.check ~init:init_abs ~final:(Abs.abs mon) outcome.Smp.events
-          with
-          | Linz.Violation { reason } -> fail "linearisability" reason
-          | Linz.Inconclusive _ | Linz.Linearisable _ ->
+          (* The trace holds the prelude and every retired call in
+             validation order: the first event the spec refuses, or a
+             committed state the replay does not reach, refutes that
+             order as a linearisation. *)
+          let r = Trace_check.replay ~npages:c.npages (trace ()) in
+          match (r.Trace_check.violations, Astate.diff r.Trace_check.final (Abs.abs mon)) with
+          | (i, msg) :: _, _ -> fail "linearisability" (Printf.sprintf "event %d: %s" i msg)
+          | [], (pg, spec, committed) :: _ ->
+              fail "linearisability"
+                (Printf.sprintf "final state: page %d: spec %s, committed %s" pg spec committed)
+          | [], [] ->
               let st = outcome.Smp.stats in
               Ok
                 {

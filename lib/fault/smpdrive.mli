@@ -1,15 +1,17 @@
 (** Multi-core lock-discipline campaigns over the interleaved stepper.
 
-    Each trial boots the platform, runs a sequential prelude giving
-    every CPU its own unfinalised address space, then races a seeded
-    per-CPU stream of construction calls over a small shared page pool
-    through {!Komodo_os.Smp.run}. Three oracles judge the run: the
-    stepper's deadlock detector (any wait-for cycle is a violation —
-    the ascending acquisition order excludes them by construction),
-    {!Komodo_core.Pagedb.check} on the final shared state, and
-    {!Komodo_spec.Linz.check} (some sequential order must explain the
-    observed results and final abstract state). Violations shrink to a
-    1-minimal op list and serialise to replay traces. *)
+    Each trial boots the platform with a collecting telemetry sink,
+    runs a sequential prelude giving every CPU its own unfinalised
+    address space, then races a seeded per-CPU stream of construction
+    calls over a small shared page pool through {!Komodo_os.Smp.run}.
+    Three oracles judge the run: the stepper's deadlock detector (any
+    wait-for cycle is a violation — the ascending acquisition order
+    excludes them by construction), {!Komodo_core.Pagedb.check} on the
+    final shared state, and {!Komodo_spec.Trace_check.replay} of the
+    monitor's trace, whose calls stand in validation order (the spec
+    must accept every event and end in the committed abstract state).
+    Violations shrink to a 1-minimal op list and serialise to replay
+    traces. *)
 
 module Smp = Komodo_os.Smp
 

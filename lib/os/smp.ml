@@ -87,17 +87,6 @@ type stats = {
 
 (* -- Run records --------------------------------------------------------- *)
 
-type event = {
-  ev_cpu : int;
-  ev_index : int;  (** position in that CPU's script *)
-  ev_call : int;
-  ev_args : Word.t list;
-  ev_err : Errors.t;
-  ev_ret : Word.t;
-  ev_validated : int;  (** global validation (= linearisation) sequence *)
-  ev_committed : int;  (** global commit sequence *)
-}
-
 type waiter = { w_cpu : int; w_holds : int list; w_wants : int }
 type deadlock = { dl_cycle : waiter list }
 
@@ -105,7 +94,6 @@ type outcome = {
   os : Os.t;
   results : (int * (Errors.t * Word.t) list) list;
   stats : stats;
-  events : event list;  (** retired calls, in validation order *)
   history : Lock.t list list;
       (** lock acquisition order per retired call, in completion order *)
   deadlock : deadlock option;
@@ -115,7 +103,6 @@ type outcome = {
 
 type acq = {
   a_op : call;
-  a_index : int;
   a_fp : Lock.t list;  (** footprint in acquisition order *)
   a_todo : Lock.t list;
   a_held : Lock.t list;  (** reverse acquisition order *)
@@ -124,7 +111,6 @@ type acq = {
 
 type vld = {
   v_op : call;
-  v_index : int;
   v_held : Lock.t list;
   v_db_writes : (int * Pagedb.entry) list;
   v_mem_src : Memory.t;  (** post-validation memory to copy pages from *)
@@ -132,7 +118,6 @@ type vld = {
   v_os : Os.t;  (** the validated resulting OS (bank, rng, ...) *)
   v_err : Errors.t;
   v_ret : Word.t;
-  v_seq : int;
 }
 
 type cphase = Idle | Acquiring of acq | Validated of vld
@@ -157,10 +142,8 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
   let phase = Array.make ncpus Idle in
   let waiting : (Lock.t * int) option array = Array.make ncpus None in
   let results = Array.make ncpus [] in
-  let events = ref [] in
   let history = ref [] in
   let deadlock = ref None in
-  let vseq = ref 0 and cseq = ref 0 in
   let total = ref 0 and contended = ref 0 and uncontended = ref 0 in
   let spins_total = ref 0 and retries = ref 0 and lock_cycles = ref 0 in
 
@@ -277,7 +260,6 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
             Acquiring
               {
                 a_op = op;
-                a_index = qpos.(c) - 1;
                 a_fp = fp;
                 a_todo = fp;
                 a_held = [];
@@ -318,7 +300,8 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
         else begin
           (* Validate: the whole sequential monitor call, on this CPU's
              view of the current shared state, under the locks. This is
-             the call's linearisation point. *)
+             the call's linearisation point, and where its telemetry
+             events reach the monitor's sink. *)
           let view = Multicore.view !mc c in
           let os_c =
             { !os with Os.mon = { (!os).Os.mon with Monitor.mach = view } }
@@ -333,13 +316,10 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
               db_writes := (p, e) :: !db_writes
           done;
           let mem' = os'.Os.mon.Monitor.mach.State.mem in
-          let v = !vseq in
-          incr vseq;
           phase.(c) <-
             Validated
               {
                 v_op = a.a_op;
-                v_index = a.a_index;
                 v_held = a.a_held;
                 v_db_writes = !db_writes;
                 v_mem_src = mem';
@@ -347,7 +327,6 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
                 v_os = os';
                 v_err = err;
                 v_ret = ret;
-                v_seq = v;
               }
         end
     | Validated v ->
@@ -381,20 +360,6 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
                 Monitor.mach = mon_g.Monitor.mach;
               }
           };
-        let cs = !cseq in
-        incr cseq;
-        events :=
-          {
-            ev_cpu = c;
-            ev_index = v.v_index;
-            ev_call = v.v_op.call;
-            ev_args = v.v_op.args;
-            ev_err = v.v_err;
-            ev_ret = v.v_ret;
-            ev_validated = v.v_seq;
-            ev_committed = cs;
-          }
-          :: !events;
         history := List.rev v.v_held :: !history;
         results.(c) <- (v.v_err, v.v_ret) :: results.(c);
         incr total;
@@ -431,8 +396,6 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
         retries = !retries;
         lock_cycles = !lock_cycles;
       };
-    events =
-      List.sort (fun a b -> Int.compare a.ev_validated b.ev_validated) !events;
     history = List.rev !history;
     deadlock = !deadlock;
   }

@@ -48,17 +48,6 @@ type stats = {
           spin_iterations] — the identity the qcheck suite pins *)
 }
 
-type event = {
-  ev_cpu : int;
-  ev_index : int;  (** position in that CPU's script *)
-  ev_call : int;
-  ev_args : Word.t list;
-  ev_err : Errors.t;
-  ev_ret : Word.t;
-  ev_validated : int;  (** global validation (= linearisation) sequence *)
-  ev_committed : int;  (** global commit sequence *)
-}
-
 type waiter = { w_cpu : int; w_holds : int list; w_wants : int }
 type deadlock = { dl_cycle : waiter list }
 
@@ -67,7 +56,6 @@ type outcome = {
   results : (int * (Errors.t * Word.t) list) list;
       (** per-core results in issue order *)
   stats : stats;
-  events : event list;  (** retired calls, in validation order *)
   history : Lock.t list list;
       (** lock acquisition order per retired call, in completion order —
           the input to {!Komodo_core.Lock.acyclic} *)
@@ -80,7 +68,10 @@ val run : ?seed:int -> ?bug:bug -> Os.t -> scripts:call list list -> outcome
 (** Run one script per core against the shared state. Deterministic in
     [(seed, scripts, bug)]. The monitor's fault injector, when armed,
     also fires at lock acquire/release boundaries
-    ({!Komodo_core.Monitor.phase}[ Ph_lock]).
+    ({!Komodo_core.Monitor.phase}[ Ph_lock]). The monitor's telemetry
+    sink receives each call's events as the call validates, so its
+    stream lists the calls in validation order, each event stamped
+    with its own CPU's cycle counter.
     @raise Invalid_argument on zero scripts.
     @raise Failure on livelock (tick bound exceeded — cannot happen
     with the ascending-order discipline). *)

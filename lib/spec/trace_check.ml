@@ -5,6 +5,7 @@ type report = {
   events : int;
   calls : int;
   violations : (int * string) list;
+  final : Astate.t;
 }
 
 (* Transitions the spec predicts for a deterministic call: page numbers
@@ -35,6 +36,7 @@ let spec_lifecycle spec ~call ~args err =
 type st = {
   spec : Astate.t;
   pending : (int * int list) option;  (** Smc_entry awaiting its exit *)
+  svc : (int * int) option;  (** open Svc_entry: its call, [trans] length then *)
   trans : (int * string * string) list;  (** transitions since that entry *)
   life : (int * Event.lifecycle_stage) list;  (** lifecycle events since that entry *)
   calls : int;
@@ -42,10 +44,10 @@ type st = {
 }
 
 let violation st i msg = { st with violations = (i, msg) :: st.violations }
+let show (p, f, t) = Printf.sprintf "page %d: %s -> %s" p f t
 
 let check_transitions st i spec' observed =
   let expected = spec_transitions st.spec spec' in
-  let show (p, f, t) = Printf.sprintf "page %d: %s -> %s" p f t in
   let missing = List.filter (fun tr -> not (List.mem tr observed)) expected in
   let surplus = List.filter (fun tr -> not (List.mem tr expected)) observed in
   let st =
@@ -72,6 +74,46 @@ let check_lifecycle st i expected =
     violation st i
       (Printf.sprintf "lifecycle events: spec predicts %s, trace has %s" (show expected)
          (show st.life))
+
+let in_enclave_run st =
+  match st.pending with
+  | Some (c, _) -> c = Aspec.smc_enter || c = Aspec.smc_resume
+  | None -> false
+
+(* [what] may not happen while an SVC is open. *)
+let no_open_svc st i what =
+  match st.svc with
+  | Some (c, _) -> violation st i (what ^ " inside open SVC " ^ Aspec.svc_name c)
+  | None -> st
+
+(* An Svc_exit closes the open Svc_entry of the same call. A successful
+   MapData, InitL2PTable or UnmapData retypes exactly one page; any
+   other SVC, and any failing one, retypes none. *)
+let close_svc st i ~call ~err =
+  let name = Aspec.svc_name in
+  let retypes =
+    [
+      (Aspec.svc_map_data, ("sparepage", "datapage"));
+      (Aspec.svc_init_l2ptable, ("sparepage", "l2ptable"));
+      (Aspec.svc_unmap_data, ("datapage", "sparepage"));
+    ]
+  in
+  match st.svc with
+  | None -> violation st i "svc_exit without svc_entry"
+  | Some (c, _) when c <> call ->
+      violation st i (Printf.sprintf "svc_exit %s does not match svc_entry %s" (name call) (name c))
+  | Some (_, n) -> (
+      let got = List.filteri (fun k _ -> k >= n) st.trans in
+      let want = if err = Aspec.e_success then List.assoc_opt call retypes else None in
+      match (want, got) with
+      | None, [] -> st
+      | Some (f, t), [ (_, f', t') ] when f = f' && t = t' -> st
+      | _ ->
+          violation st i
+            (Printf.sprintf "%s returned %s and retyped %s, but must retype %s" (name call)
+               (Aspec.err_name err)
+               (if got = [] then "nothing" else String.concat "; " (List.map show got))
+               (match want with Some (f, t) -> "one page " ^ f ^ " -> " ^ t | None -> "nothing")))
 
 (* Retypings observed during opaque enclave execution: the enclave may
    only reshape its own pages among spare/data/second-level table, and
@@ -103,22 +145,33 @@ let step st i (ev : Event.t) =
         | Some _ -> violation st i "nested smc_entry without smc_exit"
         | None -> st
       in
-      { st with pending = Some (call, args); trans = []; life = [] }
+      { st with pending = Some (call, args); svc = None; trans = []; life = [] }
   | Event.Fault_injected _ -> st
   | Event.Page_transition _ | Event.Enclave_lifecycle _ | Event.Svc_entry _
   | Event.Svc_exit _ | Event.Exception _
     when st.pending = None ->
       violation st i (Event.kind_name ev ^ " outside any monitor call")
   | Event.Page_transition { page; from_type; to_type } ->
+      let st =
+        if in_enclave_run st && st.svc = None then
+          violation st i "page_transition in an enclave run outside any SVC"
+        else st
+      in
       { st with trans = st.trans @ [ (page, from_type, to_type) ] }
   | Event.Enclave_lifecycle { addrspace; stage } ->
       { st with life = st.life @ [ (addrspace, stage) ] }
-  | Event.Svc_entry _ | Event.Svc_exit _ | Event.Exception _ -> st
+  | Event.Svc_entry { call; _ } ->
+      let st = if in_enclave_run st then st else violation st i "svc_entry outside an enclave run" in
+      { (no_open_svc st i "svc_entry") with svc = Some (call, List.length st.trans) }
+  | Event.Svc_exit { call; err; _ } -> { (close_svc st i ~call ~err) with svc = None }
+  | Event.Exception _ -> st
   | Event.Smc_exit { call; err; retval; _ } -> (
       match st.pending with
       | None -> violation st i "smc_exit without smc_entry"
       | Some (ecall, args) ->
-          let st = { st with pending = None; calls = st.calls + 1 } in
+          let st =
+            { (no_open_svc st i "smc_exit") with pending = None; svc = None; calls = st.calls + 1 }
+          in
           if ecall <> call then
             violation st i
               (Printf.sprintf "smc_exit call %d does not match entry %d" call ecall)
@@ -198,6 +251,7 @@ let replay ~npages (events : Event.stamped list) =
     {
       spec = Astate.boot (Abs.plat ~npages);
       pending = None;
+      svc = None;
       trans = [];
       life = [];
       calls = 0;
@@ -214,7 +268,7 @@ let replay ~npages (events : Event.stamped list) =
     | Some (call, _) -> violation st n ("trace ends inside SMC " ^ Aspec.smc_name call)
     | None -> st
   in
-  { events = n; calls = st.calls; violations = List.rev st.violations }
+  { events = n; calls = st.calls; violations = List.rev st.violations; final = st.spec }
 
 let check ~npages events = Result.map (fun () -> replay ~npages events) (validate events)
 

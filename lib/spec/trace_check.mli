@@ -14,18 +14,31 @@
     spec validates the thread). Retypings observed during opaque
     enclave execution are applied as an oracle (slot-level page-table
     state is not recoverable from a trace), each from the type the spec
-    holds. Every event but an injected fault must sit inside an SMC,
-    and the trace must not end inside one. Guardian-style orderliness
-    (no Enter before Finalise, nothing after Remove) follows. *)
+    holds. SVC events occur only inside an enclave run, where entries
+    and exits pair up (an exit names the open entry's call, no entry
+    opens inside another, none is open at the SMC exit), every
+    retyping falls inside an SVC,
+    and a successful MapData, InitL2PTable or UnmapData retypes exactly
+    one page (spare to data, spare to l2ptable, data to spare) while
+    every other or failing SVC retypes none. SVC arguments are not
+    traced, so SVC error words are not checked against the spec: a
+    GetRandom returning [Entropy_exhausted] is a legal outcome no trace
+    can refute. Every event but an injected fault must sit inside an
+    SMC, and the trace must not end inside one. Guardian-style
+    orderliness (no Enter before Finalise, nothing after Remove)
+    follows. *)
 
 type report = {
   events : int;  (** events consumed *)
   calls : int;  (** SMC calls replayed through the spec *)
   violations : (int * string) list;  (** line-ish event index, description *)
+  final : Astate.t;  (** the spec state after the last event *)
 }
 
 val replay : npages:int -> Komodo_telemetry.Event.stamped list -> report
-(** The spec replay alone, on a trace assumed well formed. *)
+(** The spec replay alone, from the boot state, on a trace assumed well
+    formed. Cycle stamps are not read, so it also takes the merged
+    stream of several CPUs, each stamping with its own counter. *)
 
 val check : npages:int -> Komodo_telemetry.Event.stamped list -> (report, string) result
 (** Validate, then {!replay}. [Error] is the first event whose fields

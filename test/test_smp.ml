@@ -248,42 +248,38 @@ let prop_random_interleavings_wf =
     random_scripts_arb
     (fun input -> wf (run_random input).Smp.os)
 
-(* Linz compares r1 on every deterministic return, as Diff and
-   Trace_check do: an error return carrying r1 = 7 where the spec
-   returns 0 is a violation, not a witness. *)
-let test_linz_checks_r1_on_errors () =
-  let module Astate = Komodo_spec.Astate in
+(* The smp oracle replays the monitor's trace through Trace_check,
+   which compares r1 on every deterministic return: an error return
+   carrying r1 = 7 where the spec returns 0 is a violation. *)
+let test_replay_checks_r1_on_errors () =
   let module Aspec = Komodo_spec.Aspec in
-  let module Linz = Komodo_spec.Linz in
-  let a = Astate.boot (Komodo_spec.Abs.plat ~npages:8) in
+  let module Trace_check = Komodo_spec.Trace_check in
+  let a = Komodo_spec.Astate.boot (Komodo_spec.Abs.plat ~npages:8) in
   let call = Abi.smc_stop and args = [ 3 ] in
   let err =
     match Aspec.step_smc a ~probe:(fun _ _ -> false) ~contents:None ~call ~args with
     | Aspec.Done (_, err, 0) when err <> Abi.e_success -> err
     | _ -> Alcotest.fail "Stop on a free page should fail with r1 = 0"
   in
-  let history ret =
-    [
-      {
-        Smp.ev_cpu = 0;
-        ev_index = 0;
-        ev_call = call;
-        ev_args = List.map Word.of_int args;
-        ev_err = Option.get (Errors.of_word (Word.of_int err));
-        ev_ret = Word.of_int ret;
-        ev_validated = 0;
-        ev_committed = 0;
-      };
-    ]
+  let violations retval =
+    List.length
+      (Trace_check.replay ~npages:8 (smc_events ~err ~retval 0 call args []))
+        .Trace_check.violations
   in
-  let verdict ret =
-    match Linz.check ~init:a ~final:a (history ret) with
-    | Linz.Linearisable _ -> "linearisable"
-    | Linz.Violation _ -> "violation"
-    | Linz.Inconclusive _ -> "inconclusive"
-  in
-  Alcotest.(check string) "r1 = 0" "linearisable" (verdict 0);
-  Alcotest.(check string) "r1 = 7" "violation" (verdict 7)
+  Alcotest.(check int) "r1 = 0" 0 (violations 0);
+  Alcotest.(check int) "r1 = 7" 1 (violations 7)
+
+(* The exact witness raises no false violation: with correct locking
+   the validation order of any clean trial replays through the spec. *)
+let prop_clean_trials_linearise =
+  let module Smpdrive = Komodo_fault.Smpdrive in
+  QCheck.Test.make ~name:"clean trials replay in validation order" ~count:200
+    QCheck.(triple (int_bound 1_000_000) (int_range 1 6) (int_range 1 12))
+    (fun (seed, cpus, ops_per_cpu) ->
+      let c = { Smpdrive.default with npages = 48; cpus; ops_per_cpu } in
+      match Smpdrive.run_trial c ~seed with
+      | Ok _ -> true
+      | Error v -> QCheck.Test.fail_report (Smpdrive.pp_violation v))
 
 let suite =
   [
@@ -295,8 +291,9 @@ let suite =
     Alcotest.test_case "missing page lock corrupts" `Quick test_missing_page_lock_corrupts;
     Alcotest.test_case "lock inversion deadlocks" `Quick test_lock_inversion_deadlocks;
     Alcotest.test_case "deadlock cycle shape" `Quick test_deadlock_cycle_shape;
-    Alcotest.test_case "linz checks r1 on error returns" `Quick test_linz_checks_r1_on_errors;
+    Alcotest.test_case "replay checks r1 on error returns" `Quick test_replay_checks_r1_on_errors;
     Testlib.qcheck prop_lock_order_globally_consistent;
     Testlib.qcheck prop_cycle_charging_identity;
     Testlib.qcheck prop_random_interleavings_wf;
+    Testlib.qcheck prop_clean_trials_linearise;
   ]

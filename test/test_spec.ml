@@ -88,10 +88,10 @@ let test_mutation mutation () =
 
 (* A real lifecycle trace, captured via the telemetry sink, replays
    against the spec with no violations. *)
-let lifecycle_events () =
+let lifecycle_events ?(prog = Komodo_user.Progs.add_args) () =
   let sink, collected = Sink.collect () in
   let os = Os.boot ~seed:0x7E57 ~npages:32 ~sink () in
-  let os, h = Testlib.load_prog os Komodo_user.Progs.add_args in
+  let os, h = Testlib.load_prog os prog in
   let th = List.hd h.Komodo_os.Loader.threads in
   let os, err, _ =
     Os.enter os ~thread:th ~args:(Word.of_int 1, Word.of_int 2, Word.of_int 3)
@@ -453,7 +453,8 @@ let test_replay_enclave_from_type () =
     @ smc_events 2 Aspec.smc_alloc_spare [ 0; 3 ] [ retype 3 "free" "sparepage" ]
     @ smc_events 3 Aspec.smc_finalise [ 0 ] [ lifecycle 0 Event.Ls_finalise ]
     @ smc_events 4 Aspec.smc_enter [ 2; 0; 0; 0 ]
-        [ lifecycle 0 Event.Ls_enter; retype 3 data_from "datapage" ]
+        (lifecycle 0 Event.Ls_enter
+        :: svc_events Aspec.svc_map_data [ retype 3 data_from "datapage" ])
   in
   let messages events =
     List.map snd (Trace_check.replay ~npages:32 events).Trace_check.violations
@@ -461,8 +462,60 @@ let test_replay_enclave_from_type () =
   Alcotest.(check (list string)) "from its spec type" [] (messages (trace "sparepage"));
   Alcotest.(check (list string))
     "from another type"
-    [ "enclave run retyped page 3 from datapage, but the spec holds it as sparepage" ]
+    [
+      "MapData returned Success and retyped page 3: datapage -> datapage, but must \
+       retype one page sparepage -> datapage";
+      "enclave run retyped page 3 from datapage, but the spec holds it as sparepage";
+    ]
     (messages (trace "datapage"))
+
+(* SVC events pair up and retype only what their call may: a GetRandom
+   run's trace is refused when GetRandom is renamed a MapData (which
+   must retype a page), when its exit names another call, or when its
+   exit is missing. *)
+let test_replay_svc_tampered () =
+  let events = lifecycle_events ~prog:Komodo_user.Progs.random_word () in
+  let rename call s =
+    let name = Aspec.svc_name call in
+    match s.Event.ev with
+    | Event.Svc_entry _ -> { s with Event.ev = Event.Svc_entry { call; name } }
+    | Event.Svc_exit e -> { s with Event.ev = Event.Svc_exit { e with call; name } }
+    | _ -> s
+  in
+  (* [f] rewrites GetRandom's entry and exit ([None] drops one). *)
+  let tamper f =
+    List.filter_map
+      (fun s ->
+        match s.Event.ev with
+        | Event.Svc_entry { call; _ } when call = Aspec.svc_get_random -> f ~exit:false s
+        | Event.Svc_exit { call; _ } when call = Aspec.svc_get_random -> f ~exit:true s
+        | _ -> Some s)
+      events
+  in
+  let messages events =
+    List.map snd (Trace_check.replay ~npages:32 events).Trace_check.violations
+  in
+  Alcotest.(check (list string)) "as traced" [] (messages events);
+  Alcotest.(check (list string))
+    "renamed to MapData"
+    [ "MapData returned Success and retyped nothing, but must retype one page sparepage \
+       -> datapage" ]
+    (messages (tamper (fun ~exit:_ s -> Some (rename Aspec.svc_map_data s))));
+  Alcotest.(check (list string))
+    "exit renamed to InitL2PTable"
+    [ "svc_exit InitL2PTable does not match svc_entry GetRandom" ]
+    (messages
+       (tamper (fun ~exit s -> Some (if exit then rename Aspec.svc_init_l2ptable s else s))));
+  Alcotest.(check (list string))
+    "exit deleted"
+    [ "svc_entry inside open SVC GetRandom" ]
+    (messages (tamper (fun ~exit s -> if exit then None else Some s)));
+  Alcotest.(check (list string))
+    "outside an enclave run"
+    [ "svc_entry outside an enclave run" ]
+    (messages
+       (Testlib.smc_events ~retval:32 0 Aspec.smc_get_phys_pages []
+          (Testlib.svc_events Aspec.svc_get_random [])))
 
 let test_replay_backwards_stamp () =
   let events = lifecycle_events () in
@@ -513,4 +566,6 @@ let suite =
       test_replay_enclave_from_type;
     Alcotest.test_case "replay: a backwards cycle stamp is malformed" `Quick
       test_replay_backwards_stamp;
+    Alcotest.test_case "replay: SVC events pair up and retype what they may" `Quick
+      test_replay_svc_tampered;
   ]

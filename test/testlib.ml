@@ -105,7 +105,7 @@ let lifecycle addrspace stage = Komodo_telemetry.Event.Enclave_lifecycle { addrs
 
 (** One SMC in a telemetry trace as [Smc.handle] brackets it, with
     [inner] between its entry and exit and every event stamped [at]. *)
-let smc_events ?(err = Komodo_core.Abi.e_success) at call args inner =
+let smc_events ?(err = Komodo_core.Abi.e_success) ?(retval = 0) at call args inner =
   let module Event = Komodo_telemetry.Event in
   let name = Komodo_core.Abi.smc_name call in
   let stamp ev = { Event.at; ev } in
@@ -113,8 +113,17 @@ let smc_events ?(err = Komodo_core.Abi.e_success) at call args inner =
   @ [
       stamp
         (Event.Smc_exit
-           { call; name; err; err_name = Komodo_core.Abi.err_name err; retval = 0; cycles = 0 });
+           { call; name; err; err_name = Komodo_core.Abi.err_name err; retval; cycles = 0 });
     ]
+
+(** One successful SVC as [Svc.handle] brackets it, with [inner]
+    between its entry and exit: part of the [inner] of an Enter or
+    Resume. *)
+let svc_events call inner =
+  let module Event = Komodo_telemetry.Event in
+  let name = Komodo_core.Abi.svc_name call and err = Komodo_core.Abi.e_success in
+  (Event.Svc_entry { call; name } :: inner)
+  @ [ Event.Svc_exit { call; name; err; err_name = Komodo_core.Abi.err_name err; cycles = 0 } ]
 
 (** InitAddrspace(0, 1) at [at], reported whole: both retypes and the
     milestone. *)
