@@ -73,6 +73,21 @@ let usage_error cmd msg =
   Printf.eprintf "komodo %s: %s\n" cmd msg;
   exit 2
 
+(* An input or output file the CLI cannot open is a usage error naming
+   the path once (a [Sys_error] message usually starts with it). *)
+let file_error cmd path e =
+  let prefix = path ^ ": " in
+  usage_error cmd (if String.starts_with ~prefix e then e else prefix ^ e)
+
+(* Every file the CLI writes is opened here, before the run it reports. *)
+let open_output cmd path = try open_out path with Sys_error e -> file_error cmd path e
+
+(* Fill and close a file [open_output] opened, noting it on stderr. *)
+let write_output path oc text =
+  output_string oc text;
+  close_out oc;
+  Printf.eprintf "[wrote %s]\n%!" path
+
 let non_negative cmd what n =
   if n < 0 then usage_error cmd (Printf.sprintf "%s must be non-negative, got %d" what n)
 
@@ -106,18 +121,9 @@ let metrics_arg =
 (* Build the monitor sink for the common --trace-out/--metrics pair.
    Returns the sink, the registry when --metrics was given, and a
    [finish] closing the trace channel and printing the metrics dump. *)
-let telemetry_setup ~trace_out ~metrics =
+let telemetry_setup cmd ~trace_out ~metrics =
   let reg = if metrics then Some (Metrics.create ()) else None in
-  let oc =
-    match trace_out with
-    | None -> None
-    | Some "-" -> Some stdout
-    | Some path -> (
-        try Some (open_out path)
-        with Sys_error e ->
-          Printf.eprintf "komodo: cannot open trace file: %s\n" e;
-          exit 2)
-  in
+  let oc = Option.map (function "-" -> stdout | path -> open_output cmd path) trace_out in
   let sinks =
     (match oc with Some oc -> [ Sink.jsonl oc ] | None -> [])
     @ (match reg with Some reg -> [ Metrics.sink reg ] | None -> [])
@@ -191,11 +197,8 @@ let spares_arg =
 (* An input file (a .kasm program, a document) read whole; one that
    cannot be read, such as a directory, is a usage error. *)
 let read_input cmd path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> s
-  | exception Sys_error e ->
-      let prefix = path ^ ": " in
-      usage_error cmd (if String.starts_with ~prefix e then e else prefix ^ e)
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error e -> file_error cmd path e
 
 (* A .kasm file that does not assemble is a usage error. *)
 let read_kasm cmd path =
@@ -221,7 +224,7 @@ let run_cmd =
   let run level seed npages prog args budget file spares trace_out metrics =
     setup_logs level;
     let img = program_image "run" ~npages ~file ~spares ~budget prog in
-    let sink, _reg, finish = telemetry_setup ~trace_out ~metrics in
+    let sink, _reg, finish = telemetry_setup "run" ~trace_out ~metrics in
     let os = Os.boot ~seed ~npages ~sink () in
     let os, h = load os img in
     let th = List.hd h.Loader.threads in
@@ -265,7 +268,7 @@ let trace_cmd =
     (* The trace defaults to stdout so `komodo trace -p sum` is useful
        bare; --trace-out FILE redirects it. *)
     let trace_out = Some (Option.value trace_out ~default:"-") in
-    let sink, reg, finish = telemetry_setup ~trace_out ~metrics in
+    let sink, reg, finish = telemetry_setup "trace" ~trace_out ~metrics in
     (* Keep a copy of the stream in memory for the spec replay, and —
        when metrics are on — count retired user instructions via the
        machine layer's probe. *)
@@ -463,12 +466,10 @@ let asm_cmd =
 
 (* -- campaign observability ---------------------------------------------
 
-   --progress / --progress-out on every campaign subcommand, and
-   --profile-out on `check` and `fault`. Progress renders to stderr
-   and/or mirrors JSONL snapshots; profiles aggregate per-trial span
-   trees into a komodo-profile/1 JSON file. Both are pure observers:
-   stdout (and the campaign report) stays byte-identical whether they
-   are on or off. *)
+   --progress / --progress-out on every campaign subcommand. Progress
+   renders to stderr and/or mirrors JSONL snapshots; it is a pure
+   observer: stdout (and the campaign report) stays byte-identical
+   whether it is on or off. *)
 
 let int_arg name (default, doc) ~docv = Arg.(value & opt int default & info [ name ] ~docv ~doc)
 let file_arg name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
@@ -486,23 +487,10 @@ let progress_out_arg =
   file_arg "progress-out"
     "Mirror progress snapshots to $(docv), one komodo-progress/1 JSON object per line."
 
-let profile_out_arg =
-  file_arg "profile-out"
-    "Record per-trial span trees (monitor call -> validate/commit -> hash/ptwalk/exec) \
-     and write the aggregated profile to $(docv) as komodo-profile/1 JSON."
-
 let progress_setup ~progress ~progress_out ~label ~total =
   if (not progress) && progress_out = None then (None, fun () -> ())
   else
-    let jsonl =
-      match progress_out with
-      | None -> None
-      | Some path -> (
-          try Some (open_out path)
-          with Sys_error e ->
-            Printf.eprintf "komodo: cannot open progress file: %s\n" e;
-            exit 2)
-    in
+    let jsonl = Option.map (open_output label) progress_out in
     let p =
       Progress.create ?jsonl ~live:progress ~now:Unix.gettimeofday ~label ~total ()
     in
@@ -546,21 +534,6 @@ let profile_json ~label ~seed ~trials spans =
       ("quantiles", quantiles_json spans);
     ]
 
-let write_json_file path j =
-  match
-    let oc = open_out path in
-    output_string oc (Json.to_string j);
-    output_char oc '\n';
-    close_out oc
-  with
-  | () -> Printf.eprintf "[wrote %s]\n%!" path
-  | exception Sys_error e ->
-      Printf.eprintf "komodo: cannot write %s: %s\n" path e;
-      exit 2
-
-let write_profile ~path ~label ~seed ~trials spans =
-  write_json_file path (profile_json ~label ~seed ~trials spans)
-
 (* -j/--jobs for the campaign subcommands: 0 (the default) means
    one worker per recommended domain. Whatever the value, the report
    is byte-identical — parallelism only changes wallclock. *)
@@ -578,26 +551,18 @@ let jobs_arg =
 
    One builder over a Campaign.DRIVER makes all four subcommands. It
    owns the shared flags (--trials --ops --seed --pages, the armed
-   --bug/--mutate, -j, --progress), their validation, --replay,
-   --save-trace and --profile-out where a kind has them, and the exit
-   codes; each kind passes its defaults, docs and result wording in as
-   data. A usage error (bad flag, unreadable or malformed trace) prints
-   one "komodo <cmd>: <reason>" line and exits 2. *)
+   --bug, -j, --progress), their validation, --replay, --save-trace
+   and the exit codes; each kind passes its defaults, docs and result
+   wording in as data. A usage error (bad flag, unreadable or malformed
+   trace) prints one "komodo <cmd>: <reason>" line and exits 2. *)
 
 module Trace = Komodo_campaign.Trace
 module Explore = Komodo_spec.Explore
 module Vaultdrive = Komodo_fault.Vaultdrive
 module Smpdrive = Komodo_fault.Smpdrive
+module Bugs = Komodo_core.Bugs
 
 let ( let* ) = Result.bind
-
-(* An optional flag naming a bug or mutation. *)
-let named what of_string = function
-  | None -> Ok None
-  | Some s -> (
-      match of_string s with
-      | Some v -> Ok (Some v)
-      | None -> Error (Printf.sprintf "unknown %s %S" what s))
 
 (* A comma-separated class list. *)
 let name_list what of_string s =
@@ -606,6 +571,32 @@ let name_list what of_string s =
   | Some bad -> Error (Printf.sprintf "unknown %s %S" what bad)
   | None -> Ok (List.filter_map (fun x -> of_string (String.trim x)) parts)
 
+(* --bug NAME, on every campaign and explore: the seeded bugs of the
+   layers the campaign runs. A bug of another layer is the campaign's
+   own usage error ([DRIVER.validate], [Explore.make_world]). *)
+let bug_arg layers =
+  let names = List.filter (fun b -> List.mem (Bugs.layer b) layers) Bugs.all in
+  let doc =
+    "Arm a seeded bug (self-test: exit 0 when the campaign catches it, 1 when it \
+     survives). One of: " ^ String.concat ", " (List.map Bugs.name names) ^ "."
+  in
+  Arg.(value & opt (some string) None & info [ "bug" ] ~docv:"NAME" ~doc)
+
+let parse_bug cmd =
+  Option.map (fun s ->
+      match Bugs.of_string s with
+      | Some b -> b
+      | None -> usage_error cmd (Printf.sprintf "unknown bug %S" s))
+
+(* An armed run's verdict: a finding catches the bug (exit 0), none lets
+   it survive (exit 1). *)
+let self_test cmd bug ~caught =
+  Printf.printf
+    (if caught then "bug caught: %s self-test passed (%s armed)\n"
+     else "BUG SURVIVED: the %s self-test failed (%s armed)\n")
+    cmd (Bugs.name bug);
+  if caught then 0 else 1
+
 type ('cfg, 'op, 'fail, 'outcome) kind = {
   name : string;
   doc : string;
@@ -613,26 +604,21 @@ type ('cfg, 'op, 'fail, 'outcome) kind = {
   ops : int * string;
   seed_doc : string;
   pages : int * string;
-  armed : string * string;  (** the self-test flag (bug or mutate) and its doc *)
   config :
-    (pages:int -> ops:int -> armed:string option -> profile:bool ->
-    ('cfg, string) result)
-    Term.t;  (** the kind's own flags, building its config *)
+    (pages:int -> ops:int -> bug:Bugs.t option -> ('cfg, string) result) Term.t;
+      (** the kind's own flags, building its config *)
   summary : 'cfg -> 'outcome -> unit;  (** the report's count lines *)
   finding : 'outcome -> (int * 'op list * 'fail) option;
   pp_op : 'op -> string;
   pp_failure : 'fail -> string;
   found : string * string;  (** heading and op noun of a shrunk finding *)
   clean : string list;
-  survived : string list;  (** printed when the armed bug survives (exit 1) *)
-  caught : string;
   finding_exit : int;  (** an unarmed finding's exit code *)
   replay :
     [ `Trace of 'cfg -> seed:int -> 'op list -> (string, 'fail) result
     | `Custom of string * (pages:int -> string -> int) ];
       (** --replay: re-run the kind's own traces (which --save-trace then
           writes), reporting a clean run's line; or a custom doc and run *)
-  spans : ('outcome -> Span.node list) option;  (** enables --profile-out *)
 }
 
 let campaign_cmd (type c o f r)
@@ -642,9 +628,6 @@ let campaign_cmd (type c o f r)
        and type failure = f
        and type outcome = r) (k : (c, o, f, r) kind) =
   let module C = Campaign.Make (D) in
-  let armed =
-    Arg.(value & opt (some string) None & info [ fst k.armed ] ~docv:"NAME" ~doc:(snd k.armed))
-  in
   let save, replay_doc =
     match k.replay with
     | `Trace _ ->
@@ -654,15 +637,14 @@ let campaign_cmd (type c o f r)
             k.name )
     | `Custom (doc, _) -> (Term.const None, doc)
   in
-  let profile_out = if k.spans = None then Term.const None else profile_out_arg in
-  let run level trials ops seed pages armed replay save profile_out mk jobs progress
-      progress_out =
+  let run level trials ops seed pages bug replay save mk jobs progress progress_out =
     setup_logs level;
     let fail msg = usage_error k.name msg in
     match (replay, k.replay) with
     | Some path, `Custom (_, run) -> run ~pages path
     | Some path, `Trace rerun -> (
-        match Result.bind (Trace.load path) C.of_trace with
+        let lines = Result.fold ~ok:Fun.id ~error:(file_error k.name path) (Trace.load path) in
+        match C.of_trace lines with
         | Error e -> fail (Printf.sprintf "cannot replay %s: %s" path e)
         | Ok (seed, cfg, ops) -> (
             match rerun cfg ~seed ops with
@@ -674,25 +656,18 @@ let campaign_cmd (type c o f r)
                 4))
     | None, _ -> (
         positive k.name "trials" trials;
-        let cfg =
-          Result.fold ~ok:Fun.id ~error:fail
-            (mk ~pages ~ops ~armed ~profile:(profile_out <> None))
-        in
+        let bug = parse_bug k.name bug in
+        let cfg = Result.fold ~ok:Fun.id ~error:fail (mk ~pages ~ops ~bug) in
         Result.iter_error fail (D.validate cfg);
         let prog, prog_close =
           progress_setup ~progress ~progress_out ~label:k.name ~total:trials
         in
         let o = C.run ?progress:prog ~jobs cfg ~trials ~seed in
         prog_close ();
-        (match (profile_out, k.spans) with
-        | Some path, Some spans -> write_profile ~path ~label:k.name ~seed ~trials (spans o)
-        | _ -> ());
         k.summary cfg o;
-        let armed = armed <> None in
-        match k.finding o with
-        | None ->
-            List.iter print_endline (if armed then k.survived else k.clean);
-            if armed then 1 else 0
+        let finding = k.finding o in
+        (match finding with
+        | None -> List.iter print_endline k.clean
         | Some (tseed, shrunk, f) ->
             Printf.printf "%s (trial seed %d), shrunk to %d %s:\n" (fst k.found) tseed
               (List.length shrunk) (snd k.found);
@@ -702,18 +677,18 @@ let campaign_cmd (type c o f r)
               (fun path ->
                 match Trace.save path (C.to_trace ~seed:tseed cfg shrunk) with
                 | Ok () -> Printf.printf "shrunk campaign saved to %s\n" path
-                | Error e -> fail (Printf.sprintf "cannot write %s: %s" path e))
-              save;
-            if armed then (
-              print_endline k.caught;
-              0)
-            else k.finding_exit)
+                | Error e -> file_error k.name path e)
+              save);
+        match (bug, finding) with
+        | Some b, _ -> self_test k.name b ~caught:(finding <> None)
+        | None, None -> 0
+        | None, Some _ -> k.finding_exit)
   in
   Cmd.v (Cmd.info k.name ~doc:k.doc)
     Term.(
       const run $ verbosity $ int_arg "trials" k.trials ~docv:"N" $ int_arg "ops" k.ops ~docv:"N"
       $ int_arg "seed" (42, k.seed_doc) ~docv:"SEED" $ int_arg "pages" k.pages ~docv:"N"
-      $ armed $ file_arg "replay" replay_doc $ save $ profile_out $ k.config $ jobs_arg
+      $ bug_arg D.layers $ file_arg "replay" replay_doc $ save $ k.config $ jobs_arg
       $ progress_arg $ progress_out_arg)
 
 (* check --replay takes an explore counterexample (a komodo-trace/1
@@ -721,10 +696,10 @@ let campaign_cmd (type c o f r)
 let replay_check ~pages path =
   let cannot e = usage_error "check" (Printf.sprintf "cannot replay %s: %s" path e) in
   match Trace.load path with
-  | Error e -> cannot e
+  | Error e -> file_error "check" path e
   | Ok lines when Trace.is_trace lines -> (
       (* Replay the counterexample in differential lockstep against a
-         fresh concrete world, under the trace's own mutation, so an
+         fresh concrete world, under the trace's own bug, so an
          abstract counterexample must reproduce as a divergence. *)
       match Campaign.replay_explore_trace lines with
       | Error e -> cannot e
@@ -764,16 +739,10 @@ let check_cmd =
       seed_doc = "Generation seed.";
       pages =
         (Diff.default.npages, "Secure pages per trial world (and expected by --replay).");
-      armed =
-        ( "mutate",
-          "Run against a deliberately broken spec variant (self-test; expects a divergence). \
-           One of: no-alias-check, no-monitor-image-check, drop-refcount." );
       config =
         Term.(
-          const (fun metrics ~pages ~ops ~armed ~profile ->
-              let* mutate = named "mutation" Komodo_spec.Aspec.mutation_of_string armed in
-              let clock = None in
-              Ok { Diff.mutate; npages = pages; ops_per_trial = ops; metrics; profile; clock })
+          const (fun metrics ~pages ~ops ~bug ->
+              Ok { Diff.default with bug; npages = pages; ops_per_trial = ops; metrics })
           $ metrics_arg);
       summary =
         (fun _ o ->
@@ -787,19 +756,12 @@ let check_cmd =
       pp_failure = Diff.pp_divergence;
       found = ("DIVERGENCE", "calls");
       clean = [ "no divergence: implementation refines the spec" ];
-      survived =
-        [
-          "no divergence: implementation refines the spec";
-          "MUTATION SURVIVED: the checker failed its self-test";
-        ];
-      caught = "mutation caught: checker self-test passed";
       finding_exit = 1;
       replay =
         `Custom
           ( "Instead of generating trials, re-check the JSONL telemetry trace in $(docv) \
              against the spec.",
             replay_check );
-      spans = Some (fun o -> o.Diff.spans);
     }
 
 (* -- explore ------------------------------------------------------------ *)
@@ -820,28 +782,15 @@ let explore_cmd =
         "Concrete-replay seed stamped into counterexample traces (the search itself is \
          exhaustive, not randomised)." )
   in
-  let mutate =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "mutate" ] ~docv:"NAME"
-          ~doc:
-            "Explore a deliberately broken spec variant (self-test; expects a \
-             violation). One of: no-alias-check, no-monitor-image-check, \
-             drop-refcount.")
-  in
   let save =
     file_arg "save-trace"
       "On violation, save the shortest counterexample as a komodo-trace/1 JSONL file, \
        replayable with komodo check --replay (exit 4 on the reproduced divergence)."
   in
-  let run level pages depth seed mutate save jobs progress progress_out =
+  let run level pages depth seed bug save jobs progress progress_out =
     setup_logs level;
-    let mutate =
-      Result.fold ~ok:Fun.id ~error:(usage_error "explore")
-        (named "mutation" Komodo_spec.Aspec.mutation_of_string mutate)
-    in
-    let config = { Explore.pages; depth; seed; mutate } in
+    let bug = parse_bug "explore" bug in
+    let config = { Explore.pages; depth; seed; mutate = bug } in
     let prog, prog_close =
       progress_setup ~progress ~progress_out ~label:"explore" ~total:depth
     in
@@ -856,26 +805,20 @@ let explore_cmd =
     Printf.printf "new states per level: %s\n"
       (String.concat " " (List.map string_of_int r.Explore.x_levels));
     List.iter print_endline (Komodo_spec.Cover.report r.Explore.x_cover);
-    match r.Explore.x_violation with
-    | None ->
-        print_endline
-          "no violation: every explored edge satisfies the lifecycle properties";
-        if mutate <> None then (
-          print_endline "MUTATION SURVIVED: the explorer failed its self-test";
-          1)
-        else 0
+    (match r.Explore.x_violation with
+    | None -> print_endline "no violation: every explored edge satisfies the lifecycle properties"
     | Some v ->
         List.iter print_endline (Explore.render_violation v);
         Option.iter
           (fun path ->
             match Trace.save path (Campaign.explore_trace config v) with
             | Ok () -> Printf.eprintf "[wrote %s]\n%!" path
-            | Error e -> usage_error "explore" (Printf.sprintf "cannot write %s: %s" path e))
-          save;
-        if mutate <> None then (
-          print_endline "mutation caught: explorer self-test passed";
-          0)
-        else 4
+            | Error e -> file_error "explore" path e)
+          save);
+    match (bug, r.Explore.x_violation) with
+    | Some b, v -> self_test "explore" b ~caught:(v <> None)
+    | None, None -> 0
+    | None, Some _ -> 4
   in
   Cmd.v
     (Cmd.info "explore"
@@ -885,10 +828,10 @@ let explore_cmd =
           error priorities, PageDB invariants, measurement monotonicity and \
           declassification on every edge. Reports are byte-identical at any \
           -j; violations emit a shortest-path trace replayable with komodo \
-          check --replay. Exits 0 clean, 4 on a violation, 1 if a --mutate \
+          check --replay. Exits 0 clean, 4 on a violation, 1 if a --bug \
           self-test survives, 2 on usage errors.")
     Term.(
-      const run $ verbosity $ pages $ depth $ explore_seed $ mutate $ save
+      const run $ verbosity $ pages $ depth $ explore_seed $ bug_arg Explore.layers $ save
       $ jobs_arg $ progress_arg $ progress_out_arg)
 
 let fault_cmd =
@@ -906,16 +849,11 @@ let fault_cmd =
       ops = (Drive.default.ops_per_trial, "Adversarial ops per trial (before fault decoration).");
       seed_doc = "Campaign seed.";
       pages = (Drive.default.npages, "Secure pages per trial world.");
-      armed =
-        ( "bug",
-          "Re-enable a deliberate partial-mutation bug in the monitor (self-test; expects the \
-           campaign to catch it). One of: partial_map_secure, partial_remove." );
       config =
         Term.(
-          const (fun faults ~pages ~ops ~armed ~profile ->
+          const (fun faults ~pages ~ops ~bug ->
               let* faults = name_list "fault class" Drive.class_of_string faults in
-              let* bug = named "bug" Monitor.bug_of_string armed in
-              Ok { Drive.npages = pages; ops_per_trial = ops; profile; clock = None; bug; faults })
+              Ok { Drive.default with npages = pages; ops_per_trial = ops; bug; faults })
           $ Arg.(
               value
               & opt string "irq,mem,rng,storm,crash"
@@ -933,8 +871,6 @@ let fault_cmd =
       pp_failure = Drive.pp_violation;
       found = ("VIOLATION", "fops");
       clean = [ "no violation: every call stayed atomic under injected faults" ];
-      survived = [ "BUG SURVIVED: the fault campaign failed its self-test" ];
-      caught = "bug caught: fault-campaign self-test passed";
       finding_exit = 4;
       replay =
         `Trace
@@ -944,7 +880,6 @@ let fault_cmd =
                 Printf.sprintf "replayed %d fops (%d faults fired): no violation"
                   st.Drive.fops_run st.Drive.injections)
               (Drive.replay cfg ~seed ops));
-      spans = Some (fun o -> o.Drive.spans);
     }
 
 let vault_cmd =
@@ -966,15 +901,10 @@ let vault_cmd =
           "Vault operations per trial (before storage-fault decoration)." );
       seed_doc = "Campaign seed.";
       pages = (Vaultdrive.default.npages, "Secure pages per trial world.");
-      armed =
-        ( "bug",
-          "Re-enable a deliberate detection-disable bug in the vault enclave (self-test; \
-           expects the campaign to catch it). One of: accept_tampered, accept_stale." );
       config =
         Term.(
-          const (fun classes ~pages ~ops ~armed ~profile:_ ->
+          const (fun classes ~pages ~ops ~bug ->
               let* classes = name_list "storage class" Vaultdrive.class_of_string classes in
-              let* bug = named "bug" Komodo_user.Vault.bug_of_string armed in
               Ok { Vaultdrive.npages = pages; ops_per_trial = ops; bug; classes })
           $ Arg.(
               value
@@ -993,8 +923,6 @@ let vault_cmd =
       found = ("VIOLATION", "sops");
       clean =
         [ "no violation: every corruption detected, every rollback refused, no false unseals" ];
-      survived = [ "BUG SURVIVED: the vault campaign failed its self-test" ];
-      caught = "bug caught: vault-campaign self-test passed";
       finding_exit = 4;
       replay =
         `Trace
@@ -1006,7 +934,6 @@ let vault_cmd =
                   st.Vaultdrive.sops_run st.Vaultdrive.probes st.Vaultdrive.detected
                   st.Vaultdrive.accepted)
               (Vaultdrive.replay cfg ~seed ops));
-      spans = None;
     }
 
 let smp_cmd =
@@ -1017,8 +944,9 @@ let smp_cmd =
       doc =
         "Race seeded per-CPU monitor-call streams through the multi-core stepper (per-CPU \
          register banks, fine-grained per-page locks, seeded interleaving scheduler) and \
-         judge every run with three oracles: deadlock freedom, PageDB invariants, and \
-         linearisability against the sequential abstract spec. Trials run on a domain pool \
+         judge every run with three oracles: deadlock freedom, PageDB invariants, and a \
+         replay of the run's validation order against the sequential abstract spec (each \
+         call's validation is its linearisation point). Trials run on a domain pool \
          (-j) with byte-identical reports at any worker count. Exits 0 on a clean campaign \
          (or a caught --bug), 4 on a violation with a shrunk minimal trace, 1 when an armed \
          --bug survives, 2 on setup errors.";
@@ -1026,14 +954,9 @@ let smp_cmd =
       ops = (Smpdrive.default.ops_per_cpu, "Monitor calls per CPU per trial.");
       seed_doc = "Campaign seed.";
       pages = (Smpdrive.default.npages, "Secure pages per trial world.");
-      armed =
-        ( "bug",
-          "Re-enable a deliberate lock-discipline bug in the stepper (self-test; expects the \
-           campaign to catch it). One of: missing_page_lock, lock_inversion." );
       config =
         Term.(
-          const (fun cpus faults ~pages ~ops ~armed ~profile:_ ->
-              let* bug = named "bug" Komodo_os.Smp.bug_of_string armed in
+          const (fun cpus faults ~pages ~ops ~bug ->
               Ok { Smpdrive.npages = pages; cpus; ops_per_cpu = ops; bug; faults })
           $ Arg.(
               value
@@ -1061,9 +984,10 @@ let smp_cmd =
       pp_failure = Smpdrive.pp_violation;
       found = ("VIOLATION", "calls");
       clean =
-        [ "no violation: every interleaving linearisable, no deadlock, invariants held" ];
-      survived = [ "BUG SURVIVED: the smp campaign failed its self-test" ];
-      caught = "bug caught: smp-campaign self-test passed";
+        [
+          "no violation: each run's validation order refines the spec, no deadlock, \
+           invariants held";
+        ];
       finding_exit = 4;
       replay =
         `Trace
@@ -1074,7 +998,6 @@ let smp_cmd =
                   "replayed %d calls on %d cpus (%d contended, %d spins): no violation"
                   st.Smpdrive.calls cfg.Smpdrive.cpus st.Smpdrive.contended st.Smpdrive.spins)
               (Smpdrive.replay cfg ~seed ops));
-      spans = None;
     }
 
 (* -- serve --------------------------------------------------------------- *)
@@ -1216,6 +1139,7 @@ let serve_cmd =
         npages = spages;
       }
     in
+    let json = Option.map (fun path -> (path, open_output "serve" path)) json_out in
     let nshards = Serve.shards ~sessions ~shard_sessions in
     let prog, prog_close =
       progress_setup ~progress ~progress_out ~label:"serve" ~total:nshards
@@ -1228,9 +1152,9 @@ let serve_cmd =
     in
     prog_close ();
     print_string (Komodo_serve.Report.render r);
-    (match json_out with
-    | Some path -> write_json_file path (Komodo_serve.Report.to_json r)
-    | None -> ());
+    Option.iter
+      (fun (path, oc) -> write_output path oc (Json.to_string (Report.to_json r) ^ "\n"))
+      json;
     if r.Report.verify_failures > 0 then 1 else 0
   in
   Cmd.v
@@ -1254,8 +1178,8 @@ let verify_cmd =
   let ops = Arg.(value & opt int 60 & info [ "ops" ] ~docv:"N" ~doc:"Adversarial ops per seed.") in
   let run level seeds ops =
     setup_logs level;
-    non_negative "verify" "seeds" seeds;
-    non_negative "verify" "ops" ops;
+    positive "verify" "seeds" seeds;
+    positive "verify" "ops" ops;
     let bad = ref 0 in
     for seed = 1 to seeds do
       (match Komodo_sec.Nonint.run_confidentiality ~seed ~nops:ops with
@@ -1327,6 +1251,8 @@ let profile_cmd =
       (match mode with
       | `Check -> Diff.validate { Diff.default with npages = pages; ops_per_trial = ops }
       | `Fault -> Drive.validate { Drive.default with npages = pages; ops_per_trial = ops });
+    let folded_oc = open_output "profile" folded in
+    let json = Option.map (fun path -> (path, open_output "profile" path)) json_out in
     let clock = if wall then Some Unix.gettimeofday else None in
     let label, spans =
       match mode with
@@ -1358,19 +1284,11 @@ let profile_cmd =
         Printf.printf "%-28s %8d %10d %10d %10d %10d\n" name (Hist.count h)
           (Hist.p50 h) (Hist.p90 h) (Hist.p99 h) (Hist.max_value h))
       (Span.durations spans);
-    (match
-       let oc = open_out folded in
-       output_string oc (Span.to_folded spans);
-       close_out oc
-     with
-    | () -> Printf.eprintf "[wrote %s]\n%!" folded
-    | exception Sys_error e ->
-        Printf.eprintf "komodo profile: cannot write %s: %s\n" folded e;
-        exit 2);
-    (match json_out with
-    | Some path ->
-        write_json_file path (profile_json ~label ~seed ~trials spans)
-    | None -> ());
+    write_output folded folded_oc (Span.to_folded spans);
+    Option.iter
+      (fun (path, oc) ->
+        write_output path oc (Json.to_string (profile_json ~label ~seed ~trials spans) ^ "\n"))
+      json;
     0
   in
   Cmd.v

@@ -24,6 +24,7 @@ module type DRIVER = sig
   type trial
   type outcome
 
+  val layers : Komodo_core.Bugs.layer list
   val validate : config -> (unit, string) result
   val run_trial : config -> seed:int -> trial
   val failed : trial -> bool
@@ -82,11 +83,11 @@ end
 module Check = Make (Diff)
 module Fault = Make (Drive)
 
-let check ?mutate ?(npages = Diff.default.npages)
+let check ?bug ?(npages = Diff.default.npages)
     ?(ops_per_trial = Diff.default.ops_per_trial) ?(metrics = false)
     ?(profile = false) ?clock ?progress ?jobs ~trials ~seed () =
   Check.run ?progress ?jobs
-    { Diff.mutate; npages; ops_per_trial; metrics; profile; clock }
+    { Diff.bug; npages; ops_per_trial; metrics; profile; clock }
     ~trials ~seed
 
 let fault ?(npages = Drive.default.npages)
@@ -204,7 +205,7 @@ let explore ?progress ?jobs ~(config : Explore.config) () : Explore.report =
    op codec, plus the violation's depth and reason for the reader; only
    its world (see Explore.replay) and its page floor differ. *)
 let explore_trace (cfg : Explore.config) (v : Explore.violation) =
-  let c = { Diff.default with npages = cfg.pages; mutate = cfg.mutate } in
+  let c = { Diff.default with npages = cfg.pages; bug = cfg.mutate } in
   let found = [ ("depth", Json.Int v.Explore.v_depth); ("reason", Json.Str v.Explore.v_reason) ] in
   Trace.to_lines ~kind:"explore" ~seed:cfg.seed (Diff.header c @ found)
     (List.map Explore.op_to_json v.Explore.v_ops)
@@ -215,5 +216,6 @@ let replay_explore_trace lines =
   let* () =
     Diff.check_npages ~min:Explore.min_pages ~why:"the prelude uses pages 0-5" c.npages
   in
+  let* () = Komodo_core.Bugs.armable ~kind:"explore" Explore.layers c.bug in
   let* ops = Json.all ~what:"op" (Diff.op_of_json c) ops in
   Ok (Explore.replay ~seed c ops)

@@ -31,9 +31,13 @@ module type DRIVER = sig
   type trial
   type outcome
 
+  val layers : Komodo_core.Bugs.layer list
+  (** The layers a trial runs, which it hands the armed bug to. *)
+
   val validate : config -> (unit, string) result
   (** Reject a config no trial can run on (too few pages for the
-      driver's prelude, a negative op count, no CPUs). *)
+      driver's prelude, a negative op count, no CPUs, a bug of a layer
+      outside {!layers}). *)
 
   val run_trial : config -> seed:int -> trial
   (** One trial, a pure function of its seed. *)
@@ -94,7 +98,7 @@ val trial_seed : root:int -> int -> int
     can name it). *)
 
 val check :
-  ?mutate:Komodo_spec.Aspec.mutation ->
+  ?bug:Komodo_core.Bugs.t ->
   ?npages:int ->
   ?ops_per_trial:int ->
   ?metrics:bool ->
@@ -116,7 +120,7 @@ val fault :
   ?profile:bool ->
   ?clock:Komodo_telemetry.Span.clock ->
   ?progress:Progress.t ->
-  ?bug:Komodo_core.Monitor.bug ->
+  ?bug:Komodo_core.Bugs.t ->
   ?jobs:int ->
   faults:Komodo_fault.Drive.fault_class list ->
   trials:int ->
@@ -128,14 +132,16 @@ val fault :
 val explore_trace :
   Komodo_spec.Explore.config -> Komodo_spec.Explore.violation -> string list
 (** An explore counterexample as a {!Trace} file of kind ["explore"]:
-    the header holds the world's page count and [mutate] (read back on
-    replay) and the violation's depth and reason (for the reader); the
+    the header holds the world's page count and armed bug (read back
+    on replay) and the violation's depth and reason (for the reader); the
     ops are its full path from boot, prelude included. *)
 
 val replay_explore_trace :
   string list -> (Komodo_spec.Explore.replayed, string) result
 (** Read an ["explore"] trace and replay it in differential lockstep
-    ({!Komodo_spec.Explore.replay}). Never raises on malformed input. *)
+    ({!Komodo_spec.Explore.replay}). A header bug outside
+    {!Komodo_spec.Explore.layers} is an error. Never raises on
+    malformed input. *)
 
 val explore :
   ?progress:Progress.t ->

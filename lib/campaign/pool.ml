@@ -66,40 +66,27 @@ let run ?label ?on_trial ~jobs ~trials ~failed run_trial =
       | Raised _ -> true
       | Value a -> failed a
     in
-    if jobs = 1 then begin
-      (* In-process fast path: identical semantics (stop at the first
-         failing index; later trials never run), no domain overhead. *)
-      let rec go i =
-        if i < trials then begin
-          let r = attempt i in
-          results.(i) <- Some r;
-          observe i r;
-          if not (is_failure r) then go (i + 1)
-        end
-      in
-      go 0
-    end
-    else begin
-      let next = Atomic.make 0 in
-      let bound = Atomic.make max_int in
-      let rec lower i =
-        let b = Atomic.get bound in
-        if i < b && not (Atomic.compare_and_set bound b i) then lower i
-      in
-      let rec worker () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < trials && i <= Atomic.get bound then begin
-          let r = attempt i in
-          results.(i) <- Some r;
-          observe i r;
-          if is_failure r then lower i;
-          worker ()
-        end
-      in
-      let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      List.iter Domain.join helpers
-    end;
+    (* With one job no domain is spawned: the calling domain claims
+       indices in order, and once index i fails [bound] refuses i+1. *)
+    let next = Atomic.make 0 in
+    let bound = Atomic.make max_int in
+    let rec lower i =
+      let b = Atomic.get bound in
+      if i < b && not (Atomic.compare_and_set bound b i) then lower i
+    in
+    let rec worker () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < trials && i <= Atomic.get bound then begin
+        let r = attempt i in
+        results.(i) <- Some r;
+        observe i r;
+        if is_failure r then lower i;
+        worker ()
+      end
+    in
+    let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    List.iter Domain.join helpers;
     (* Deterministic readout: scan up from index 0 for the first
        failure. The cancellation invariant guarantees every slot below
        it is filled. *)

@@ -36,8 +36,8 @@ val run :
   (int -> 'a) ->
   'a run
 (** [run ~jobs ~trials ~failed f] evaluates [f i] for [i = 0..trials-1]
-    on [min jobs trials] domains ([jobs <= 1] runs in-process with
-    identical semantics) and stops early once a failing index bounds
+    on [min jobs trials] domains, the calling one included ([jobs <= 1]
+    spawns none), and stops early once a failing index bounds
     the remaining work. [label] renders a trial for error messages
     (callers include the derived seed). [on_trial i r] is fired after
     trial [i]'s result is published, on whichever domain ran it — it

@@ -5,11 +5,12 @@
     A trace is JSONL. The first non-blank line is the header, an object
     with ["schema"] (always {!schema}), ["kind"] (the campaign that
     wrote it), ["seed"] (the seed the ops replay against), then the
-    kind's own fields: ["npages"], the armed ["bug"] or ["mutate"], and
-    e.g. smp's ["cpus"]. Every later non-blank line is one op in the
-    kind's op codec. This module owns the envelope and the file I/O;
-    the kind's driver decodes its header fields and ops. Nothing here
-    raises: every malformed input is an [Error]. *)
+    kind's own fields: ["npages"], the armed ["bug"] (a
+    {!Komodo_core.Bugs} name or null), and e.g. smp's ["cpus"]. Every
+    later non-blank line is one op in the kind's op codec. This module
+    owns the envelope and the file I/O; the kind's driver decodes its
+    header fields and ops. Nothing here raises: every malformed input
+    is an [Error]. *)
 
 module Json = Komodo_telemetry.Json
 

@@ -32,26 +32,6 @@ type phase =
   | Ph_commit of { smc : bool; call : int }
   | Ph_lock of { acquire : bool; cpu : int; page : int; call : int }
 
-(** Deliberately re-enabled partial-mutation bugs, for checker
-    self-tests: each breaks the validate-then-commit discipline the
-    paper's proofs (and our transactional handlers) rule out. *)
-type bug =
-  | Bug_partial_map_secure
-      (** MapSecure copies the page contents in, then fails — leaving
-          secure memory mutated on an error return *)
-  | Bug_partial_remove
-      (** Remove of a final addrspace releases the page before the
-          refcount check fails — PageDB mutated on an error return *)
-
-let bug_name = function
-  | Bug_partial_map_secure -> "partial_map_secure"
-  | Bug_partial_remove -> "partial_remove"
-
-let bugs = [ Bug_partial_map_secure; Bug_partial_remove ]
-
-let bug_of_string s =
-  List.find_opt (fun b -> String.equal (bug_name b) s) bugs
-
 type t = {
   mach : State.t;
   pagedb : Pagedb.t;
@@ -79,9 +59,9 @@ type t = {
           environment to do: write insecure memory, perturb the
           entropy source, assert interrupts. [None] (the default) is
           fault-free execution. *)
-  bug : bug option;
-      (** Re-enabled partial-mutation bug for self-tests; [None] is the
-          correct monitor. *)
+  bug : Bugs.t option;
+      (** The armed seeded bug: the handlers react only to the
+          {!Bugs.Monitor} layer's. *)
 }
 
 let of_boot ?(optimised = false) ?(sink = Komodo_telemetry.Sink.null)

@@ -24,15 +24,6 @@ type phase =
   | Ph_commit of { smc : bool; call : int }
   | Ph_lock of { acquire : bool; cpu : int; page : int; call : int }
 
-(** Deliberately re-enabled partial-mutation bugs for checker
-    self-tests (the analogue of {!Aspec.mutation} on the
-    implementation side). *)
-type bug = Bug_partial_map_secure | Bug_partial_remove
-
-val bug_name : bug -> string
-val bug_of_string : string -> bug option
-val bugs : bug list
-
 type t = {
   mach : State.t;
   pagedb : Pagedb.t;
@@ -55,7 +46,7 @@ type t = {
           (the default) is fault-free execution. The injector is bound
           by the threat model: insecure memory, the entropy source and
           interrupt lines only. *)
-  bug : bug option;  (** re-enabled partial-mutation bug; [None] = correct *)
+  bug : Bugs.t option;  (** the armed seeded bug, of the {!Bugs.Monitor} layer *)
 }
 
 val of_boot :

@@ -190,11 +190,11 @@ let map_secure (t : Monitor.t) =
               in
               if not content_ok then fail Errors.Invalid_arg t
               else
-                (* [Bug_partial_map_secure] resurrects the naive handler
+                (* [Bugs.Partial_map_secure] resurrects the naive handler
                    ordering: copy the contents in before the
                    mapping-slot checks, so a late failure returns an
                    error with secure memory already mutated. *)
-                let buggy = t.Monitor.bug = Some Monitor.Bug_partial_map_secure in
+                let buggy = t.Monitor.bug = Some Bugs.Partial_map_secure in
                 let fill t = Monitor.fill_page_from_insecure t data_pg ~src:content in
                 let t_err = if buggy then fill t else t in
                 match Monitor.l2pt_for t ~l1pt:a.Pagedb.l1pt mapping.Mapping.va with
@@ -335,10 +335,10 @@ let remove (t : Monitor.t) =
           if not (Pagedb.equal_addrspace_state a.Pagedb.state Pagedb.Stopped) then
             fail Errors.Not_stopped t
           else if a.Pagedb.refcount > 0 then
-            (* [Bug_partial_remove] resurrects the naive ordering:
+            (* [Bugs.Partial_remove] resurrects the naive ordering:
                release the page before the refcount check, so the
                [In_use] error returns with the PageDB already mutated. *)
-            if t.Monitor.bug = Some Monitor.Bug_partial_remove then
+            if t.Monitor.bug = Some Bugs.Partial_remove then
               fail Errors.In_use
                 { t with Monitor.pagedb = Pagedb.set db pg Pagedb.Free }
             else fail Errors.In_use t

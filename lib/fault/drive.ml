@@ -11,7 +11,7 @@
       abstract PageDB *and* the concrete bytes of every secure page
       untouched. The concrete half matters: {!Pagedb.check} does not
       require free pages to be zeroed, so a handler that copies data
-      in and then fails (the re-enabled [Bug_partial_map_secure]) is
+      in and then fails (the seeded [Bugs.Partial_map_secure]) is
       invisible abstractly and caught only here. *)
 
 module Word = Komodo_machine.Word
@@ -21,6 +21,7 @@ module Regs = Komodo_machine.Regs
 module Ptable = Komodo_machine.Ptable
 module Platform = Komodo_tz.Platform
 module Monitor = Komodo_core.Monitor
+module Bugs = Komodo_core.Bugs
 module Pagedb = Komodo_core.Pagedb
 module Os = Komodo_os.Os
 module Aspec = Komodo_spec.Aspec
@@ -122,7 +123,10 @@ let step inj ~worst rs i fop : (Diff.rstate, violation) result =
       in
       let before = rs.Diff.os.Os.mon in
       let r =
-        Diff.apply_op ~opaque_contents ~opaque_probe ?rng_exhausted rs i op
+        (* The monitor carries the world's armed bug; the spec step gets
+           the same one. *)
+        Diff.apply_op ?mutate:before.Monitor.bug ~opaque_contents ~opaque_probe
+          ?rng_exhausted rs i op
       in
       Inject.disarm inj;
       match r with
@@ -174,12 +178,12 @@ let step inj ~worst rs i fop : (Diff.rstate, violation) result =
                              "atomicity: %s returned %s but mutated secure page %d"
                              (pp_fop fop) (Aspec.err_name err) pg)))))
 
-let run_fops ?bug w fops =
+let run_fops w fops =
   let rs0 = Diff.initial_rstate w in
   let plat = rs0.Diff.os.Os.mon.Monitor.plat in
   let inj = Inject.create ~plat () in
   let mon0 =
-    { rs0.Diff.os.Os.mon with Monitor.inject = Some (Inject.hook inj); Monitor.bug = bug }
+    { rs0.Diff.os.Os.mon with Monitor.inject = Some (Inject.hook inj) }
   in
   let exec = Komodo_user.Verifier.executor ~inject:(Inject.exec_inject inj) () in
   let rs0 = { rs0 with Diff.os = { rs0.Diff.os with Os.mon = mon0; Os.exec = exec } } in
@@ -269,7 +273,7 @@ let gen_fops w ~faults ~seed ~n =
     (* Junk in an insecure window, then a MapSecure whose mapping
        argument fails *after* the content checks: the sequence that
        exposes a handler copying contents in before it is sure the call
-       succeeds (the [Bug_partial_map_secure] shape). *)
+       succeeds (the [Bugs.Partial_map_secure] shape). *)
     [
       Op
         {
@@ -316,7 +320,7 @@ type config = {
   ops_per_trial : int;
   profile : bool;
   clock : Span.clock option;
-  bug : Monitor.bug option;
+  bug : Bugs.t option;
   faults : fault_class list;
 }
 
@@ -330,10 +334,13 @@ let default =
     faults = all_classes;
   }
 
-(* A fault trial runs in a differential world: the same geometry rules
-   and the same op codec. *)
+(* A fault trial runs in a differential world: the same geometry rules,
+   the same layers and the same op codec. *)
 let diff_config c = { Diff.default with npages = c.npages; ops_per_trial = c.ops_per_trial }
-let validate c = Diff.validate (diff_config c)
+let layers = Diff.layers
+
+let validate c =
+  Result.bind (Diff.validate (diff_config c)) (fun () -> Bugs.armable ~kind layers c.bug)
 
 type op = fop
 type failure = violation
@@ -363,14 +370,14 @@ let class_counts fops =
   in
   List.map (fun c -> (class_name c, count c)) all_classes
 
-let world c ?spans ~seed () = Diff.make_world ~npages:c.npages ?spans ~seed ()
+let world c ?spans ~seed () = Diff.make_world ?bug:c.bug ~npages:c.npages ?spans ~seed ()
 
 let run_trial c ~seed =
   let recorder = if c.profile then Span.create ?clock:c.clock () else Span.null in
   let spans = if c.profile then Some recorder else None in
   let w = world c ?spans ~seed () in
   let campaign = gen_fops w ~faults:c.faults ~seed ~n:c.ops_per_trial in
-  let t_run = run_fops ?bug:c.bug w campaign in
+  let t_run = run_fops w campaign in
   {
     t_run;
     t_classes = class_counts (if Result.is_ok t_run then campaign else []);
@@ -389,7 +396,7 @@ let stats t =
 
 let shrink c ~seed =
   let w = world c ~seed () in
-  Diff.shrink_seq ~run:(run_fops ?bug:c.bug w) ~index:(fun v -> v.index)
+  Diff.shrink_seq ~run:(run_fops w) ~index:(fun v -> v.index)
     (gen_fops w ~faults:c.faults ~seed ~n:c.ops_per_trial)
 
 let counters t =
@@ -417,17 +424,17 @@ let reduce trials violation =
     spans = List.concat_map (fun t -> t.t_spans) trials;
   }
 
-let replay c ~seed fops = run_fops ?bug:c.bug (world c ~seed ()) fops
+let replay c ~seed fops = run_fops (world c ~seed ()) fops
 
 (* -- traces ------------------------------------------------------------- *)
 
 let ( let* ) = Result.bind
 
-let header c = [ ("npages", Json.Int c.npages); ("bug", Json.name Monitor.bug_name c.bug) ]
+let header c = [ ("npages", Json.Int c.npages); ("bug", Json.name Bugs.name c.bug) ]
 
 let of_header h =
   let* npages = Json.int_field "npages" h in
-  let* bug = Json.name_field "bug" Monitor.bug_of_string h in
+  let* bug = Json.name_field "bug" Bugs.of_string h in
   Ok { default with npages; bug }
 
 let point_to_json = function

@@ -22,7 +22,6 @@
     1-minimal shrinker. Everything is seed-deterministic, and a shrunk
     campaign serialises to a JSONL trace that replays exactly. *)
 
-module Monitor = Komodo_core.Monitor
 module Diff = Komodo_spec.Diff
 module Span = Komodo_telemetry.Span
 
@@ -58,11 +57,10 @@ type stats = {
           assertion and the OS regaining control *)
 }
 
-val run_fops :
-  ?bug:Monitor.bug -> Diff.world -> fop list -> (stats, violation) result
-(** Run one campaign from the world's initial state. [bug] re-enables a
-    deliberate partial-mutation bug in the monitor (checker
-    self-test). *)
+val run_fops : Diff.world -> fop list -> (stats, violation) result
+(** Run one campaign from the world's initial state, with the bug the
+    world was made with ({!Komodo_spec.Diff.make_world}) armed in the
+    monitor and in the lockstep's spec step. *)
 
 val gen_fops :
   Diff.world -> faults:fault_class list -> seed:int -> n:int -> fop list
@@ -85,15 +83,19 @@ type config = {
   clock : Span.clock option;
       (** wallclock for profiles; without it a profile is a pure
           function of the seed *)
-  bug : Monitor.bug option;  (** re-armed monitor bug (self-test) *)
+  bug : Komodo_core.Bugs.t option;  (** the armed seeded bug (self-test) *)
   faults : fault_class list;  (** the armed fault classes *)
 }
 
 val default : config
 (** 40 pages, 40 ops, every fault class, no bug, no profile. *)
 
+val layers : Komodo_core.Bugs.layer list
+(** Monitor and spec, as {!Komodo_spec.Diff.layers}. *)
+
 val validate : config -> (unit, string) result
-(** The differential world's rules ({!Komodo_spec.Diff.validate}). *)
+(** The differential world's rules ({!Komodo_spec.Diff.validate}),
+    layers included. *)
 
 type op = fop
 type failure = violation

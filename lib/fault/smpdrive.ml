@@ -30,6 +30,7 @@ module Word = Komodo_machine.Word
 module Memory = Komodo_machine.Memory
 module Platform = Komodo_tz.Platform
 module Monitor = Komodo_core.Monitor
+module Bugs = Komodo_core.Bugs
 module Pagedb = Komodo_core.Pagedb
 module Abi = Komodo_core.Abi
 module Errors = Komodo_core.Errors
@@ -152,22 +153,29 @@ type config = {
   npages : int;
   cpus : int;
   ops_per_cpu : int;
-  bug : Smp.bug option;
+  bug : Bugs.t option;
   faults : bool;
 }
 
 let default = { npages = 32; cpus = 4; ops_per_cpu = 8; bug = None; faults = false }
 
+let layers = Bugs.[ Monitor; Stepper ]
+
 let validate c =
   if c.ops_per_cpu < 0 then
     Error (Printf.sprintf "ops must be non-negative, got %d" c.ops_per_cpu)
-  else check_geometry ~npages:c.npages ~cpus:c.cpus
+  else
+    Result.bind (check_geometry ~npages:c.npages ~cpus:c.cpus) (fun () ->
+        Bugs.armable ~kind layers c.bug)
 
 let replay c ~seed sops =
   Result.iter_error invalid_arg (validate c);
   let cpus = c.cpus in
   let sink, trace = Sink.collect () in
   let os = apply_prelude (Os.boot ~seed ~npages:c.npages ~sink ()) ~cpus in
+  (* The prelude runs on the correct monitor; the racing calls, with the
+     bug armed. *)
+  let os = { os with Os.mon = { os.Os.mon with Monitor.bug = c.bug } } in
   let os, inj =
     if not c.faults then (os, None)
     else begin
@@ -321,13 +329,13 @@ let header c =
   [
     ("npages", Json.Int c.npages);
     ("cpus", Json.Int c.cpus);
-    ("bug", Json.name Smp.bug_name c.bug);
+    ("bug", Json.name Bugs.name c.bug);
   ]
 
 let of_header h =
   let* npages = Json.int_field "npages" h in
   let* cpus = Json.int_field "cpus" h in
-  let* bug = Json.name_field "bug" Smp.bug_of_string h in
+  let* bug = Json.name_field "bug" Bugs.of_string h in
   Ok { default with npages; cpus; bug }
 
 let op_to_json s =

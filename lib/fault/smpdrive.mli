@@ -63,16 +63,19 @@ type config = {
   npages : int;  (** secure pages per trial world *)
   cpus : int;  (** cores racing in each trial *)
   ops_per_cpu : int;  (** monitor calls per CPU per trial *)
-  bug : Smp.bug option;  (** re-armed lock-discipline bug (self-test) *)
+  bug : Komodo_core.Bugs.t option;  (** the armed seeded bug (self-test) *)
   faults : bool;  (** fire the injector at lock boundaries too *)
 }
 
 val default : config
 (** 32 pages, 4 CPUs, 8 calls each, no bug, no faults. *)
 
+val layers : Komodo_core.Bugs.layer list
+(** Monitor and stepper. *)
+
 val validate : config -> (unit, string) result
-(** At least one CPU, a non-negative op count, and room for the per-CPU
-    preludes and the shared pool. *)
+(** At least one CPU, a non-negative op count, room for the per-CPU
+    preludes and the shared pool, and a bug of one of {!layers}. *)
 
 val replay : config -> seed:int -> sop list -> (stats, violation) result
 (** Deterministic: rebuilds the whole world from [seed] each call.

@@ -15,6 +15,8 @@
 module Word = Komodo_machine.Word
 module Sha256 = Komodo_crypto.Sha256
 module Errors = Komodo_core.Errors
+module Bugs = Komodo_core.Bugs
+module Monitor = Komodo_core.Monitor
 module Os = Komodo_os.Os
 module Image = Komodo_os.Image
 module Loader = Komodo_os.Loader
@@ -118,7 +120,8 @@ let vault_image =
   in
   Image.add_thread img ~entry:Vault.code_va
 
-(** Boot the platform and bring up an initialised vault. Raises
+(** Boot the platform and bring up an initialised vault, then arm [bug]
+    in the monitor (the vault executor has it from boot). Raises
     [Failure] on setup errors — those are harness bugs, not theorem
     violations. *)
 let boot_vault ~seed ~npages ~bug =
@@ -135,12 +138,12 @@ let boot_vault ~seed ~npages ~bug =
   if not (Errors.is_success err) || not (Word.equal ret Word.zero) then
     failwith
       (Format.asprintf "vault init: %a (exit %d)" Errors.pp err (Word.to_int ret));
-  (os, thread)
+  ({ os with Os.mon = { os.Os.mon with Monitor.bug } }, thread)
 
 type config = {
   npages : int;
   ops_per_trial : int;
-  bug : Vault.bug option;
+  bug : Bugs.t option;
   classes : storage_class list;
 }
 
@@ -400,13 +403,17 @@ let gen_sops ~classes ~seed ~n =
 
 let kind = "vault"
 
+let layers = Bugs.[ Monitor; Vault_enclave ]
+
 (* The world is the vault image loaded on a booted platform. *)
 let validate c =
   if c.ops_per_trial < 0 then
     Error (Printf.sprintf "ops must be non-negative, got %d" c.ops_per_trial)
   else
-    Komodo_spec.Diff.check_npages ~min:(Image.pages_needed vault_image)
-      ~why:"the vault image's pages" c.npages
+    Result.bind
+      (Komodo_spec.Diff.check_npages ~min:(Image.pages_needed vault_image)
+         ~why:"the vault image's pages" c.npages)
+      (fun () -> Bugs.armable ~kind layers c.bug)
 
 type op = sop
 type failure = violation
@@ -473,11 +480,11 @@ let reduce trials violation =
 
 let ( let* ) = Result.bind
 
-let header c = [ ("npages", Json.Int c.npages); ("bug", Json.name Vault.bug_name c.bug) ]
+let header c = [ ("npages", Json.Int c.npages); ("bug", Json.name Bugs.name c.bug) ]
 
 let of_header h =
   let* npages = Json.int_field "npages" h in
-  let* bug = Json.name_field "bug" Vault.bug_of_string h in
+  let* bug = Json.name_field "bug" Bugs.of_string h in
   Ok { default with npages; bug }
 
 let op_to_json =

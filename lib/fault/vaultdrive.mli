@@ -35,9 +35,11 @@ val vault_out : Komodo_machine.Word.t
 (** Physical base of the vault->OS output window. *)
 
 val boot_vault :
-  seed:int -> npages:int -> bug:Vault.bug option -> Komodo_os.Os.t * int
+  seed:int -> npages:int -> bug:Komodo_core.Bugs.t option -> Komodo_os.Os.t * int
 (** Boot the platform, load the vault enclave, run its init command;
-    returns the OS and the vault's thread page. Raises [Failure] on
+    returns the OS and the vault's thread page. [bug] is armed in the
+    vault executor from boot and in the monitor once the vault is up.
+    Raises [Failure] on
     setup errors (harness bugs, not theorem violations). Exposed for
     the bench harness and tests. *)
 
@@ -79,16 +81,20 @@ val kind : string
 type config = {
   npages : int;  (** secure pages per trial world *)
   ops_per_trial : int;  (** vault ops before storage-fault decoration *)
-  bug : Vault.bug option;  (** re-armed detection-disable bug *)
+  bug : Komodo_core.Bugs.t option;  (** the armed seeded bug (self-test) *)
   classes : storage_class list;  (** the armed storage fault classes *)
 }
 
 val default : config
 (** 48 pages, 24 ops, every class, no bug. *)
 
+val layers : Komodo_core.Bugs.layer list
+(** Monitor and vault enclave. *)
+
 val validate : config -> (unit, string) result
 (** At least the pages the vault image needs
-    ({!Komodo_os.Image.pages_needed}), and a non-negative op count. *)
+    ({!Komodo_os.Image.pages_needed}), a non-negative op count, and a
+    bug of one of {!layers}. *)
 
 val replay : config -> seed:int -> sop list -> (stats, violation) result
 (** Boot trial [seed]'s world and run [sops]: deterministic, it

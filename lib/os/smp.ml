@@ -49,21 +49,11 @@ module Monitor = Komodo_core.Monitor
 module Pagedb = Komodo_core.Pagedb
 module Lock = Komodo_core.Lock
 module Abi = Komodo_core.Abi
+module Bugs = Komodo_core.Bugs
 module Platform = Komodo_tz.Platform
 module Seedsplit = Komodo_rand.Seedsplit
 
 type call = { call : int; args : Word.t list }
-
-(* -- Re-armable lock-discipline bugs ------------------------------------ *)
-
-type bug = Missing_page_lock | Lock_inversion
-
-let bug_name = function
-  | Missing_page_lock -> "missing_page_lock"
-  | Lock_inversion -> "lock_inversion"
-
-let bugs = [ Missing_page_lock; Lock_inversion ]
-let bug_of_string s = List.find_opt (fun b -> bug_name b = s) bugs
 
 (* -- Costs and statistics ----------------------------------------------- *)
 
@@ -147,19 +137,19 @@ let run ?(seed = 1) ?bug (os0 : Os.t) ~(scripts : call list list) =
   let total = ref 0 and contended = ref 0 and uncontended = ref 0 in
   let spins_total = ref 0 and retries = ref 0 and lock_cycles = ref 0 in
 
-  (* The footprint a call will lock — where the re-armable bugs live.
-     [Missing_page_lock] drops MapSecure's data-page lock (the classic
-     "the addrspace lock surely covers it" slip); [Lock_inversion]
-     acquires Remove's footprint in descending order. *)
+  (* The footprint a call will lock — where the stepper's seeded bugs
+     live. [Missing_page_lock] drops MapSecure's data-page lock (the
+     classic "the addrspace lock surely covers it" slip);
+     [Lock_inversion] acquires Remove's footprint in descending order. *)
   let footprint_of op =
     let args = List.map Word.to_int op.args in
     let fp =
       Lock.footprint (!os).Os.mon.Monitor.pagedb ~npages ~call:op.call ~args
     in
     match bug with
-    | Some Missing_page_lock when op.call = Abi.smc_map_secure ->
+    | Some Bugs.Missing_page_lock when op.call = Abi.smc_map_secure ->
         List.filter (fun l -> l.Lock.level <> Lock.Page) fp
-    | Some Lock_inversion when op.call = Abi.smc_remove -> List.rev fp
+    | Some Bugs.Lock_inversion when op.call = Abi.smc_remove -> List.rev fp
     | _ -> fp
   in
 

@@ -18,18 +18,6 @@ module Lock = Komodo_core.Lock
 
 type call = { call : int; args : Word.t list }
 
-(** Re-armable lock-discipline bugs for checker self-tests:
-    [Missing_page_lock] drops the data-page lock from MapSecure's
-    footprint (two racing MapSecures can then both validate the same
-    free page and both commit); [Lock_inversion] acquires Remove's
-    footprint in descending page order (deadlocks against any
-    ascending-order call sharing two pages). *)
-type bug = Missing_page_lock | Lock_inversion
-
-val bug_name : bug -> string
-val bugs : bug list
-val bug_of_string : string -> bug option
-
 val lock_cost : int
 (** Uncontended acquire/release pair (LDREX/STREX + barrier). *)
 
@@ -64,9 +52,13 @@ type outcome = {
           then unretired) *)
 }
 
-val run : ?seed:int -> ?bug:bug -> Os.t -> scripts:call list list -> outcome
+val run :
+  ?seed:int -> ?bug:Komodo_core.Bugs.t -> Os.t -> scripts:call list list -> outcome
 (** Run one script per core against the shared state. Deterministic in
-    [(seed, scripts, bug)]. The monitor's fault injector, when armed,
+    [(seed, scripts, bug)]. The stepper reacts only to a
+    {!Komodo_core.Bugs.Stepper} bug: two racing MapSecures can then
+    both validate one free page, or a Remove can deadlock. The monitor's
+    fault injector, when armed,
     also fires at lock acquire/release boundaries
     ({!Komodo_core.Monitor.phase}[ Ph_lock]). The monitor's telemetry
     sink receives each call's events as the call validates, so its

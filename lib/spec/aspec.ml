@@ -5,18 +5,7 @@ open Astate
 
 (* Table 1's encoding: call numbers, error words and their names. *)
 include Komodo_core.Abi
-
-type mutation = No_alias_check | No_monitor_image_check | Drop_refcount
-
-let mutation_name = function
-  | No_alias_check -> "no-alias-check"
-  | No_monitor_image_check -> "no-monitor-image-check"
-  | Drop_refcount -> "drop-refcount"
-
-let mutations = [ No_alias_check; No_monitor_image_check; Drop_refcount ]
-
-let mutation_of_string s =
-  List.find_opt (fun m -> mutation_name m = s) mutations
+module Bugs = Komodo_core.Bugs
 
 exception Stuck of string
 
@@ -239,7 +228,7 @@ let step_smc ?mutate ?rng_exhausted t ~probe ~contents ~call ~args =
       let as_pg = free_page t (arg 0) in
       let l1_pg = free_page t (arg 1) in
       (* Distinct pages — the §9.1 aliasing bug. *)
-      if as_pg = l1_pg && not (mut No_alias_check) then raise (Err e_page_in_use);
+      if as_pg = l1_pg && not (mut Bugs.No_alias_check) then raise (Err e_page_in_use);
       let t =
         set t as_pg
           (Aaddrspace { l1pt = l1_pg; refcount = 1; st = Sinit; meas = meas_initial })
@@ -262,7 +251,7 @@ let step_smc ?mutate ?rng_exhausted t ~probe ~contents ~call ~args =
                has_fault_ctx = false;
              })
       in
-      let bumped = if mut Drop_refcount then a.refcount else a.refcount + 1 in
+      let bumped = if mut Bugs.Drop_refcount then a.refcount else a.refcount + 1 in
       ok
         (set t as_pg
            (Aaddrspace
@@ -300,7 +289,7 @@ let step_smc ?mutate ?rng_exhausted t ~probe ~contents ~call ~args =
              memory — in particular not the monitor's own image (§9.1);
              0 means zero-fill. *)
           let insecure_ok =
-            mut No_monitor_image_check
+            mut Bugs.No_monitor_image_check
             || content >= plat.insecure_base
                && content < plat.insecure_limit
                && (not (in_monitor_image plat content))

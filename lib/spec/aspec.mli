@@ -21,22 +21,6 @@
     from the paper. *)
 include module type of Komodo_core.Abi
 
-(** Deliberately-wrong variants of the spec, used by the checker's
-    self-test: each resurrects a §9.1-style bug, and the differential
-    driver must catch and shrink the resulting divergence. *)
-type mutation =
-  | No_alias_check
-      (** accept [InitAddrspace(p, p)] — §9.1 war story 1 *)
-  | No_monitor_image_check
-      (** skip the MapSecure content validity check entirely, accepting
-          in particular the monitor's own image — §9.1 war story 2 *)
-  | Drop_refcount
-      (** forget to count threads against the addrspace refcount *)
-
-val mutation_of_string : string -> mutation option
-val mutation_name : mutation -> string
-val mutations : mutation list
-
 exception Stuck of string
 (** The spec cannot make sense of its own state (e.g. a first-level
     slot points at a page the spec does not consider a second-level
@@ -52,7 +36,7 @@ type result =
   | Pending of pending
 
 val step_smc :
-  ?mutate:mutation ->
+  ?mutate:Komodo_core.Bugs.t ->
   ?rng_exhausted:bool ->
   Astate.t ->
   probe:(Astate.t -> int -> bool) ->
@@ -68,7 +52,9 @@ val step_smc :
     live probe thread whose execution is predicted exactly.
     [rng_exhausted] is the entropy oracle: when true, a probe GetRandom
     is predicted to fail with {!e_entropy_exhausted} (the fault model's
-    drained hardware source). *)
+    drained hardware source). [mutate] is the armed seeded bug: the
+    step reacts only to the {!Komodo_core.Bugs.Spec} layer's, each a
+    deliberately wrong spec the checkers must catch. *)
 
 val resolve : Astate.t -> pending -> outcome:[ `Exit | `Interrupted | `Fault ] -> Astate.t
 (** Apply the observed outcome of an opaque enclave run to the spec
@@ -79,7 +65,7 @@ val allowed_outcome : int -> [ `Exit | `Interrupted | `Fault ] option
     is not a legal outcome of enclave execution. *)
 
 val step_svc :
-  ?mutate:mutation ->
+  ?mutate:Komodo_core.Bugs.t ->
   ?rng_exhausted:bool ->
   Astate.t ->
   asp:int ->

@@ -1,5 +1,6 @@
 module Os = Komodo_os.Os
 module Monitor = Komodo_core.Monitor
+module Bugs = Komodo_core.Bugs
 module Errors = Komodo_core.Errors
 module Pagedb = Komodo_core.Pagedb
 module Word = Komodo_machine.Word
@@ -33,12 +34,9 @@ let probe_l1 = 1
 let probe_code = 3
 let probe_th_page = 5
 
-type world = {
-  w_os : Os.t;
-  w_spec : Astate.t;
-  w_mutate : Aspec.mutation option;
-  w_cover : Cover.t;
-}
+(* The world's monitor carries the armed bug; [run_ops] hands the spec
+   step the same one. *)
+type world = { w_os : Os.t; w_spec : Astate.t; w_cover : Cover.t }
 
 let world_cover w = w.w_cover
 let probe_thread _ = probe_th_page
@@ -344,7 +342,7 @@ let prelude_ops () =
 
 let page_image prog = List.hd (Uprog.to_page_images (Uprog.code_words prog))
 
-let build_world ?mutate ~npages ?sink ?spans ~seed () =
+let build_world ?bug ~npages ?sink ?spans ~seed () =
   let os = Os.boot ~seed ~npages ?sink ?spans () in
   let staging = Os.staging_base in
   let stage os off prog =
@@ -369,11 +367,13 @@ let build_world ?mutate ~npages ?sink ?spans ~seed () =
   in
   (* Zero the staging window so adversarial MapSecure calls that reuse it
      copy in inert zero pages, not live probe code. *)
-  let rs = { rs with os = Os.write_bytes rs.os staging (String.make 0x4000 '\000') } in
-  { w_os = rs.os; w_spec = rs.spec; w_mutate = mutate; w_cover = cover }
+  let os = Os.write_bytes rs.os staging (String.make 0x4000 '\000') in
+  (* Only the generated phase runs with the bug armed. *)
+  let os = { os with Os.mon = { os.Os.mon with Monitor.bug } } in
+  { w_os = os; w_spec = rs.spec; w_cover = cover }
 
 (* Post-prelude templates, one per page count per domain. The prelude
-   draws no entropy and runs against the unmutated spec, so the built
+   draws no entropy and runs with no bug armed, so the built
    world depends on the seed only through the boot secret and the RNG.
    A fork shares the template's immutable machine state, PageDB,
    allocator and abstract state; it takes a fresh boot's secret and
@@ -382,24 +382,23 @@ let build_world ?mutate ~npages ?sink ?spans ~seed () =
 let templates : (int, world) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
-let fork t ~mutate ~seed =
+let fork t ~bug ~seed =
   let os = t.w_os in
   let b = Boot.boot ~seed ~plat:os.Os.mon.Monitor.plat () in
-  let mon = { os.Os.mon with Monitor.attest_key = b.Boot.attest_key; rng = b.Boot.rng } in
+  let mon = { os.Os.mon with Monitor.attest_key = b.Boot.attest_key; rng = b.Boot.rng; bug } in
   let cover = Cover.create () in
   Cover.merge_into cover t.w_cover;
   {
     w_os = { os with Os.mon; exec = Komodo_user.Verifier.executor () };
     w_spec = t.w_spec;
-    w_mutate = mutate;
     w_cover = cover;
   }
 
 (* A telemetry sink or span recorder observes the prelude itself, so
    such a world is built fresh. *)
-let make_world ?mutate ?(npages = 40) ?sink ?spans ~seed () =
+let make_world ?bug ?(npages = 40) ?sink ?spans ~seed () =
   if Option.is_some sink || Option.is_some spans then
-    build_world ?mutate ~npages ?sink ?spans ~seed ()
+    build_world ?bug ~npages ?sink ?spans ~seed ()
   else
     let tbl = Domain.DLS.get templates in
     let t =
@@ -411,7 +410,7 @@ let make_world ?mutate ?(npages = 40) ?sink ?spans ~seed () =
           Hashtbl.add tbl npages t;
           t
     in
-    fork t ~mutate ~seed
+    fork t ~bug ~seed
 
 (* -- adversarial generation ---------------------------------------------- *)
 
@@ -579,7 +578,7 @@ let run_ops ?cover w ops =
   let rec go rs i = function
     | [] -> Ok i
     | op :: rest -> (
-        match apply_op ?mutate:w.w_mutate ?cover rs i op with
+        match apply_op ?mutate:w.w_os.Os.mon.Monitor.bug ?cover rs i op with
         | Ok rs' -> go rs' (i + 1) rest
         | Error d -> Error d)
   in
@@ -616,8 +615,10 @@ let shrink_seq ~(run : 'op list -> ('ok, 'bad) result) ~(index : 'bad -> int) op
 
 let kind = "check"
 
+let layers = [ Bugs.Monitor; Bugs.Spec ]
+
 type config = {
-  mutate : Aspec.mutation option;
+  bug : Bugs.t option;
   npages : int;
   ops_per_trial : int;
   metrics : bool;
@@ -626,7 +627,7 @@ type config = {
 }
 
 let default =
-  { mutate = None; npages = 40; ops_per_trial = 40; metrics = false; profile = false; clock = None }
+  { bug = None; npages = 40; ops_per_trial = 40; metrics = false; profile = false; clock = None }
 
 let check_npages ~min ~why n =
   if n < min then Error (Printf.sprintf "pages must be at least %d (%s), got %d" min why n)
@@ -638,7 +639,10 @@ let check_npages ~min ~why n =
 let validate c =
   if c.ops_per_trial < 0 then
     Error (Printf.sprintf "ops must be non-negative, got %d" c.ops_per_trial)
-  else check_npages ~min:20 ~why:"the prelude builds its enclaves on pages 0-19" c.npages
+  else
+    Result.bind
+      (check_npages ~min:20 ~why:"the prelude builds its enclaves on pages 0-19" c.npages)
+      (fun () -> Bugs.armable ~kind layers c.bug)
 
 type failure = divergence
 
@@ -657,7 +661,7 @@ let run_trial c ~seed =
      function of the seed (wallclock fields are 0), which is what makes
      profile output deterministic across -j levels. *)
   let spans = if c.profile then Some (Span.create ?clock:c.clock ()) else None in
-  let w = make_world ?mutate:c.mutate ~npages:c.npages ?sink ?spans ~seed () in
+  let w = make_world ?bug:c.bug ~npages:c.npages ?sink ?spans ~seed () in
   (* Every world owns its coverage table, so the trial records into it. *)
   let cover = world_cover w in
   let ops = gen_ops w ~seed ~n:c.ops_per_trial in
@@ -671,7 +675,7 @@ let run_trial c ~seed =
 let failed t = t.t_divergence <> None
 
 let shrink c ~seed =
-  let w = make_world ?mutate:c.mutate ~npages:c.npages ~seed () in
+  let w = make_world ?bug:c.bug ~npages:c.npages ~seed () in
   shrink_seq ~run:(run_ops w) ~index:(fun d -> d.index) (gen_ops w ~seed ~n:c.ops_per_trial)
 
 let counters t = [ ("ops", t.t_ops_run) ]
@@ -710,12 +714,12 @@ let reduce trials divergence =
 let ( let* ) = Result.bind
 
 let header c =
-  [ ("npages", Json.Int c.npages); ("mutate", Json.name Aspec.mutation_name c.mutate) ]
+  [ ("npages", Json.Int c.npages); ("bug", Json.name Bugs.name c.bug) ]
 
 let of_header h =
   let* npages = Json.int_field "npages" h in
-  let* mutate = Json.name_field "mutate" Aspec.mutation_of_string h in
-  Ok { default with npages; mutate }
+  let* bug = Json.name_field "bug" Bugs.of_string h in
+  Ok { default with npages; bug }
 
 let op_to_json = function
   | Smc { call; args; budget } ->

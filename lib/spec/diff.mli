@@ -50,7 +50,7 @@ type rstate = {
 val initial_rstate : world -> rstate
 
 val make_world :
-  ?mutate:Aspec.mutation ->
+  ?bug:Komodo_core.Bugs.t ->
   ?npages:int ->
   ?sink:Komodo_telemetry.Sink.t ->
   ?spans:Komodo_telemetry.Span.recorder ->
@@ -58,8 +58,9 @@ val make_world :
   unit ->
   world
 (** Boot and build the three prelude enclaves through the checked
-    lockstep pipeline. The prelude always runs against the unmutated
-    spec — a [mutate] flag applies to the generated phase only.
+    lockstep pipeline. The prelude always runs with no bug armed; [bug]
+    arms the generated phase's monitor ({!Komodo_core.Monitor.t.bug})
+    and spec step alike, and each reacts only to its own layer's.
     [sink] attaches a telemetry sink to the booted monitor (a metrics
     registry, when the campaign engine is asked to collect one);
     [spans] attaches a span recorder, profiling the prelude and every
@@ -89,7 +90,7 @@ val probe_shape : Astate.t -> bool
     checker without spurious probe-opacity divergences. *)
 
 val apply_op :
-  ?mutate:Aspec.mutation ->
+  ?mutate:Komodo_core.Bugs.t ->
   ?cover:Cover.t ->
   ?opaque_contents:bool ->
   ?opaque_probe:bool ->
@@ -99,7 +100,9 @@ val apply_op :
   op ->
   (rstate, divergence) result
 (** One lockstep step: run [op] against the implementation and the spec
-    and compare. [opaque_contents] forces the MapSecure contents oracle
+    and compare. [mutate] is the bug armed in the spec step
+    ({!Aspec.step_smc}); the monitor's is in its own state.
+    [opaque_contents] forces the MapSecure contents oracle
     to opaque (a fault driver mutating insecure memory mid-call cannot
     know what the handler will read). [opaque_probe] treats a probe
     Enter as an opaque enclave run (instruction-level injection makes
@@ -137,8 +140,11 @@ val shrink_seq :
 val kind : string
 (** ["check"]. *)
 
+val layers : Komodo_core.Bugs.layer list
+(** Monitor and spec. *)
+
 type config = {
-  mutate : Aspec.mutation option;  (** run against a broken spec *)
+  bug : Komodo_core.Bugs.t option;  (** the armed seeded bug *)
   npages : int;  (** secure pages per trial world *)
   ops_per_trial : int;
   metrics : bool;  (** collect a per-trial telemetry registry *)
@@ -149,7 +155,7 @@ type config = {
 }
 
 val default : config
-(** 40 pages, 40 ops, no mutation, metrics or profile. *)
+(** 40 pages, 40 ops, no bug, metrics or profile. *)
 
 val check_npages : min:int -> why:string -> int -> (unit, string) result
 (** A campaign world's page count: at least [min] (a driver's prelude
@@ -157,7 +163,8 @@ val check_npages : min:int -> why:string -> int -> (unit, string) result
 
 val validate : config -> (unit, string) result
 (** {!check_npages} from 20 pages (the prelude builds its enclaves on
-    pages 0-19), and a non-negative op count. *)
+    pages 0-19), a non-negative op count, and a bug of one of
+    {!layers}. *)
 
 type failure = divergence
 
@@ -207,7 +214,7 @@ val reduce : trial list -> (int * op list * divergence) option -> outcome
     spans concatenate in index order. *)
 
 val header : config -> (string * Komodo_telemetry.Json.t) list
-(** Trace-header fields: ["npages"] and ["mutate"]. *)
+(** Trace-header fields: ["npages"] and ["bug"]. *)
 
 val of_header : Komodo_telemetry.Json.t -> (config, string) result
 

@@ -15,10 +15,10 @@
      5. error framing: a failing call leaves the state untouched.
 
    The oracle deliberately restates the *correct* semantics only: when
-   the spec is run under a --mutate flag, the mutated behaviour
-   disagrees with the oracle (or breaks an invariant) and the search
-   reports the shortest path as a counterexample, replayable through
-   the PR-2 differential checker against a concrete machine.
+   a seeded spec bug is armed (--bug), the mutated behaviour disagrees
+   with the oracle (or breaks an invariant) and the search reports the
+   shortest path as a counterexample, replayable through the
+   differential checker against a concrete machine.
 
    Exploration is sharded by frontier slice ([expand_range]) and the
    shards are pure up to the read-only visited set, so the campaign
@@ -37,8 +37,10 @@ type config = {
   pages : int;
   depth : int;
   seed : int;
-  mutate : Aspec.mutation option;
+  mutate : Komodo_core.Bugs.t option;
 }
+
+let layers = [ Komodo_core.Bugs.Spec ]
 
 let min_pages = 6
 let n_prelude = 5
@@ -728,6 +730,7 @@ let make_world (cfg : config) =
   if cfg.pages < min_pages then
     invalid_arg "Explore.make_world: need at least 6 pages for the prelude";
   if cfg.depth < 0 then invalid_arg "Explore.make_world: negative depth";
+  Result.iter_error invalid_arg (Komodo_core.Bugs.armable ~kind:"explore" layers cfg.mutate);
   let staging = Word.to_int Os.staging_base in
   let prelude = prelude_template staging in
   let cover = Cover.create () in
@@ -1024,7 +1027,7 @@ let replay ~seed (c : Diff.config) ops =
             }
           else rs
         in
-        match Diff.apply_op ?mutate:c.Diff.mutate rs i op with
+        match Diff.apply_op ?mutate:c.Diff.bug rs i op with
         | Ok rs' -> go rs' (i + 1) rest
         | Error d -> Diverged d)
   in

@@ -42,8 +42,11 @@ type config = {
   pages : int;  (** secure pages in the world; at least {!min_pages} *)
   depth : int;  (** BFS bound, in ops beyond the prelude *)
   seed : int;  (** concrete-replay seed (the search itself is seedless) *)
-  mutate : Aspec.mutation option;  (** explore a deliberately-wrong spec *)
+  mutate : Komodo_core.Bugs.t option;  (** the armed seeded bug, of {!layers} *)
 }
+
+val layers : Komodo_core.Bugs.layer list
+(** The spec, the one layer the search runs. *)
 
 val min_pages : int
 (** 6 — the prelude occupies pages 0-5. *)
@@ -87,7 +90,8 @@ val make_world : config -> world
 (** Boot [Astate] and run the prelude through the same checked-edge
     pipeline as the search. A prelude violation (possible under
     [mutate]) is recorded in {!prelude_violation}, not raised.
-    @raise Invalid_argument if [pages < min_pages] or [depth < 0]. *)
+    @raise Invalid_argument if [pages < min_pages], [depth < 0] or
+    [mutate] is a bug of a layer outside {!layers}. *)
 
 val config_of : world -> config
 val root : world -> snode
@@ -151,7 +155,7 @@ type report = {
     of kind ["explore"] and replayed through the differential checker
     ({!Diff.apply_op}) against a freshly booted concrete world, so every
     abstract counterexample is cross-validated against the machine:
-    under the same [mutate] the divergence must reproduce. *)
+    under the same armed bug the divergence must reproduce. *)
 
 val op_to_json : xop -> Komodo_telemetry.Json.t
 (** {!Diff.op_to_json} of the SMC, plus an informational ["forced"]
@@ -164,6 +168,6 @@ type replayed =
 val replay : seed:int -> Diff.config -> Diff.op list -> replayed
 (** Boot [Os] from [seed] and the config's page count, stage the probe
     image, run every op in differential lockstep (under the config's
-    [mutate], so a mutation counterexample must diverge), zeroing the
+    [bug], so a spec-bug counterexample must diverge), zeroing the
     staging window after the {!n_prelude} prelude ops exactly as the
     explorer's abstract contents oracle assumes. *)

@@ -34,6 +34,7 @@ module Sha256 = Komodo_crypto.Sha256
 module Gcm = Komodo_crypto.Gcm
 module Hkdf = Komodo_crypto.Hkdf
 module Abi = Komodo_core.Abi
+module Bugs = Komodo_core.Bugs
 open Native_util
 
 let native_id = 3
@@ -123,23 +124,6 @@ let derive_cycles =
   * (Hkdf.compressions ~ikm_len:32 ~info_len:(String.length key_info) 32
     + Hkdf.compressions ~ikm_len:32 ~info_len:(String.length nonce_info) 12)
 
-(* -- Detection-disable self-test bugs ------------------------------------ *)
-
-(** Re-armable detection bugs ([Monitor.bug]-style): each disables one
-    of the two checks unseal's refuse-and-report behaviour rests on,
-    so campaigns can prove they would catch a vault that silently
-    accepts corrupt or stale blobs. *)
-type bug =
-  | Bug_accept_tampered  (** ignore GCM authentication failure *)
-  | Bug_accept_stale  (** skip the epoch freshness check *)
-
-let bug_name = function
-  | Bug_accept_tampered -> "accept_tampered"
-  | Bug_accept_stale -> "accept_stale"
-
-let bugs = [ Bug_accept_tampered; Bug_accept_stale ]
-let bug_of_string s = List.find_opt (fun b -> bug_name b = s) bugs
-
 (* -- State-page access --------------------------------------------------- *)
 
 let state_word s i = load s (Word.add state_va (Word.of_int (4 * i)))
@@ -203,7 +187,8 @@ let handle_seal s =
 
 (** Unseal the blob on the input page against the trusted NV counter
     value (r1). Verdicts: 0 accept (state restored), 2 tampered,
-    3 stale. [bug] disables one detection for self-tests. *)
+    3 stale. An armed {!Bugs.Vault_enclave} bug disables
+    one of the two detections refuse-and-report rests on. *)
 let handle_unseal ~bug s =
   let refuse s v = exit_with s (Word.of_int v) in
   let blob = words_to_bytes (read_words s input_va blob_words) in
@@ -220,7 +205,7 @@ let handle_unseal ~bug s =
       s
   in
   if not (Word.equal magic blob_magic) then
-    if bug = Some Bug_accept_tampered then refuse s verdict_accept
+    if bug = Some Bugs.Accept_tampered then refuse s verdict_accept
     else refuse s verdict_tampered
   else
     match
@@ -231,12 +216,12 @@ let handle_unseal ~bug s =
     | None ->
         (* Authentication failed: any bit of the blob was altered
            (or it was assembled from mismatched pieces). *)
-        if bug = Some Bug_accept_tampered then refuse s verdict_accept
+        if bug = Some Bugs.Accept_tampered then refuse s verdict_accept
         else refuse s verdict_tampered
     | Some pt ->
         let inner = Word.of_bytes_be pt 0 in
         if not (Word.equal inner epoch) then refuse s verdict_tampered
-        else if (not (Word.equal epoch expected)) && bug <> Some Bug_accept_stale
+        else if (not (Word.equal epoch expected)) && bug <> Some Bugs.Accept_stale
         then
           (* Genuine but not the epoch the NV counter vouches for:
              a replayed (rolled-back) blob. *)
@@ -277,11 +262,8 @@ let native_with ?bug () : Exec.native =
     end
   with Enclave_fault f -> { Exec.nstate = s; nevent = Exec.Ev_fault f }
 
-let native = native_with ()
-
-(** Registry covering all three native services. *)
-let registry ?bug id =
-  if id = native_id then Some (native_with ?bug ()) else Verifier.registry id
-
+(* All three native services: the vault, the verifier and the notary. *)
 let executor ?fuel ?probe ?inject ?bug () =
-  Komodo_core.Uexec.concrete ?fuel ~native:(registry ?bug) ?probe ?inject ()
+  let vault = native_with ?bug () in
+  let native id = if id = native_id then Some vault else Verifier.registry id in
+  Komodo_core.Uexec.concrete ?fuel ~native ?probe ?inject ()

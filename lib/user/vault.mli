@@ -52,28 +52,14 @@ val seal_cycles : aad:int -> len:int -> int
 val derive_cycles : int
 (** Model cycles the one-time HKDF seal-key derivation charges. *)
 
-(** Re-armable detection-disable bugs ([Monitor.bug]-style): each
-    turns off one of the checks refuse-and-report rests on, so
-    campaigns can prove they would catch a vault that silently
-    accepts corrupt or stale blobs. *)
-type bug =
-  | Bug_accept_tampered  (** ignore GCM authentication failure *)
-  | Bug_accept_stale  (** skip the epoch freshness check *)
-
-val bug_name : bug -> string
-val bug_of_string : string -> bug option
-val bugs : bug list
-
-val native : Exec.native
-val native_with : ?bug:bug -> unit -> Exec.native
-
-val registry : ?bug:bug -> int -> Exec.native option
-(** Covers all three native services (vault, verifier, notary). *)
-
 val executor :
   ?fuel:int ->
   ?probe:(steps:int -> unit) ->
   ?inject:Komodo_machine.Exec.inject ->
-  ?bug:bug ->
+  ?bug:Komodo_core.Bugs.t ->
   unit ->
   Komodo_core.Uexec.t
+(** The concrete executor with all three native services (vault,
+    verifier, notary). The vault reacts only to a
+    {!Komodo_core.Bugs.Vault_enclave} [bug], which turns off one of the
+    checks unseal's refuse-and-report rests on. *)

@@ -105,9 +105,30 @@ let test_errors () =
   Alcotest.(check (option err)) "of_word 18" None (Errors.of_word (Word.of_int 18));
   Alcotest.(check (option err)) "of_word -1" None (Errors.of_word (Word.of_int (-1)))
 
+(* The seeded-bug registry: one name per bug, each readable back, and
+   no layer without a bug for its campaigns to catch. *)
+let test_bug_registry () =
+  let module Bugs = Komodo_core.Bugs in
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (Bugs.name b ^ " round-trips") true
+        (Bugs.of_string (Bugs.name b) = Some b))
+    Bugs.all;
+  let names = List.map Bugs.name Bugs.all in
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  Alcotest.(check int) "nine bugs" 9 (List.length Bugs.all);
+  Alcotest.(check bool) "unknown name" true (Bugs.of_string "nonsense" = None);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) (Bugs.layer_name l ^ " has a bug") true
+        (List.exists (fun b -> Bugs.layer b = l) Bugs.all))
+    Bugs.[ Monitor; Spec; Stepper; Vault_enclave ]
+
 let suite =
   [
     Alcotest.test_case "table 1 call numbers and names" `Quick test_calls;
     Alcotest.test_case "unknown call and error names" `Quick test_fallbacks;
     Alcotest.test_case "error words round-trip by name" `Quick test_errors;
+    Alcotest.test_case "bug registry names round-trip" `Quick test_bug_registry;
   ]

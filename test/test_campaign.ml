@@ -10,7 +10,7 @@
 module Cover = Komodo_spec.Cover
 module Diff = Komodo_spec.Diff
 module Drive = Komodo_fault.Drive
-module Monitor = Komodo_core.Monitor
+module Bugs = Komodo_core.Bugs
 module Metrics = Komodo_telemetry.Metrics
 module Json = Komodo_telemetry.Json
 module Pool = Komodo_campaign.Pool
@@ -64,7 +64,7 @@ let test_check_mutation_same_shrunk_trace () =
   (* An armed spec mutation: both worker counts must converge on the
      same lowest failing trial and shrink it to the same trace. *)
   let run jobs =
-    Campaign.check ~mutate:Komodo_spec.Aspec.No_alias_check ~jobs ~trials:60
+    Campaign.check ~bug:Bugs.No_alias_check ~jobs ~trials:60
       ~seed:42 ()
   in
   let a = run 1 and b = run 4 in
@@ -110,9 +110,9 @@ let test_fault_bug_same_shrunk_trace bug () =
   in
   let a = run 1 and b = run 4 in
   (match a.Drive.violation with
-  | None -> Alcotest.failf "bug %s survived the campaign" (Monitor.bug_name bug)
+  | None -> Alcotest.failf "bug %s survived the campaign" (Bugs.name bug)
   | Some _ -> ());
-  same_fault_outcome (Monitor.bug_name bug) a b
+  same_fault_outcome (Bugs.name bug) a b
 
 (* -- pool stress -------------------------------------------------------- *)
 
@@ -351,7 +351,6 @@ let test_progress_totals_schedule_independent () =
 (* -- smp campaigns: -j 1 vs -j 4 ---------------------------------------- *)
 
 module Smpdrive = Komodo_fault.Smpdrive
-module Smp = Komodo_os.Smp
 module Smp_campaign = Campaign.Make (Smpdrive)
 
 let smp_violation_str = function
@@ -401,10 +400,10 @@ let test_smp_bug_same_shrunk_trace bug () =
   let a = run 1 and b = run 4 in
   (match a.Smpdrive.violation with
   | None ->
-      Alcotest.failf "%s survived the smp campaign" (Smp.bug_name bug)
+      Alcotest.failf "%s survived the smp campaign" (Bugs.name bug)
   | Some (_, shrunk, _) ->
       Alcotest.(check bool) "shrunk trace nonempty" true (shrunk <> []));
-  same_smp_outcome (Smp.bug_name bug) a b
+  same_smp_outcome (Bugs.name bug) a b
 
 (* A committed regression trace, shrunk from a bug self-test, must keep
    reproducing its violation. *)
@@ -421,7 +420,7 @@ let smp_committed_trace_replays file bug kind () =
       | Error v -> Alcotest.(check string) "same violation kind" kind v.Smpdrive.kind)
 
 let test_smp_committed_trace_replays =
-  smp_committed_trace_replays "smp_lock_inversion.jsonl" Smp.Lock_inversion "deadlock"
+  smp_committed_trace_replays "smp_lock_inversion.jsonl" Bugs.Lock_inversion "deadlock"
 
 (* -- the trace reader under fuzzing --------------------------------------- *)
 
@@ -549,7 +548,7 @@ let test_reader_regressions () =
     [
       ("fault", [ fault_h; {|{"op":{"call":11,"args":["\uzzzz"],"budget":null},"inj":[]}|} ]);
       ("explore",
-        [ {|{"schema":"komodo-trace/1","kind":"explore","seed":42,"npages":7,"mutate":"\uzzzz"}|} ]);
+        [ {|{"schema":"komodo-trace/1","kind":"explore","seed":42,"npages":7,"bug":"\uzzzz"}|} ]);
       ("smp", [ {|{"schema":"komodo-trace/1","kind":"smp","seed":21,"npages":32,"cpus":0,"bug":null}|} ]);
       ( "smp",
         [
@@ -590,7 +589,7 @@ let test_reader_rejects_unfireable () =
   in
   let irq_at point = Printf.sprintf {|{"point":%s,"action":"irq"}|} point in
   let explore_h =
-    {|{"schema":"komodo-trace/1","kind":"explore","seed":42,"npages":7,"mutate":null,"depth":1,"reason":"r"}|}
+    {|{"schema":"komodo-trace/1","kind":"explore","seed":42,"npages":7,"bug":null,"depth":1,"reason":"r"}|}
   in
   let cases =
     [
@@ -641,6 +640,47 @@ let test_validate_rejects () =
       ("smp", Smpdrive.validate Smpdrive.default);
     ]
 
+module Check_campaign = Campaign.Make (Diff)
+
+(* The layer rule: a driver's config, and with it a trace header, arms
+   exactly the bugs of the layers its trials run. *)
+let test_bug_layers () =
+  let bug_h kind rest b =
+    Printf.sprintf {|{"schema":"komodo-trace/1","kind":"%s","seed":42,%s,"bug":"%s"}|} kind
+      rest (Bugs.name b)
+  in
+  let check_rule name layers validate of_header =
+    List.iter
+      (fun b ->
+        let ok = List.mem (Bugs.layer b) layers in
+        let what = Printf.sprintf "%s with %s" name (Bugs.name b) in
+        Alcotest.(check bool) (what ^ ": validate") ok (Result.is_ok (validate b));
+        Alcotest.(check bool) (what ^ ": trace header") ok (of_header b))
+      Bugs.all
+  in
+  check_rule "check" Bugs.[ Monitor; Spec ]
+    (fun b -> Diff.validate { Diff.default with bug = Some b })
+    (fun b -> Result.is_ok (Check_campaign.of_trace [ bug_h "check" {|"npages":40|} b ]));
+  check_rule "fault" Bugs.[ Monitor; Spec ]
+    (fun b -> Drive.validate { Drive.default with bug = Some b })
+    (fun b -> Result.is_ok (Fault_campaign.of_trace [ bug_h "fault" {|"npages":40|} b ]));
+  check_rule "smp" Bugs.[ Monitor; Stepper ]
+    (fun b -> Smpdrive.validate { Smpdrive.default with bug = Some b })
+    (fun b ->
+      Result.is_ok (Smp_campaign.of_trace [ bug_h "smp" {|"npages":32,"cpus":4|} b ]));
+  check_rule "vault" Bugs.[ Monitor; Vault_enclave ]
+    (fun b -> Vaultdrive.validate { Vaultdrive.default with bug = Some b })
+    (fun b -> Result.is_ok (Vault_campaign.of_trace [ bug_h "vault" {|"npages":48|} b ]));
+  check_rule "explore" Bugs.[ Spec ]
+    (fun b ->
+      match Explore.make_world { Explore.pages = 7; depth = 0; seed = 42; mutate = Some b } with
+      | _ -> Ok ()
+      | exception Invalid_argument e -> Error e)
+    (fun b ->
+      Result.is_ok
+        (Campaign.replay_explore_trace
+           [ bug_h "explore" {|"npages":7,"depth":0,"reason":"r"|} b ]))
+
 let suite =
   [
     Alcotest.test_case "check: -j 1 = -j 4 across seeds" `Quick
@@ -652,9 +692,9 @@ let suite =
     Alcotest.test_case "fault: -j 1 = -j 4 on a clean storm" `Quick
       test_fault_deterministic;
     Alcotest.test_case "fault: partial MapSecure shrunk trace identical" `Quick
-      (test_fault_bug_same_shrunk_trace Monitor.Bug_partial_map_secure);
+      (test_fault_bug_same_shrunk_trace Bugs.Partial_map_secure);
     Alcotest.test_case "fault: partial Remove shrunk trace identical" `Quick
-      (test_fault_bug_same_shrunk_trace Monitor.Bug_partial_remove);
+      (test_fault_bug_same_shrunk_trace Bugs.Partial_remove);
     Alcotest.test_case "pool: clean campaign completes in order" `Quick
       test_pool_completed;
     Alcotest.test_case "pool: zero trials" `Quick test_pool_zero_trials;
@@ -681,9 +721,9 @@ let suite =
     Alcotest.test_case "smp: clean under lock-boundary faults" `Quick
       test_smp_faults_clean;
     Alcotest.test_case "smp: missing_page_lock shrunk trace identical" `Quick
-      (test_smp_bug_same_shrunk_trace Smp.Missing_page_lock);
+      (test_smp_bug_same_shrunk_trace Bugs.Missing_page_lock);
     Alcotest.test_case "smp: lock_inversion shrunk trace identical" `Quick
-      (test_smp_bug_same_shrunk_trace Smp.Lock_inversion);
+      (test_smp_bug_same_shrunk_trace Bugs.Lock_inversion);
     Alcotest.test_case "smp: committed deadlock trace replays" `Quick
       test_smp_committed_trace_replays;
     Testlib.qcheck prop_reader_never_raises;
@@ -698,6 +738,7 @@ let suite =
        does not explain its Addr_in_use, though an order that puts it
        first does. *)
     Alcotest.test_case "smp: committed lost-update trace replays" `Quick
-      (smp_committed_trace_replays "smp_missing_page_lock.jsonl" Smp.Missing_page_lock
+      (smp_committed_trace_replays "smp_missing_page_lock.jsonl" Bugs.Missing_page_lock
          "linearisability");
+    Alcotest.test_case "drivers: bugs outside their layers rejected" `Quick test_bug_layers;
   ]

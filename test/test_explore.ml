@@ -21,6 +21,7 @@ module Cover = Komodo_spec.Cover
 module Explore = Komodo_spec.Explore
 module Diff = Komodo_spec.Diff
 module Campaign = Komodo_campaign.Campaign
+module Bugs = Komodo_core.Bugs
 
 let config ?mutate ~pages ~depth () =
   { Explore.pages; depth; seed = 42; mutate }
@@ -140,8 +141,8 @@ let test_jobs_deterministic () =
     (Cover.equal a.Explore.x_cover b.Explore.x_cover)
 
 let test_jobs_deterministic_violation () =
-  let a = run ~mutate:Aspec.No_monitor_image_check ~jobs:1 ~pages:7 ~depth:2 () in
-  let b = run ~mutate:Aspec.No_monitor_image_check ~jobs:4 ~pages:7 ~depth:2 () in
+  let a = run ~mutate:Bugs.No_monitor_image_check ~jobs:1 ~pages:7 ~depth:2 () in
+  let b = run ~mutate:Bugs.No_monitor_image_check ~jobs:4 ~pages:7 ~depth:2 () in
   Alcotest.(check string)
     "violating reports identical at -j 1 / -j 4" (report_fingerprint a)
     (report_fingerprint b);
@@ -156,7 +157,7 @@ let test_jobs_deterministic_violation () =
 let test_mutation_matrix () =
   List.iter
     (fun m ->
-      let name = Aspec.mutation_name m in
+      let name = Bugs.name m in
       let cfg = config ~mutate:m ~pages:7 ~depth:3 () in
       let r = Campaign.explore ~jobs:2 ~config:cfg () in
       let v =
@@ -165,7 +166,7 @@ let test_mutation_matrix () =
         | None -> Alcotest.failf "mutation %s survived exhaustive search" name
       in
       (match m with
-      | Aspec.Drop_refcount ->
+      | Bugs.Drop_refcount ->
           Alcotest.(check bool)
             (name ^ ": violates in the prelude") true v.Explore.v_prelude
       | _ ->
@@ -182,7 +183,7 @@ let test_mutation_matrix () =
              divergence)"
             name n
       | Ok (Explore.Diverged _) -> ())
-    Aspec.mutations
+    (List.filter (fun b -> Bugs.layer b = Bugs.Spec) Bugs.all)
 
 (* A clean world's prelude must replay clean through the differential
    checker (trace round-trip with no violation on board). *)

@@ -9,6 +9,7 @@ module State = Komodo_machine.State
 module Memory = Komodo_machine.Memory
 module Platform = Komodo_tz.Platform
 module Monitor = Komodo_core.Monitor
+module Bugs = Komodo_core.Bugs
 module Pagedb = Komodo_core.Pagedb
 module Os = Komodo_os.Os
 module Inject = Komodo_fault.Inject
@@ -43,20 +44,26 @@ let test_campaign_deterministic () =
     b.Drive.total_injections;
   Alcotest.(check int) "same blackout" a.Drive.blackout b.Drive.blackout
 
-let catch_bug bug =
+let catch_bug ?(trials = 10) bug =
   match
-    (Campaign.fault ~jobs:1 ~faults:Drive.all_classes ~trials:10 ~seed:42 ~bug ())
+    (Campaign.fault ~jobs:1 ~faults:Drive.all_classes ~trials ~seed:42 ~bug ())
       .Drive.violation
   with
-  | None -> Alcotest.failf "bug %s survived the campaign" (Monitor.bug_name bug)
+  | None -> Alcotest.failf "bug %s survived the campaign" (Bugs.name bug)
   | Some (_, shrunk, _) ->
       Alcotest.(check bool)
         (Printf.sprintf "shrunk to <= 3 fops (got %d)" (List.length shrunk))
         true
         (List.length shrunk <= 3)
 
-let test_catch_partial_map_secure () = catch_bug Monitor.Bug_partial_map_secure
-let test_catch_partial_remove () = catch_bug Monitor.Bug_partial_remove
+let test_catch_partial_map_secure () = catch_bug Bugs.Partial_map_secure
+let test_catch_partial_remove () = catch_bug Bugs.Partial_remove
+
+(* The lockstep inside every fault trial runs the spec step, so the
+   campaign arms and must catch the spec's bugs too (CI's 15 trials:
+   no-monitor-image-check first fires in trial 14). *)
+let test_catch_spec_bugs () =
+  List.iter (catch_bug ~trials:15) Bugs.[ No_alias_check; No_monitor_image_check; Drop_refcount ]
 
 let test_injector_tzasc_bound () =
   (* The modelled TZASC: a commit-point store aimed at secure memory is
@@ -142,7 +149,7 @@ let test_committed_trace_replays () =
   | Error e -> Alcotest.failf "committed trace unparseable: %s" e
   | Ok (seed, cfg, fops) -> (
       Alcotest.(check bool) "trace carries the bug" true
-        (cfg.Drive.bug = Some Monitor.Bug_partial_remove);
+        (cfg.Drive.bug = Some Bugs.Partial_remove);
       match Drive.replay cfg ~seed fops with
       | Ok _ -> Alcotest.fail "committed violation no longer reproduces"
       | Error v ->
@@ -165,4 +172,5 @@ let suite =
     Alcotest.test_case "trace round-trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "committed trace still reproduces" `Quick
       test_committed_trace_replays;
+    Alcotest.test_case "self-test: spec bugs caught" `Quick test_catch_spec_bugs;
   ]

@@ -10,6 +10,7 @@ module Abi = Komodo_core.Abi
 module Lock = Komodo_core.Lock
 module Pagedb = Komodo_core.Pagedb
 module Monitor = Komodo_core.Monitor
+module Bugs = Komodo_core.Bugs
 module Errors = Komodo_core.Errors
 
 let op call args = { Smp.call; args = List.map Word.of_int args }
@@ -138,7 +139,7 @@ let seeds = List.init 60 (fun i -> i + 1)
 let test_missing_page_lock_corrupts () =
   let corrupted_with_bug =
     List.exists
-      (fun seed -> not (wf (racing_map_secure ~bug:Smp.Missing_page_lock seed).Smp.os))
+      (fun seed -> not (wf (racing_map_secure ~bug:Bugs.Missing_page_lock seed).Smp.os))
       seeds
   in
   Alcotest.(check bool) "missing page lock corrupts the PageDB" true corrupted_with_bug;
@@ -175,7 +176,7 @@ let map_vs_remove ?bug seed =
 let test_lock_inversion_deadlocks () =
   let deadlocked =
     List.exists
-      (fun seed -> (map_vs_remove ~bug:Smp.Lock_inversion seed).Smp.deadlock <> None)
+      (fun seed -> (map_vs_remove ~bug:Bugs.Lock_inversion seed).Smp.deadlock <> None)
       seeds
   in
   Alcotest.(check bool) "lock inversion deadlocks" true deadlocked;
@@ -193,7 +194,7 @@ let test_deadlock_cycle_shape () =
      page some other member holds. *)
   let dl =
     List.find_map
-      (fun seed -> (map_vs_remove ~bug:Smp.Lock_inversion seed).Smp.deadlock)
+      (fun seed -> (map_vs_remove ~bug:Bugs.Lock_inversion seed).Smp.deadlock)
       seeds
   in
   match dl with

@@ -10,6 +10,7 @@
 module Word = Komodo_machine.Word
 module State = Komodo_machine.State
 module Monitor = Komodo_core.Monitor
+module Bugs = Komodo_core.Bugs
 module Pagedb = Komodo_core.Pagedb
 module Boot = Komodo_tz.Boot
 module Rng = Komodo_tz.Rng
@@ -73,16 +74,13 @@ let test_lockstep () =
     "at least 10 distinct error codes" true
     (List.length (Cover.errors_covered o.Diff.cover) >= 10)
 
-let test_mutation mutation () =
-  let o = Campaign.check ~mutate:mutation ~jobs:1 ~trials:60 ~seed:42 () in
+let test_mutation bug () =
+  let o = Campaign.check ~bug ~jobs:1 ~trials:60 ~seed:42 () in
   match o.Diff.divergence with
-  | None ->
-      Alcotest.failf "mutation %s survived the checker"
-        (Aspec.mutation_name mutation)
+  | None -> Alcotest.failf "bug %s survived the checker" (Bugs.name bug)
   | Some (_, ops, _) ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s shrunk to <= 6 calls (got %d)"
-           (Aspec.mutation_name mutation) (List.length ops))
+        (Printf.sprintf "%s shrunk to <= 6 calls (got %d)" (Bugs.name bug) (List.length ops))
         true
         (List.length ops <= 6)
 
@@ -395,9 +393,9 @@ let test_opaque_nothing_to_adopt () =
 
 (* A trial world built fresh with a collecting sink, so its trace holds
    the prelude and every op; [violations] replays what was collected. *)
-let traced_world ~seed =
+let traced_world ?bug ~seed () =
   let sink, collected = Sink.collect () in
-  let w = Diff.make_world ~npages:Diff.default.Diff.npages ~sink ~seed () in
+  let w = Diff.make_world ?bug ~npages:Diff.default.Diff.npages ~sink ~seed () in
   let violations () =
     match Trace_check.check ~npages:Diff.default.Diff.npages (collected ()) with
     | Error e -> [ "malformed: " ^ e ]
@@ -407,7 +405,7 @@ let traced_world ~seed =
 
 let test_replay_campaign_traces () =
   for seed = 0 to 19 do
-    let w, violations = traced_world ~seed in
+    let w, violations = traced_world ~seed () in
     let ran = Diff.run_ops w (Diff.gen_ops w ~seed ~n:Diff.default.Diff.ops_per_trial) in
     Alcotest.(check bool) (Printf.sprintf "check trial %d refines" seed) true (Result.is_ok ran);
     Alcotest.(check (list string))
@@ -415,10 +413,10 @@ let test_replay_campaign_traces () =
       [] (violations ())
   done;
   let fault ?bug seed =
-    let w, violations = traced_world ~seed in
+    let w, violations = traced_world ?bug ~seed () in
     let n = Drive.default.Drive.ops_per_trial in
     let fops = Drive.gen_fops w ~faults:Drive.all_classes ~seed ~n in
-    let ran = Drive.run_fops ?bug w fops in
+    let ran = Drive.run_fops w fops in
     (ran, violations ())
   in
   for seed = 0 to 29 do
@@ -430,7 +428,7 @@ let test_replay_campaign_traces () =
      trace shows a retype the spec refuses. *)
   let caught = ref 0 in
   for seed = 0 to 59 do
-    match fault ~bug:Monitor.Bug_partial_remove seed with
+    match fault ~bug:Bugs.Partial_remove seed with
     | Ok _, _ -> ()
     | Error _, violations ->
         incr caught;
@@ -537,11 +535,11 @@ let suite =
     Alcotest.test_case "lockstep: 30 trials, no divergence, full coverage" `Quick
       test_lockstep;
     Alcotest.test_case "mutation no-alias-check caught and shrunk" `Quick
-      (test_mutation Aspec.No_alias_check);
+      (test_mutation Bugs.No_alias_check);
     Alcotest.test_case "mutation no-monitor-image-check caught and shrunk" `Quick
-      (test_mutation Aspec.No_monitor_image_check);
+      (test_mutation Bugs.No_monitor_image_check);
     Alcotest.test_case "mutation drop-refcount caught and shrunk" `Quick
-      (test_mutation Aspec.Drop_refcount);
+      (test_mutation Bugs.Drop_refcount);
     Alcotest.test_case "replay: lifecycle trace refines the spec" `Quick
       test_replay_clean;
     Alcotest.test_case "replay: tampered trace rejected" `Quick test_replay_tampered;
@@ -568,4 +566,6 @@ let suite =
       test_replay_backwards_stamp;
     Alcotest.test_case "replay: SVC events pair up and retype what they may" `Quick
       test_replay_svc_tampered;
+    Alcotest.test_case "monitor bug partial_remove caught and shrunk" `Quick
+      (test_mutation Bugs.Partial_remove);
   ]

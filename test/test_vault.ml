@@ -13,6 +13,7 @@ module Loader = Komodo_os.Loader
 module Image = Komodo_os.Image
 module Uprog = Komodo_user.Uprog
 module Vault = Komodo_user.Vault
+module Bugs = Komodo_core.Bugs
 module Sha256 = Komodo_crypto.Sha256
 module Sealspec = Komodo_spec.Sealspec
 module Vaultdrive = Komodo_fault.Vaultdrive
@@ -172,13 +173,13 @@ let test_survives_full_reboot () =
 let test_bugs_disable_detection () =
   (* The re-armable bugs really disable the checks — otherwise the
      campaign self-tests below would be vacuous. *)
-  let os, thread, blob = seal_one (boot ~bug:Vault.Bug_accept_tampered ()) in
+  let os, thread, blob = seal_one (boot ~bug:Bugs.Accept_tampered ()) in
   let b = Bytes.of_string blob in
   Bytes.set b 40 (Char.chr (Char.code (Bytes.get b 40) lxor 1));
   let _, v = unseal (os, thread) ~nv:1 (Bytes.to_string b) in
   Alcotest.(check int) "accept_tampered swallows corruption"
     Vault.verdict_accept v;
-  let w = boot ~bug:Vault.Bug_accept_stale () in
+  let w = boot ~bug:Bugs.Accept_stale () in
   let os, thread, blob1 = seal_one w in
   let os, _ = enter os thread ~cmd:Vault.cmd_seal ~a1:1 in
   let _, v = unseal (os, thread) ~nv:2 blob1 in
@@ -214,7 +215,7 @@ let catch_bug bug =
        ~seed:42)
       .Vaultdrive.violation
   with
-  | None -> Alcotest.failf "bug %s survived the campaign" (Vault.bug_name bug)
+  | None -> Alcotest.failf "bug %s survived the campaign" (Bugs.name bug)
   | Some (_, shrunk, v) ->
       Alcotest.(check bool)
         (Printf.sprintf "shrunk to <= 4 sops (got %d)" (List.length shrunk))
@@ -223,8 +224,8 @@ let catch_bug bug =
       Alcotest.(check bool) "violation names a reason" true
         (String.length v.Vaultdrive.reason > 0)
 
-let test_catch_accept_tampered () = catch_bug Vault.Bug_accept_tampered
-let test_catch_accept_stale () = catch_bug Vault.Bug_accept_stale
+let test_catch_accept_tampered () = catch_bug Bugs.Accept_tampered
+let test_catch_accept_stale () = catch_bug Bugs.Accept_stale
 
 let test_trace_roundtrip () =
   let sops =
@@ -253,7 +254,7 @@ let test_committed_trace_replays () =
   | Error e -> Alcotest.failf "committed trace unparseable: %s" e
   | Ok (seed, cfg, sops) -> (
       Alcotest.(check bool) "trace carries the bug" true
-        (cfg.Vaultdrive.bug = Some Vault.Bug_accept_stale);
+        (cfg.Vaultdrive.bug = Some Bugs.Accept_stale);
       match Vaultdrive.replay cfg ~seed sops with
       | Ok _ -> Alcotest.fail "committed violation no longer reproduces"
       | Error v ->
