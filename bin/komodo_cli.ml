@@ -472,6 +472,12 @@ let asm_cmd =
    whether it is on or off. *)
 
 let int_arg name (default, doc) ~docv = Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
+(* A campaign's generation flag: [None] when not given, so that --replay
+   can refuse one it would not read. *)
+let gen_arg name (default, doc) ~docv =
+  Arg.(value & opt (some' ~none:default int) None & info [ name ] ~docv ~doc)
+
 let file_arg name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
 
 let progress_arg =
@@ -573,7 +579,7 @@ let name_list what of_string s =
 
 (* --bug NAME, on every campaign and explore: the seeded bugs of the
    layers the campaign runs. A bug of another layer is the campaign's
-   own usage error ([DRIVER.validate], [Explore.make_world]). *)
+   own usage error ([DRIVER.validate], [Explore.validate]). *)
 let bug_arg layers =
   let names = List.filter (fun b -> List.mem (Bugs.layer b) layers) Bugs.all in
   let doc =
@@ -640,6 +646,23 @@ let campaign_cmd (type c o f r)
   let run level trials ops seed pages bug replay save mk jobs progress progress_out =
     setup_logs level;
     let fail msg = usage_error k.name msg in
+    (* Under --replay the trace configures the run: a generation flag
+       it would not read is refused, not ignored. *)
+    let unread =
+      List.filter_map
+        (fun (flag, given) -> if given then Some flag else None)
+        [
+          ("--trials", trials <> None); ("--ops", ops <> None); ("--seed", seed <> None);
+          ("--pages", pages <> None && match k.replay with `Trace _ -> true | `Custom _ -> false);
+          ("--bug", bug <> None);
+        ]
+    in
+    if replay <> None && unread <> [] then
+      fail (String.concat ", " unread ^ ": not read with --replay (the trace configures the run)");
+    let trials = Option.value trials ~default:(fst k.trials)
+    and ops = Option.value ops ~default:(fst k.ops)
+    and seed = Option.value seed ~default:42
+    and pages = Option.value pages ~default:(fst k.pages) in
     match (replay, k.replay) with
     | Some path, `Custom (_, run) -> run ~pages path
     | Some path, `Trace rerun -> (
@@ -686,8 +709,8 @@ let campaign_cmd (type c o f r)
   in
   Cmd.v (Cmd.info k.name ~doc:k.doc)
     Term.(
-      const run $ verbosity $ int_arg "trials" k.trials ~docv:"N" $ int_arg "ops" k.ops ~docv:"N"
-      $ int_arg "seed" (42, k.seed_doc) ~docv:"SEED" $ int_arg "pages" k.pages ~docv:"N"
+      const run $ verbosity $ gen_arg "trials" k.trials ~docv:"N" $ gen_arg "ops" k.ops ~docv:"N"
+      $ gen_arg "seed" (42, k.seed_doc) ~docv:"SEED" $ gen_arg "pages" k.pages ~docv:"N"
       $ bug_arg D.layers $ file_arg "replay" replay_doc $ save $ k.config $ jobs_arg
       $ progress_arg $ progress_out_arg)
 
@@ -791,14 +814,11 @@ let explore_cmd =
     setup_logs level;
     let bug = parse_bug "explore" bug in
     let config = { Explore.pages; depth; seed; mutate = bug } in
+    Result.iter_error (usage_error "explore") (Explore.validate config);
     let prog, prog_close =
       progress_setup ~progress ~progress_out ~label:"explore" ~total:depth
     in
-    let r =
-      match Komodo_campaign.Campaign.explore ?progress:prog ~jobs ~config () with
-      | r -> r
-      | exception Invalid_argument msg -> usage_error "explore" msg
-    in
+    let r = Komodo_campaign.Campaign.explore ?progress:prog ~jobs ~config () in
     prog_close ();
     Printf.printf "explored %d states, %d edges checked (%d pages, depth %d)\n"
       r.Explore.x_states r.Explore.x_edges pages depth;

@@ -200,10 +200,12 @@ let digest_words ws =
   digest (Buffer.contents buf)
 
 let equal_ctx a b =
-  a.h = b.h && a.buffered = b.buffered && a.length = b.length
+  a == b || (a.h = b.h && a.buffered = b.buffered && a.length = b.length)
 
 let to_hex d =
-  String.concat "" (List.init (String.length d) (fun i -> Printf.sprintf "%02x" (Char.code d.[i])))
+  String.init (2 * String.length d) (fun i ->
+      let c = Char.code d.[i lsr 1] in
+      "0123456789abcdef".[if i land 1 = 0 then c lsr 4 else c land 0xf])
 
 let of_hex s =
   let n = String.length s in

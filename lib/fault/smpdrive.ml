@@ -216,11 +216,13 @@ let replay c ~seed sops =
              committed state the replay does not reach, refutes that
              order as a linearisation. *)
           let r = Trace_check.replay ~npages:c.npages (trace ()) in
-          match (r.Trace_check.violations, Astate.diff r.Trace_check.final (Abs.abs mon)) with
+          let spec = r.Trace_check.final and committed = Abs.abs mon in
+          match (r.Trace_check.violations, Astate.diff spec committed) with
           | (i, msg) :: _, _ -> fail "linearisability" (Printf.sprintf "event %d: %s" i msg)
-          | [], (pg, spec, committed) :: _ ->
+          | [], pg :: _ ->
               fail "linearisability"
-                (Printf.sprintf "final state: page %d: spec %s, committed %s" pg spec committed)
+                (Printf.sprintf "final state: page %d: spec %s, committed %s" pg
+                   (Astate.pp_at spec pg) (Astate.pp_at committed pg))
           | [], [] ->
               let st = outcome.Smp.stats in
               Ok

@@ -5,55 +5,56 @@ module Imap = Map.Make (Int)
 open Astate
 
 (* One page, canonically. Every variant gets a distinct leading tag, so
-   no two page values can serialise alike; map bindings come out of
-   [Imap.bindings] already sorted by slot, and the measurement is its
-   digest — exactly the granularity [Astate.equal] compares at. *)
-let add_page b = function
-  | Afree -> Buffer.add_string b "f"
-  | Aaddrspace a ->
-      let st =
-        match a.st with Sinit -> 0 | Sfinal -> 1 | Sstopped -> 2
-      in
-      let d =
-        match meas_digest a.meas with
-        | Some d -> Sha256.to_hex d
-        | None ->
-            invalid_arg
-              "Ahash.key: opaque measurement transcript has no canonical form"
-      in
-      Printf.bprintf b "A%d,%d,%d,%s" a.l1pt a.refcount st d
-  | Athread th ->
-      Printf.bprintf b "T%d,%d,%d%d%d,%d" th.tasp th.entry
-        (Bool.to_int th.entered) (Bool.to_int th.has_ctx)
-        (Bool.to_int th.has_fault_ctx)
-        (match th.dispatcher with None -> -1 | Some d -> d)
-  | Al1 { asp; slots } ->
-      Printf.bprintf b "1%d[" asp;
-      List.iter (fun (i, pg) -> Printf.bprintf b "%d>%d;" i pg)
-        (Imap.bindings slots);
-      Buffer.add_char b ']'
-  | Al2 { asp; slots } ->
-      Printf.bprintf b "2%d[" asp;
-      List.iter
-        (fun (i, pte) ->
-          match pte with
-          | Psec (pg, p) ->
-              Printf.bprintf b "%d>s%d%d%d;" i pg (Bool.to_int p.w)
-                (Bool.to_int p.x)
-          | Pins (pa, p) ->
-              Printf.bprintf b "%d>i%d%d%d;" i pa (Bool.to_int p.w)
-                (Bool.to_int p.x))
-        (Imap.bindings slots);
-      Buffer.add_char b ']'
-  | Adata { asp } -> Printf.bprintf b "D%d" asp
-  | Aspare { asp } -> Printf.bprintf b "S%d" asp
-
+   no two page values can serialise alike; map bindings are visited in
+   ascending slot order, and the measurement is its digest — exactly
+   the granularity [Astate.equal] compares at. A key is made for every
+   successor the search finds, so it is written with Buffer calls, not
+   Printf; the comment on each case spells out the format it writes. *)
 let key t =
   let b = Buffer.create 256 in
-  Printf.bprintf b "P%d" t.plat.npages;
+  let c = Buffer.add_char b and s = Buffer.add_string b in
+  let d n = s (string_of_int n) and bit v = c (if v then '1' else '0') in
+  let page = function
+    | Afree -> c 'f'
+    | Aaddrspace a ->
+        let digest =
+          match meas_digest a.meas with
+          | Some dg -> Sha256.to_hex dg
+          | None ->
+              invalid_arg
+                "Ahash.key: opaque measurement transcript has no canonical form"
+        in
+        let st = match a.st with Sinit -> 0 | Sfinal -> 1 | Sstopped -> 2 in
+        (* A%d,%d,%d,%s *)
+        c 'A'; d a.l1pt; c ','; d a.refcount; c ','; d st; c ','; s digest
+    | Athread th ->
+        (* T%d,%d,%d%d%d,%d *)
+        c 'T'; d th.tasp; c ','; d th.entry; c ',';
+        bit th.entered; bit th.has_ctx; bit th.has_fault_ctx;
+        c ','; d (match th.dispatcher with None -> -1 | Some dp -> dp)
+    | Al1 { asp; slots } ->
+        (* 1%d[ then %d>%d; per slot, then ] *)
+        c '1'; d asp; c '[';
+        Imap.iter (fun i pg -> d i; c '>'; d pg; c ';') slots;
+        c ']'
+    | Al2 { asp; slots } ->
+        (* 2%d[ then %d>s%d%d%d; or %d>i%d%d%d; per slot, then ] *)
+        c '2'; d asp; c '[';
+        Imap.iter
+          (fun i pte ->
+            let tag, n, p =
+              match pte with Psec (pg, p) -> ('s', pg, p) | Pins (pa, p) -> ('i', pa, p)
+            in
+            d i; c '>'; c tag; d n; bit p.w; bit p.x; c ';')
+          slots;
+        c ']'
+    | Adata { asp } -> c 'D'; d asp
+    | Aspare { asp } -> c 'S'; d asp
+  in
+  c 'P'; d t.plat.npages;
   for n = 0 to t.plat.npages - 1 do
-    Buffer.add_char b '|';
-    add_page b (get t n)
+    c '|';
+    page (get t n)
   done;
   Buffer.contents b
 

@@ -143,10 +143,15 @@ let meas_digest = function
   | Mdone d -> Some d
   | Mopaque -> None
 
+(* Equal contexts finalise to equal digests, so two open transcripts
+   are compared as contexts first and finalised only if those differ. *)
 let equal_meas a b =
-  match (meas_digest a, meas_digest b) with
-  | Some d1, Some d2 -> String.equal d1 d2
-  | None, _ | _, None -> true (* opaque compares equal to anything *)
+  match (a, b) with
+  | Mctx c1, Mctx c2 when Sha256.equal_ctx c1 c2 -> true
+  | _ -> (
+      match (meas_digest a, meas_digest b) with
+      | Some d1, Some d2 -> String.equal d1 d2
+      | None, _ | _, None -> true (* opaque compares equal to anything *))
 
 (* Rendering and comparison. *)
 
@@ -204,15 +209,17 @@ let equal_page a b =
   | a, b -> a = b
 
 let diff t1 t2 =
-  let n = min t1.plat.npages t2.plat.npages in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else
-      let p1 = get t1 i and p2 = get t2 i in
-      if equal_page p1 p2 then go (i + 1) acc
-      else go (i + 1) ((i, pp_page p1, pp_page p2) :: acc)
-  in
-  let acc = if t1.plat.npages <> t2.plat.npages then [ (-1, string_of_int t1.plat.npages ^ " pages", string_of_int t2.plat.npages ^ " pages") ] else [] in
-  go 0 (List.rev acc)
+  if t1 == t2 then []
+  else
+    let rec go i acc =
+      if i < 0 then acc
+      else
+        let p1 = get t1 i and p2 = get t2 i in
+        go (i - 1) (if p1 == p2 || equal_page p1 p2 then acc else i :: acc)
+    in
+    let pages = go (min t1.plat.npages t2.plat.npages - 1) [] in
+    if t1.plat.npages <> t2.plat.npages then -1 :: pages else pages
+
+let pp_at t n = if n < 0 then string_of_int t.plat.npages ^ " pages" else pp_page (get t n)
 
 let equal t1 t2 = diff t1 t2 = []

@@ -113,6 +113,8 @@ val meas_add_data : ameasure -> mapping_word:int -> contents:string option -> am
 val meas_finalise : ameasure -> ameasure
 val meas_digest : ameasure -> Sha256.digest option
 val equal_meas : ameasure -> ameasure -> bool
+(** Equal digests; two open transcripts with equal contexts are equal
+    without finalising either. [Mopaque] equals anything. *)
 
 (* Comparison and rendering. *)
 
@@ -123,8 +125,13 @@ val type_name : apage -> string
 
 val pp_page : apage -> string
 
-val diff : t -> t -> (int * string * string) list
-(** Pages on which the two states disagree, as
-    [(page, rendered_left, rendered_right)]. *)
+val diff : t -> t -> int list
+(** Pages on which the two states disagree, in page order, with [-1]
+    first when the page counts differ. Physically equal states and
+    pages are equal without a look inside, and nothing is rendered. *)
+
+val pp_at : t -> int -> string
+(** A page of {!diff}'s result as the reports print it: {!pp_page}, or
+    for [-1] the page count (["N pages"]). *)
 
 val equal : t -> t -> bool

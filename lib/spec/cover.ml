@@ -7,26 +7,40 @@
    folded table is sorted before it escapes, so merging per-trial
    covers in any order yields byte-identical reports. *)
 
+(* Tables hold count cells, so counting a point already seen (nearly
+   every record on a hot path) is one lookup. Cells never leave the
+   module: merging copies counts, never cells. (call, error word)
+   points hash as two ints, not through the polymorphic hash. *)
+module Points = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((c1, e1) : t) (c2, e2) = c1 = c2 && e1 = e2
+  let hash ((c, e) : t) = ((c * 65599) + e) land max_int
+end)
+
 type t = {
-  smc : (int * int, int) Hashtbl.t; (* (call, err) -> count *)
-  svc : (int * int, int) Hashtbl.t;
-  trans : (string, int) Hashtbl.t;
+  smc : int ref Points.t; (* (call, err) -> count *)
+  svc : int ref Points.t;
+  trans : (string, int ref) Hashtbl.t;
 }
 
 let create () =
-  { smc = Hashtbl.create 64; svc = Hashtbl.create 32; trans = Hashtbl.create 16 }
+  { smc = Points.create 64; svc = Points.create 32; trans = Hashtbl.create 16 }
 
-let incr tbl key n =
-  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+let bump find add tbl key n =
+  match find tbl key with Some c -> c := !c + n | None -> add tbl key (ref n)
 
-let record_smc t ~call ~err = incr t.smc (call, err) 1
-let record_svc t ~call ~err = incr t.svc (call, err) 1
+let incr tbl = bump Hashtbl.find_opt Hashtbl.add tbl
+let count tbl = bump Points.find_opt Points.add tbl
+
+let record_smc t ~call ~err = count t.smc (call, err) 1
+let record_svc t ~call ~err = count t.svc (call, err) 1
 
 let record_transition t ~from_type ~to_type =
   incr t.trans (from_type ^ "->" ^ to_type) 1
 
 let call_count tbl call =
-  Hashtbl.fold (fun (c, _) n acc -> if c = call then acc + n else acc) tbl 0
+  Points.fold (fun (c, _) n acc -> if c = call then acc + !n else acc) tbl 0
 
 let smc_covered t =
   List.map (fun c -> (Aspec.smc_name c, call_count t.smc c)) Aspec.smcs
@@ -36,14 +50,15 @@ let svc_covered t =
 
 (* All of a hashtable's bindings, sorted by key: the only way table
    contents may leave this module. *)
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [] |> List.sort compare
+let sorted fold tbl = fold (fun k n acc -> (k, !n) :: acc) tbl [] |> List.sort compare
+let sorted_bindings tbl = sorted Hashtbl.fold tbl
+let sorted_points tbl = sorted Points.fold tbl
 
 let errors_covered t =
   let errs = Hashtbl.create 24 in
-  let add (_, e) n = incr errs e n in
-  Hashtbl.iter add t.smc;
-  Hashtbl.iter add t.svc;
+  let add (_, e) n = incr errs e !n in
+  Points.iter add t.smc;
+  Points.iter add t.svc;
   sorted_bindings errs |> List.map (fun (e, n) -> (Aspec.err_name e, n))
 
 let transitions t = sorted_bindings t.trans
@@ -69,13 +84,13 @@ let report t =
   ]
 
 let merge_into dst src =
-  Hashtbl.iter (fun k n -> incr dst.smc k n) src.smc;
-  Hashtbl.iter (fun k n -> incr dst.svc k n) src.svc;
-  Hashtbl.iter (fun k n -> incr dst.trans k n) src.trans
+  Points.iter (fun k n -> count dst.smc k !n) src.smc;
+  Points.iter (fun k n -> count dst.svc k !n) src.svc;
+  Hashtbl.iter (fun k n -> incr dst.trans k !n) src.trans
 
 let equal a b =
-  sorted_bindings a.smc = sorted_bindings b.smc
-  && sorted_bindings a.svc = sorted_bindings b.svc
+  sorted_points a.smc = sorted_points b.smc
+  && sorted_points a.svc = sorted_points b.svc
   && sorted_bindings a.trans = sorted_bindings b.trans
 
 (* Coverage-point domination: every (call, error) pair and transition
@@ -88,14 +103,14 @@ let dominates big small =
   let miss kind rendered = missing := (kind, rendered) :: !missing in
   List.iter
     (fun ((call, err), n) ->
-      if n > 0 && not (Hashtbl.mem big.smc (call, err)) then
+      if n > 0 && not (Points.mem big.smc (call, err)) then
         miss "smc" (Printf.sprintf "%s/%s" (Aspec.smc_name call) (Aspec.err_name err)))
-    (sorted_bindings small.smc);
+    (sorted_points small.smc);
   List.iter
     (fun ((call, err), n) ->
-      if n > 0 && not (Hashtbl.mem big.svc (call, err)) then
+      if n > 0 && not (Points.mem big.svc (call, err)) then
         miss "svc" (Printf.sprintf "%s/%s" (Aspec.svc_name call) (Aspec.err_name err)))
-    (sorted_bindings small.svc);
+    (sorted_points small.svc);
   List.iter
     (fun (tr, n) ->
       if n > 0 && not (Hashtbl.mem big.trans tr) then miss "transition" tr)

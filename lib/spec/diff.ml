@@ -102,11 +102,13 @@ let contents_oracle rs ~call ~args =
         else None
     | _ -> None
 
-let page_diff_reason what diffs =
-  let render (n, l, r) = Printf.sprintf "page %d: spec %s, impl %s" n l r in
+let page_diff_reason what spec impl diffs =
+  let pp n =
+    Printf.sprintf "page %d: spec %s, impl %s" n (Astate.pp_at spec n) (Astate.pp_at impl n)
+  in
   let shown = List.filteri (fun i _ -> i < 4) diffs in
   Printf.sprintf "%s:\n    %s%s" what
-    (String.concat "\n    " (List.map render shown))
+    (String.concat "\n    " (List.map pp shown))
     (if List.length diffs > 4 then
        Printf.sprintf "\n    ... and %d more" (List.length diffs - 4)
      else "")
@@ -119,7 +121,7 @@ let page_diff_reason what diffs =
    on the lifecycle bits the spec does predict. [diffs] is
    [Astate.diff spec' impl_abs]. *)
 let reconcile spec' impl_abs (p : Aspec.pending) diffs =
-  let step acc (n, l, r) =
+  let step acc n =
     match acc with
     | Error _ -> acc
     | Ok sp -> (
@@ -132,7 +134,7 @@ let reconcile spec' impl_abs (p : Aspec.pending) diffs =
           Error
             (Printf.sprintf
                "effect escaped the running enclave (asp %d) — page %d: spec %s, impl %s"
-               p.Aspec.asp n l r)
+               p.Aspec.asp n (Astate.pp_at spec' n) (Astate.pp_at impl_abs n))
         else if n = p.Aspec.th then
           match (lv, rv) with
           | Astate.Athread lt, Astate.Athread rt
@@ -143,7 +145,7 @@ let reconcile spec' impl_abs (p : Aspec.pending) diffs =
           | _ ->
               Error
                 (Printf.sprintf "thread %d lifecycle mismatch: spec %s, impl %s"
-                   n l r)
+                   n (Astate.pp_at spec' n) (Astate.pp_at impl_abs n))
         else Ok (Astate.set sp n rv))
   in
   List.fold_left step (Ok spec') diffs
@@ -250,7 +252,8 @@ let apply_op_checked ?mutate ?cover ?(opaque_contents = false)
                 let impl_abs = abs_span rs os' in
                 match Astate.diff spec' impl_abs with
                 | [] -> finish spec'
-                | diffs -> diverge (page_diff_reason "state divergence" diffs)
+                | diffs ->
+                    diverge (page_diff_reason "state divergence" spec' impl_abs diffs)
               end
           | Aspec.Pending p -> (
               match Aspec.allowed_outcome ew with
@@ -272,7 +275,8 @@ let apply_op_checked ?mutate ?cover ?(opaque_contents = false)
                           | [] -> finish spec_final
                           | diffs ->
                               diverge
-                                (page_diff_reason "post-reconcile divergence" diffs)))))))
+                                (page_diff_reason "post-reconcile divergence"
+                                   spec_final impl_abs diffs)))))))
 
 (** One lockstep op, wrapped in an op-level profiling span when the
     world's monitor carries a live recorder (single branch otherwise).

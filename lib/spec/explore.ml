@@ -483,7 +483,7 @@ let check_mono (pre : Astate.t) (post : Astate.t) diffs : string option =
     Printf.ksprintf (fun s -> if !bad = None then bad := Some s) fmt
   in
   List.iter
-    (fun (n, _, _) ->
+    (fun n ->
       match (get pre n, get post n) with
       | Aaddrspace a, Aaddrspace b -> (
           if rank b.st < rank a.st then
@@ -613,7 +613,7 @@ let edge ?contents_override ~mutate cover (src : snode) (x : xop) :
         | Some r -> Error r
         | None ->
             List.iter
-              (fun (n, _, _) ->
+              (fun n ->
                 let f = type_name (get t n) and g = type_name (get st' n) in
                 if f <> g then Cover.record_transition cover ~from_type:f ~to_type:g)
               diffs;
@@ -726,11 +726,15 @@ let prelude_template staging =
     (smc Aspec.smc_init_thread [ probe_asp; probe_th_page; 0 ], None);
   ]
 
-let make_world (cfg : config) =
+let validate (cfg : config) =
   if cfg.pages < min_pages then
-    invalid_arg "Explore.make_world: need at least 6 pages for the prelude";
-  if cfg.depth < 0 then invalid_arg "Explore.make_world: negative depth";
-  Result.iter_error invalid_arg (Komodo_core.Bugs.armable ~kind:"explore" layers cfg.mutate);
+    Error (Printf.sprintf "need at least %d pages for the prelude, got %d" min_pages cfg.pages)
+  else if cfg.depth < 0 then
+    Error (Printf.sprintf "depth must be non-negative, got %d" cfg.depth)
+  else Komodo_core.Bugs.armable ~kind:"explore" layers cfg.mutate
+
+let make_world (cfg : config) =
+  Result.iter_error (fun e -> invalid_arg ("Explore.make_world: " ^ e)) (validate cfg);
   let staging = Word.to_int Os.staging_base in
   let prelude = prelude_template staging in
   let cover = Cover.create () in

@@ -86,12 +86,15 @@ val render_violation : violation -> string list
 
 type world
 
+val validate : config -> (unit, string) result
+(** At least {!min_pages} pages, a non-negative depth, and a bug of one
+    of {!layers}. *)
+
 val make_world : config -> world
 (** Boot [Astate] and run the prelude through the same checked-edge
     pipeline as the search. A prelude violation (possible under
     [mutate]) is recorded in {!prelude_violation}, not raised.
-    @raise Invalid_argument if [pages < min_pages], [depth < 0] or
-    [mutate] is a bug of a layer outside {!layers}. *)
+    @raise Invalid_argument on a config {!validate} rejects. *)
 
 val config_of : world -> config
 val root : world -> snode

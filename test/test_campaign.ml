@@ -8,6 +8,7 @@
    reports the lowest failing index. *)
 
 module Cover = Komodo_spec.Cover
+module Aspec = Komodo_spec.Aspec
 module Diff = Komodo_spec.Diff
 module Drive = Komodo_fault.Drive
 module Bugs = Komodo_core.Bugs
@@ -681,6 +682,51 @@ let test_bug_layers () =
         (Campaign.replay_explore_trace
            [ bug_h "explore" {|"npages":7,"depth":0,"reason":"r"|} b ]))
 
+(* Error words at and above 2^31 and call numbers outside Table 1 are
+   counted and listed as they always were: the listings below were
+   recorded from the original two-lookup tables. *)
+let test_cover_wide_points () =
+  let c = Cover.create () in
+  Cover.record_svc c ~call:Aspec.svc_verify ~err:0x8000_0000;
+  Cover.record_svc c ~call:Aspec.svc_verify ~err:0x8000_0000;
+  Cover.record_svc c ~call:99 ~err:0xffff_ffff;
+  Cover.record_smc c ~call:99 ~err:Aspec.e_invalid_arg;
+  Cover.record_smc c ~call:Aspec.smc_stop ~err:0x8000_0001;
+  Cover.record_transition c ~from_type:"free" ~to_type:"thread";
+  let twice = Cover.create () in
+  Cover.merge_into twice c;
+  Cover.merge_into twice c;
+  Alcotest.(check (list string)) "report"
+    [
+      "SMC coverage (1/12 calls): GetPhysPages=0 InitAddrspace=0 InitThread=0 \
+       InitL2PTable=0 AllocSpare=0 MapSecure=0 MapInsecure=0 Finalise=0 Enter=0 Resume=0 \
+       Stop=1 Remove=0";
+      "SVC coverage (1/9 calls): Exit=0 GetRandom=0 Attest=0 Verify=2 InitL2PTable=0 \
+       MapData=0 UnmapData=0 SetDispatcher=0 ResumeFaulted=0";
+      "error codes exercised (4): Invalid_arg=1 Err(2147483648)=2 Err(2147483649)=1 \
+       Err(4294967295)=1";
+      "page transitions (1): free->thread=1";
+    ]
+    (Cover.report c);
+  Alcotest.(check (list (pair string string))) "points an empty cover lacks"
+    [
+      ("smc", "Stop/Err(2147483649)");
+      ("smc", "Unknown(99)/Invalid_arg");
+      ("svc", "Verify/Err(2147483648)");
+      ("svc", "Unknown(99)/Err(4294967295)");
+      ("transition", "free->thread");
+    ]
+    (Cover.dominates (Cover.create ()) c);
+  Alcotest.(check (list int)) "SMC deficit" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 12 ]
+    (Cover.smc_deficit c);
+  Alcotest.(check (list int)) "SVC deficit" [ 0; 1; 2; 4; 5; 6; 7; 8 ] (Cover.svc_deficit c);
+  Alcotest.(check (list (pair string int))) "merged twice: doubled counts"
+    [ ("Invalid_arg", 2); ("Err(2147483648)", 4); ("Err(2147483649)", 2); ("Err(4294967295)", 2) ]
+    (Cover.errors_covered twice);
+  Alcotest.(check bool) "a cover equals itself" true (Cover.equal c c);
+  Alcotest.(check bool) "doubled counts differ" false (Cover.equal c twice);
+  Alcotest.(check (list (pair string string))) "same points" [] (Cover.dominates c twice)
+
 let suite =
   [
     Alcotest.test_case "check: -j 1 = -j 4 across seeds" `Quick
@@ -741,4 +787,6 @@ let suite =
       (smp_committed_trace_replays "smp_missing_page_lock.jsonl" Bugs.Missing_page_lock
          "linearisability");
     Alcotest.test_case "drivers: bugs outside their layers rejected" `Quick test_bug_layers;
+    Alcotest.test_case "cover: wide error words and unknown calls listed" `Quick
+      test_cover_wide_points;
   ]

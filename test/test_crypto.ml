@@ -524,6 +524,21 @@ let aead_suite =
     Testlib.qcheck prop_gcm_roundtrip;
   ]
 
+(* [to_hex] against the per-byte "%02x" rendering it replaced, over
+   every byte value; [of_hex] inverts it. *)
+let prop_hex_reference =
+  QCheck.Test.make ~name:"sha256 to_hex is per-byte %02x; of_hex inverts it" ~count:200
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(string_size ~gen:(map Char.chr (int_bound 255)) (int_range 0 80)))
+    (fun s ->
+      let per_byte = List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])) in
+      let h = Sha256.to_hex s in
+      String.equal h (String.concat "" per_byte) && String.equal (Sha256.of_hex h) s)
+
 let suite =
   suite @ late_suite @ attest_suite @ aead_suite
-  @ [ Alcotest.test_case "hmac pad reuse across keys and domains" `Quick test_hmac_memo ]
+  @ [
+      Alcotest.test_case "hmac pad reuse across keys and domains" `Quick test_hmac_memo;
+      Testlib.qcheck prop_hex_reference;
+    ]

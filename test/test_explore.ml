@@ -22,6 +22,7 @@ module Explore = Komodo_spec.Explore
 module Diff = Komodo_spec.Diff
 module Campaign = Komodo_campaign.Campaign
 module Bugs = Komodo_core.Bugs
+module Imap = Map.Make (Int)
 
 let config ?mutate ~pages ~depth () =
   { Explore.pages; depth; seed = 42; mutate }
@@ -227,6 +228,83 @@ let test_cover_dominates_random () =
     "explore cover is a superset of the random campaign's" []
     (List.map (fun (kind, point) -> kind ^ ":" ^ point) missing)
 
+(* -- the key serialiser against its Printf reference ------------------- *)
+
+(* A Printf serialiser of the byte format the golden hashes freeze,
+   kept as the reference Ahash.key must match. *)
+let reference_key (t : Astate.t) =
+  let b = Buffer.create 256 in
+  let add_page = function
+    | Astate.Afree -> Buffer.add_string b "f"
+    | Astate.Aaddrspace a ->
+        let st = match a.Astate.st with Astate.Sinit -> 0 | Sfinal -> 1 | Sstopped -> 2 in
+        let d =
+          match Astate.meas_digest a.Astate.meas with
+          | Some d ->
+              String.concat "" (List.init 32 (fun i -> Printf.sprintf "%02x" (Char.code d.[i])))
+          | None -> Alcotest.fail "opaque transcript in an explored state"
+        in
+        Printf.bprintf b "A%d,%d,%d,%s" a.Astate.l1pt a.Astate.refcount st d
+    | Astate.Athread th ->
+        Printf.bprintf b "T%d,%d,%d%d%d,%d" th.Astate.tasp th.Astate.entry
+          (Bool.to_int th.Astate.entered) (Bool.to_int th.Astate.has_ctx)
+          (Bool.to_int th.Astate.has_fault_ctx)
+          (match th.Astate.dispatcher with None -> -1 | Some d -> d)
+    | Astate.Al1 { asp; slots } ->
+        Printf.bprintf b "1%d[" asp;
+        List.iter (fun (i, pg) -> Printf.bprintf b "%d>%d;" i pg) (Imap.bindings slots);
+        Buffer.add_char b ']'
+    | Astate.Al2 { asp; slots } ->
+        Printf.bprintf b "2%d[" asp;
+        List.iter
+          (fun (i, pte) ->
+            match pte with
+            | Astate.Psec (pg, p) ->
+                Printf.bprintf b "%d>s%d%d%d;" i pg (Bool.to_int p.Astate.w)
+                  (Bool.to_int p.Astate.x)
+            | Astate.Pins (pa, p) ->
+                Printf.bprintf b "%d>i%d%d%d;" i pa (Bool.to_int p.Astate.w)
+                  (Bool.to_int p.Astate.x))
+          (Imap.bindings slots);
+        Buffer.add_char b ']'
+    | Astate.Adata { asp } -> Printf.bprintf b "D%d" asp
+    | Astate.Aspare { asp } -> Printf.bprintf b "S%d" asp
+  in
+  Printf.bprintf b "P%d" t.Astate.plat.Astate.npages;
+  for n = 0 to t.Astate.plat.Astate.npages - 1 do
+    Buffer.add_char b '|';
+    add_page (Astate.get t n)
+  done;
+  Buffer.contents b
+
+(* Every state of the 7-page, depth-4 search (its root and all 169 it
+   discovers) serialises exactly as the reference does. *)
+let test_key_matches_reference () =
+  let w = Explore.make_world (config ~pages:7 ~depth:4 ()) in
+  let root = Explore.root w in
+  let visited = Hashtbl.create 256 in
+  Hashtbl.add visited (Explore.node_key root) ();
+  let differing = ref [] in
+  let check (nd : Explore.snode) =
+    let st = nd.Explore.st in
+    if not (String.equal (Ahash.key st) (reference_key st)) then
+      differing := reference_key st :: !differing
+  in
+  check root;
+  let rec level d frontier =
+    if d < 4 then begin
+      let sh =
+        Explore.expand_range w ~visited:(Hashtbl.mem visited) ~frontier ~lo:0
+          ~hi:(Array.length frontier)
+      in
+      List.iter (fun (key, nd, _, _) -> Hashtbl.add visited key (); check nd) sh.Explore.sh_new;
+      level (d + 1) (Array.of_list (List.map (fun (_, nd, _, _) -> nd) sh.Explore.sh_new))
+    end
+  in
+  level 0 [| root |];
+  Alcotest.(check int) "states searched" (1 + 6 + 13 + 34 + 116) (Hashtbl.length visited);
+  Alcotest.(check (list string)) "keys that differ from the reference" [] !differing
+
 (* -- suite -------------------------------------------------------------- *)
 
 let suite =
@@ -250,4 +328,6 @@ let suite =
       test_clean_trace_replays;
     Alcotest.test_case "explore: coverage dominates a 200-trial random \
                         campaign" `Slow test_cover_dominates_random;
+    Alcotest.test_case "ahash: key matches its Printf reference on a 7-page \
+                        search" `Quick test_key_matches_reference;
   ]

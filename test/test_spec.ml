@@ -528,6 +528,44 @@ let test_replay_backwards_stamp () =
         (Printf.sprintf "event %d: cycle stamp 0 goes back from %d" (n - 1) prev)
         e
 
+(* [Astate.diff] names pages and renders nothing: [] for one state
+   against itself, page order, [-1] first when the page counts differ.
+   An open transcript equals its own finalised digest, and two open
+   transcripts are equal exactly when they finalise alike. *)
+let test_diff_contract () =
+  let boot n = Astate.boot (Abs.plat ~npages:n) in
+  let spare n t = Astate.set t n (Astate.Aspare { asp = 0 }) in
+  let b8 = boot 8 in
+  Alcotest.(check (list int)) "a state against itself" [] (Astate.diff b8 b8);
+  Alcotest.(check (list int)) "page order" [ 1; 3; 5 ]
+    (Astate.diff b8 (b8 |> spare 5 |> spare 1 |> spare 3));
+  Alcotest.(check (list int)) "page counts differ" [ -1; 3 ] (Astate.diff (spare 3 (boot 6)) b8);
+  Alcotest.(check string) "a page count renders" "6 pages" (Astate.pp_at (boot 6) (-1));
+  let asp meas =
+    Astate.set b8 0 (Astate.Aaddrspace { l1pt = 1; refcount = 0; st = Astate.Sinit; meas })
+  in
+  let thread () = Astate.meas_add_thread Astate.meas_initial ~entry:0x1000 in
+  Alcotest.(check (list int)) "open transcript = its finalised digest" []
+    (Astate.diff (asp (thread ())) (asp (Astate.meas_finalise (thread ()))));
+  Alcotest.(check (list int)) "equal open transcripts" []
+    (Astate.diff (asp (thread ())) (asp (thread ())));
+  Alcotest.(check (list int)) "different open transcripts" [ 0 ]
+    (Astate.diff (asp (thread ())) (asp Astate.meas_initial))
+
+(* A page divergence as the report prints it: the first one [check]
+   finds with drop-refcount armed at seed 7. *)
+let test_divergence_golden () =
+  let o = Campaign.check ~bug:Bugs.Drop_refcount ~jobs:1 ~trials:100 ~seed:7 () in
+  match o.Diff.divergence with
+  | None -> Alcotest.fail "drop-refcount survived the checker"
+  | Some (_, _, d) ->
+      Alcotest.(check string) "divergence"
+        "op 1: InitThread(0x14, 0x16, 0x0)\n\
+        \  state divergence:\n\
+        \    page 20: spec addrspace{l1pt=21;ref=1;init;meas=a008f20faed1}, impl \
+         addrspace{l1pt=21;ref=2;init;meas=a008f20faed1}"
+        (Diff.pp_divergence d)
+
 let suite =
   [
     Alcotest.test_case "abstraction: fresh boot is all-free" `Quick test_abs_boot;
@@ -568,4 +606,8 @@ let suite =
       test_replay_svc_tampered;
     Alcotest.test_case "monitor bug partial_remove caught and shrunk" `Quick
       (test_mutation Bugs.Partial_remove);
+    Alcotest.test_case "Astate.diff: page numbers, in order, -1 first" `Quick
+      test_diff_contract;
+    Alcotest.test_case "divergence text: drop-refcount at seed 7" `Quick
+      test_divergence_golden;
   ]
