@@ -132,10 +132,12 @@ let explore ?progress ?jobs ~(config : Explore.config) () : Explore.report =
   let levels = ref [] in
   let violation = ref (Explore.prelude_violation w) in
   let frontier = ref [| root |] in
+  (* Each frontier node's key, kept from the level that found it. *)
+  let frontier_keys = ref [| root_key |] in
   let depth = ref 0 in
   while !violation = None && !depth < config.depth && Array.length !frontier > 0 do
     incr depth;
-    let front = !frontier in
+    let front = !frontier and front_keys = !frontier_keys in
     let n = Array.length front in
     let nshards = (n + explore_chunk - 1) / explore_chunk in
     let run i =
@@ -161,23 +163,24 @@ let explore ?progress ?jobs ~(config : Explore.config) () : Explore.report =
     List.iter
       (fun (key, _, pi, x) ->
         Hashtbl.add visited key ();
-        Hashtbl.add parents key (Explore.node_key front.(pi), x))
+        Hashtbl.add parents key (front_keys.(pi), x))
       lvl.Agg.el_new;
     levels := List.length lvl.Agg.el_new :: !levels;
     (match lvl.Agg.el_violation with
     | None -> ()
     | Some (pi, x, reason) ->
-        let pkey = Explore.node_key front.(pi) in
         violation :=
           Some
             {
               Explore.v_prelude = false;
               v_depth = !depth;
               v_reason = reason;
-              v_ops = Explore.prelude_xops w @ path_to pkey @ [ x ];
+              v_ops = Explore.prelude_xops w @ path_to front_keys.(pi) @ [ x ];
             });
     frontier :=
       Array.of_list (List.map (fun (_, nd, _, _) -> nd) lvl.Agg.el_new);
+    frontier_keys :=
+      Array.of_list (List.map (fun (key, _, _, _) -> key) lvl.Agg.el_new);
     (* The first level also carries the root state and the prelude's
        edges, so the summed counters are the running totals. *)
     let root, prelude = if !depth = 1 then (1, Explore.prelude_edges w) else (0, 0) in

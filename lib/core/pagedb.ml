@@ -142,8 +142,6 @@ let owned_pages t asp =
     t.entries []
   |> List.rev
 
-let count_owned t asp = List.length (owned_pages t asp)
-
 (** Number of free pages remaining. *)
 let free_count t =
   t.npages - Pmap.cardinal t.entries
@@ -211,6 +209,14 @@ let check (plat : Platform.t) (mem : Memory.t) (t : t) : violation list =
      free page, so a corrupt reference is reported by its clause
      instead of raising. *)
   let entry n = if valid_pagenr t n then get t n else Free in
+  (* Every space's owned pages, counted in one pass over the entries. *)
+  let owned = Array.make t.npages 0 in
+  Pmap.iter
+    (fun _ e ->
+      match owner e with
+      | Some a when valid_pagenr t a -> owned.(a) <- owned.(a) + 1
+      | Some _ | None -> ())
+    t.entries;
   (* Per-entry structural checks. *)
   Pmap.iter
     (fun n e ->
@@ -228,10 +234,9 @@ let check (plat : Platform.t) (mem : Memory.t) (t : t) : violation list =
           | _ when equal_addrspace_state a.state Stopped -> ()
           | L1PTable _ -> err n "l1pt owned by another address space"
           | _ -> err n "l1pt is not an L1PTable");
-          if a.refcount <> count_owned t n then
-            err n
-              (Printf.sprintf "refcount %d but owns %d pages" a.refcount
-                 (count_owned t n));
+          let owns = if valid_pagenr t n then owned.(n) else 0 in
+          if a.refcount <> owns then
+            err n (Printf.sprintf "refcount %d but owns %d pages" a.refcount owns);
           match (a.state, Measure.digest a.measurement) with
           | Init, Some _ -> err n "unfinalised space with measurement digest"
           | (Final | Stopped), None -> err n "final space lacking measurement"
@@ -312,6 +317,8 @@ let wf plat mem t = check plat mem t = []
 (* -- Equality ----------------------------------------------------------- *)
 
 let equal_entry a b =
+  a == b
+  ||
   match (a, b) with
   | Free, Free -> true
   | Addrspace x, Addrspace y ->
@@ -332,7 +339,7 @@ let equal_entry a b =
   | _ -> false
 
 let equal a b =
-  a.npages = b.npages && Pmap.equal equal_entry a.entries b.entries
+  a == b || (a.npages = b.npages && Pmap.equal equal_entry a.entries b.entries)
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";

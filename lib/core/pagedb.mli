@@ -91,7 +91,6 @@ val addrspace_of : t -> pagenr -> (pagenr * addrspace_info) option
 val owned_pages : t -> pagenr -> pagenr list
 (** Pages owned by an address space (excluding its own page). *)
 
-val count_owned : t -> pagenr -> int
 val free_count : t -> int
 val all_addrspaces : t -> (pagenr * addrspace_info) list
 

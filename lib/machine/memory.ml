@@ -315,11 +315,35 @@ let absorb_range t a n ~init ~f =
     !acc
   end
 
+(** Call [f k w] on each nonzero word [w] of the [n] from [a], [k] words
+    past [a], in address order. Chunks are read in place, and a segment
+    stops once it has seen its chunk's [nz] nonzero words: the rest of
+    the page is zero. *)
+let iter_nonzero t a n f =
+  if n > 0 then begin
+    let pos = ref 0 in
+    iter_segments a n (fun pg i span ->
+        (match Page_map.find_opt pg t with
+        | None -> ()
+        | Some c ->
+            let left = ref c.nz and j = ref i in
+            while !left > 0 && !j < i + span do
+              let w = c.data.(!j) in
+              if not (Word.equal w Word.zero) then begin
+                f (!pos + !j - i) w;
+                decr left
+              end;
+              incr j
+            done);
+        pos := !pos + span)
+  end
+
 (** [equal_range a b base n]: do [a] and [b] agree on the [n] words from
-    [base]? Used by page-level observational equivalence. Chunks shared
-    physically (snapshots, whole-page copies) compare in O(1). *)
+    [base]? Used by page-level observational equivalence. Physically
+    equal memories, and chunks shared physically (snapshots, whole-page
+    copies), compare in O(1). *)
 let equal_range ma mb base n =
-  if n <= 0 then true
+  if n <= 0 || ma == mb then true
   else begin
     let ok = ref true in
     (try

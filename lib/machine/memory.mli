@@ -91,10 +91,16 @@ val absorb_range :
     hashing needs no intermediate strings. [f] must not mutate the
     array or retain it beyond the call. *)
 
+val iter_nonzero : t -> Word.t -> int -> (int -> Word.t -> unit) -> unit
+(** [iter_nonzero t a n f] calls [f k w] on each nonzero word [w] of the
+    [n] words from [a], where [k] counts words from [a], in address
+    order. Each page is read in place, and its walk stops at the page's
+    last nonzero word, so a sparse page costs what it stores. *)
+
 val equal_range : t -> t -> Word.t -> int -> bool
 (** Do two memories agree on the [n] words from the given base?
-    (Page-level observational equivalence.) Physically shared chunks
-    compare in O(1). *)
+    (Page-level observational equivalence.) Physically equal memories
+    and physically shared chunks compare in O(1). *)
 
 val equal : t -> t -> bool
 

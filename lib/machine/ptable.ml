@@ -86,16 +86,11 @@ let translate mem ~ttbr va =
             Some { pa = Word.add pa_base (page_offset va); ns; perms })
 
 (* The table at [base] read in place: [f slot e] on each of its [n]
-   words with bit [present] set, in slot order. [Memory.absorb_range]
-   hands over the backing chunk itself, so no page is copied. *)
+   words with bit [present] set, in slot order. A present entry is
+   nonzero, so [Memory.iter_nonzero] visits each one, and it stops at
+   the page's last stored word. *)
 let iter_present ~present mem base n f =
-  ignore
-    (Memory.absorb_range mem base n ~init:0 ~f:(fun slot data first count ->
-         for j = 0 to count - 1 do
-           let e = data.(first + j) in
-           if Word.bit e present then f (slot + j) e
-         done;
-         slot + count))
+  Memory.iter_nonzero mem base n (fun slot e -> if Word.bit e present then f slot e)
 
 let iter_l1 mem base f =
   iter_present ~present:0 mem base l1_entries (fun i e -> f i (page_base e))

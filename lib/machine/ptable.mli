@@ -73,12 +73,13 @@ val translate : Memory.t -> ttbr:Word.t -> Word.t -> frame option
 val iter_l1 : Memory.t -> Word.t -> (int -> Word.t -> unit) -> unit
 (** [iter_l1 mem base f] calls [f slot l2pt_base] on each present entry
     of the first-level table at [base], in slot order. The table is
-    read in place: its page is not copied. *)
+    read in place: its page is not copied, and the walk ends at the
+    page's last nonzero word. *)
 
 val iter_l2 : Memory.t -> Word.t -> (int -> Word.t -> bool -> perms -> unit) -> unit
 (** [iter_l2 mem base f] calls [f slot frame_base ns perms] on each
     present entry of the second-level table at [base], in slot order,
-    reading the table in place. *)
+    reading the table in place as [iter_l1] does. *)
 
 val writable_pages : Memory.t -> ttbr:Word.t -> (Word.t * Word.t * bool) list
 (** Every [(virtual page, physical page, ns)] mapped writable — the set

@@ -299,6 +299,78 @@ let test_page_words () =
   Alcotest.(check int) "page_words mirrors ptable" Memory.page_words
     Komodo_machine.Ptable.words_per_page
 
+(* -- The nonzero walk ------------------------------------------------------
+
+   [Memory.iter_nonzero] leaves a page once it has seen the chunk's
+   nonzero-word count, so it must list exactly the nonzero words the
+   reference loads. Edge pages put a page's only or last nonzero word
+   at slot 0 or 1023, or empty a page back to absent. *)
+
+let edge_pages =
+  [
+    Zero (0, arena_words);
+    Store (0, 5) (* page 0: only word at slot 0 *);
+    Store (1024 + 3, 8);
+    Store (1024 + 1023, 9) (* page 1: last word at slot 1023 *);
+    Store (2048 + 1023, 4) (* page 2: only word at slot 1023 *);
+    Store (3072 + 9, 1);
+    Store (3072 + 9, 0) (* page 3: emptied back to absent *);
+    Store (4096 + 1, 2);
+    Store (4096, 7);
+    Store (4096 + 1, 0) (* page 4: last word at slot 0 *);
+  ]
+
+let nonzero_ref r a n =
+  List.filter (fun (_, v) -> not (Word.equal v Word.zero))
+    (List.mapi (fun k v -> (k, v)) (Ref.load_range r a n))
+
+let nonzero_new m a n =
+  let got = ref [] in
+  Memory.iter_nonzero m a n (fun k v -> got := (k, v) :: !got);
+  List.rev !got
+
+let test_iter_nonzero =
+  QCheck.Test.make ~count:300 ~name:"iter_nonzero lists the reference's nonzero words"
+    (QCheck.pair (arb_seq gen_base)
+       (QCheck.pair (QCheck.int_bound (arena_words - 1)) (QCheck.int_bound 3000)))
+    (fun ((base, ops), (off, n)) ->
+      let n = min n (arena_words - off) in
+      List.for_all
+        (fun ops ->
+          let m, r =
+            List.fold_left
+              (fun (m, r) op -> (apply_new base m op, apply_ref base r op))
+              (Memory.empty, Ref.empty) ops
+          in
+          List.for_all
+            (fun (off, n) ->
+              nonzero_new m (addr base off) n = nonzero_ref r (addr base off) n
+              || QCheck.Test.fail_reportf "window %d+%d differs" off n)
+            [ (off, n); (off / 1024 * 1024, n); (0, arena_words); (0, 1024); (1024, 1024); (2048, 1024);
+              (3072, 1024); (4096, 1024); (1024, 256); (4096, 256); (1023, 2);
+              (2047, 1); (5, 4000); (4095, 1025) ])
+        [ ops; edge_pages; edge_pages @ ops ])
+
+(* Physically equal memories compare equal at once; a rebuilt copy
+   compares by contents, so one changed word (same nonzero count) shows. *)
+let test_equal_range_copies () =
+  let base = w 0x8000 in
+  let m =
+    List.fold_left
+      (fun m (i, v) -> Memory.store m (Word.add base (w (4 * i))) (w v))
+      Memory.empty
+      [ (0, 1); (1023, 2); (1500, 3) ]
+  in
+  let rebuilt = Memory.store_range_array Memory.empty base (Memory.load_range_array m base 2048) in
+  let edited = Memory.store rebuilt (Word.add base (w (4 * 1500))) (w 4) in
+  let check name expected b =
+    Alcotest.(check bool) name expected (Memory.equal_range m b base 2048);
+    Alcotest.(check bool) (name ^ ", equal") expected (Memory.equal m b)
+  in
+  check "physically equal" true m;
+  check "rebuilt copy" true rebuilt;
+  check "rebuilt copy with one word changed" false edited
+
 let suite =
   [
     Testlib.qcheck test_model_equivalence;
@@ -310,4 +382,7 @@ let suite =
     Alcotest.test_case "page_words constant" `Quick test_page_words;
     Testlib.qcheck test_owned_stores;
     Alcotest.test_case "owner writes in place until release" `Quick test_owner_in_place;
+    Testlib.qcheck test_iter_nonzero;
+    Alcotest.test_case "equal_range: shared, rebuilt and edited copies" `Quick
+      test_equal_range_copies;
   ]
