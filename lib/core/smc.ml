@@ -472,8 +472,7 @@ let rec execution_loop ~(exec : Uexec.t) (t : Monitor.t) ~th_pg ~th ~entry_va ~s
       if call = Abi.svc_exit then begin
         (* Exit: registers are not saved; the thread may be re-entered. *)
         let entry_cycles = Monitor.cycles t in
-        if traced then
-          Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = Abi.svc_name call });
+        if traced then Svc.emit_entry t ~call;
         let retval = State.read_reg mach (Regs.R 1) in
         let db =
           Pagedb.set t.Monitor.pagedb th_pg
@@ -490,8 +489,7 @@ let rec execution_loop ~(exec : Uexec.t) (t : Monitor.t) ~th_pg ~th ~entry_va ~s
         (* Dispatcher done: restore the faulting context and retry the
            interrupted access. *)
         let entry_cycles = Monitor.cycles t in
-        if traced then
-          Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = Abi.svc_name call });
+        if traced then Svc.emit_entry t ~call;
         match th.Pagedb.fault_ctx with
         | Some fctx ->
             let th = { th with Pagedb.fault_ctx = None } in

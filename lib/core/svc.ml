@@ -38,6 +38,10 @@ let set_results t err values =
   let t = set_ureg t 0 (Errors.to_word err) in
   List.fold_left (fun (t, i) v -> (set_ureg t i v, i + 1)) (t, 1) values |> fst
 
+let emit_entry t ~call =
+  let args = List.map (fun i -> Word.to_int (ureg t i)) [ 1; 2 ] in
+  Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = Abi.svc_name call; args })
+
 (* -- Individual calls ---------------------------------------------------
    Like the SMC handlers, each call is validate-then-commit: a pure
    validation prefix, then one atomic commit at which the fault
@@ -263,8 +267,7 @@ let handle (t : Monitor.t) ~cur_asp ~cur_thread =
   let t = Monitor.charge Cost.svc_trap t in
   let traced = Monitor.telemetry_on t in
   let entry_cycles = Monitor.cycles t and db0 = t.Monitor.pagedb in
-  if traced then
-    Monitor.emit t (Komodo_telemetry.Event.Svc_entry { call; name = Abi.svc_name call });
+  if traced then emit_entry t ~call;
   let sdepth = Monitor.span_depth t in
   Monitor.span_enter t ("svc." ^ Abi.svc_name call);
   Monitor.span_enter t "validate";

@@ -14,6 +14,9 @@ val fault_code : Exec.fault -> Word.t
 (** How a fault is described to the dispatcher (r0 of the upcall); the
     OS is never told more than [Fault]. *)
 
+val emit_entry : Monitor.t -> call:int -> unit
+(** Trace an SVC's entry: its call and the enclave's r1 and r2. *)
+
 val handle :
   Monitor.t -> cur_asp:Pagedb.pagenr -> cur_thread:Pagedb.pagenr -> Monitor.t * Errors.t
 (** Dispatch a non-Exit, non-ResumeFaulted SVC: returns the updated

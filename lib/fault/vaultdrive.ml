@@ -152,6 +152,7 @@ let default = { npages = 48; ops_per_trial = 24; bug = None; classes = all_class
 let zero_state = String.make Vault.state_bytes '\x00'
 
 type wstate = {
+  booted : Os.t * int;  (** the world [boot_vault] left: where every reboot lands *)
   os : Os.t;
   thread : int;
   store : Blockstore.t;
@@ -235,7 +236,7 @@ let blob_blocks =
   let packed = 4 + Vault.blob_bytes in
   (packed + store_block_size - 1) / store_block_size
 
-let step c ~seed st ws i sop : (wstate, violation) result =
+let step st ws i sop : (wstate, violation) result =
   let fail reason = Error { index = i; sop; reason } in
   let after ws = if is_fault sop then probe st ws i sop else Ok ws in
   match sop with
@@ -310,9 +311,10 @@ let step c ~seed st ws i sop : (wstate, violation) result =
       after { ws with os = Os.crash_reboot ~seed ws.os }
   | V_reboot ->
       (* Volatile state dies; the disk and the NV counter are the
-         only survivors. Same boot seed: same boot secret, so the
-         same measurement derives the same seal key. *)
-      let os, thread = boot_vault ~seed ~npages:c.npages ~bug:c.bug in
+         only survivors. A reboot boots with the trial's seed, and
+         [boot_vault] is a function of it ([Os.t] is persistent, the
+         RNG a value): same boot secret, same seal key, same world. *)
+      let os, thread = ws.booted in
       after { ws with os; thread; mirror = zero_state }
 
 type stats = {
@@ -326,6 +328,7 @@ let replay c ~seed sops : (stats, violation) result =
   let os, thread = boot_vault ~seed ~npages:c.npages ~bug:c.bug in
   let ws0 =
     {
+      booted = (os, thread);
       os;
       thread;
       store = Blockstore.create ~nblocks:store_nblocks ~block_size:store_block_size ();
@@ -346,7 +349,7 @@ let replay c ~seed sops : (stats, violation) result =
             accepted = st.accepted;
           }
     | sop :: rest -> (
-        match step c ~seed st ws i sop with
+        match step st ws i sop with
         | Error v -> Error v
         | Ok ws' -> go ws' (i + 1) rest)
   in

@@ -39,7 +39,8 @@ val boot_vault :
 (** Boot the platform, load the vault enclave, run its init command;
     returns the OS and the vault's thread page. [bug] is armed in the
     vault executor from boot and in the monitor once the vault is up.
-    Raises [Failure] on
+    Two calls with the same arguments give equal worlds, so a trial
+    reboots into the world it first booted. Raises [Failure] on
     setup errors (harness bugs, not theorem violations). Exposed for
     the bench harness and tests. *)
 

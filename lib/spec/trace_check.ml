@@ -1,9 +1,9 @@
 module Event = Komodo_telemetry.Event
-module Imap = Map.Make (Int)
 
 type report = {
   events : int;
   calls : int;
+  undecided : int;
   violations : (int * string) list;
   final : Astate.t;
 }
@@ -34,18 +34,21 @@ let spec_lifecycle spec ~call ~args err =
   else []
 
 type st = {
-  spec : Astate.t;
-  pending : (int * int list) option;  (** Smc_entry awaiting its exit *)
-  svc : (int * int) option;  (** open Svc_entry: its call, [trans] length then *)
-  trans : (int * string * string) list;  (** transitions since that entry *)
-  life : (int * Event.lifecycle_stage) list;  (** lifecycle events since that entry *)
+  spec : Astate.t;  (** inside an enclave run, the state its SVCs left *)
+  pending : (int * int list * (Aspec.result, string) result) option;
+      (** Smc_entry awaiting its exit, and the spec's step from the state it entered with *)
+  svc : (int * int list * int) option;  (** open Svc_entry: call, r1/r2, [trans] length then *)
+  trans : (int * string * string) list;  (** transitions since the Smc_entry *)
+  life : (int * Event.lifecycle_stage) list;  (** lifecycle events since the Smc_entry *)
   calls : int;
+  undecided : int;
   violations : (int * string) list;
 }
 
 let violation st i msg = { st with violations = (i, msg) :: st.violations }
 let show (p, f, t) = Printf.sprintf "page %d: %s -> %s" p f t
 
+(* [observed] must be exactly the retypes from [st.spec] to [spec']. *)
 let check_transitions st i spec' observed =
   let expected = spec_transitions st.spec spec' in
   let missing = List.filter (fun tr -> not (List.mem tr observed)) expected in
@@ -75,67 +78,49 @@ let check_lifecycle st i expected =
       (Printf.sprintf "lifecycle events: spec predicts %s, trace has %s" (show expected)
          (show st.life))
 
-let in_enclave_run st =
-  match st.pending with
-  | Some (c, _) -> c = Aspec.smc_enter || c = Aspec.smc_resume
-  | None -> false
+let error_word st i what ~spec ~trace =
+  violation st i
+    (Printf.sprintf "%s: spec %s (%d), trace %s (%d)" what (Aspec.err_name spec) spec
+       (Aspec.err_name trace) trace)
+
+(* The Enter/Resume the spec validated, while its enclave runs. *)
+let enclave_run st =
+  match st.pending with Some (_, _, Ok (Aspec.Pending p)) -> Some p | _ -> None
 
 (* [what] may not happen while an SVC is open. *)
 let no_open_svc st i what =
   match st.svc with
-  | Some (c, _) -> violation st i (what ^ " inside open SVC " ^ Aspec.svc_name c)
+  | Some (c, _, _) -> violation st i (what ^ " inside open SVC " ^ Aspec.svc_name c)
   | None -> st
 
-(* An Svc_exit closes the open Svc_entry of the same call. A successful
-   MapData, InitL2PTable or UnmapData retypes exactly one page; any
-   other SVC, and any failing one, retypes none. *)
+(* An Svc_exit closes the open Svc_entry of the same call. Inside a
+   validated run the spec steps the SVC from the state the run's
+   earlier SVCs left: the trace's error word and retypes must be the
+   spec's. Exit and ResumeFaulted are control flow and retype nothing.
+   A GetRandom reporting [Entropy_exhausted] is counted undecided. *)
 let close_svc st i ~call ~err =
   let name = Aspec.svc_name in
-  let retypes =
-    [
-      (Aspec.svc_map_data, ("sparepage", "datapage"));
-      (Aspec.svc_init_l2ptable, ("sparepage", "l2ptable"));
-      (Aspec.svc_unmap_data, ("datapage", "sparepage"));
-    ]
-  in
-  match st.svc with
-  | None -> violation st i "svc_exit without svc_entry"
-  | Some (c, _) when c <> call ->
+  match (st.svc, enclave_run st) with
+  | None, _ -> violation st i "svc_exit without svc_entry"
+  | Some (c, _, _), _ when c <> call ->
       violation st i (Printf.sprintf "svc_exit %s does not match svc_entry %s" (name call) (name c))
-  | Some (_, n) -> (
+  | Some _, None -> st
+  | Some (_, args, n), Some p -> (
       let got = List.filteri (fun k _ -> k >= n) st.trans in
-      let want = if err = Aspec.e_success then List.assoc_opt call retypes else None in
-      match (want, got) with
-      | None, [] -> st
-      | Some (f, t), [ (_, f', t') ] when f = f' && t = t' -> st
-      | _ ->
-          violation st i
-            (Printf.sprintf "%s returned %s and retyped %s, but must retype %s" (name call)
-               (Aspec.err_name err)
-               (if got = [] then "nothing" else String.concat "; " (List.map show got))
-               (match want with Some (f, t) -> "one page " ^ f ^ " -> " ^ t | None -> "nothing")))
-
-(* Retypings observed during opaque enclave execution: the enclave may
-   only reshape its own pages among spare/data/second-level table, and
-   each retyping starts from the type the spec holds. *)
-let apply_enclave_transitions st i asp spec =
-  List.fold_left
-    (fun (st, spec) (pg, from_t, to_t) ->
-      let bad fmt = Printf.ksprintf (fun m -> (violation st i m, spec)) fmt in
-      let in_range = pg >= 0 && pg < spec.Astate.plat.Astate.npages in
-      match if in_range then Some (Astate.get spec pg) else None with
-      | Some p when Astate.owner_of p = Some asp -> (
-          if from_t <> Astate.type_name p then
-            bad "enclave run retyped page %d from %s, but the spec holds it as %s" pg from_t
-              (Astate.type_name p)
-          else
-            match to_t with
-            | "sparepage" -> (st, Astate.set spec pg (Astate.Aspare { asp }))
-            | "datapage" -> (st, Astate.set spec pg (Astate.Adata { asp }))
-            | "l2ptable" -> (st, Astate.set spec pg (Astate.Al2 { asp; slots = Imap.empty }))
-            | t -> bad "enclave run retyped page %d to %s: outside its authority" pg t)
-      | _ -> bad "enclave run retyped page %d, which addrspace %d does not own" pg asp)
-    (st, spec) st.trans
+      if call = Aspec.svc_exit || call = Aspec.svc_resume_faulted then
+        check_transitions st i st.spec got
+      else
+        let arg k = Option.value (List.nth_opt args k) ~default:0 in
+        let rng_exhausted = call = Aspec.svc_get_random && err = Aspec.e_entropy_exhausted in
+        let st = if rng_exhausted then { st with undecided = st.undecided + 1 } else st in
+        match
+          Aspec.step_svc ~rng_exhausted st.spec ~asp:p.Aspec.asp ~thread:p.Aspec.th ~call
+            ~a1:(arg 0) ~a2:(arg 1)
+        with
+        | exception Aspec.Stuck msg -> violation st i ("spec stuck: " ^ msg)
+        | _, serr when serr <> err ->
+            error_word st i (name call ^ " error word") ~spec:serr ~trace:err
+        | spec', _ -> { (check_transitions st i spec' got) with spec = spec' })
 
 let step st i (ev : Event.t) =
   match ev with
@@ -145,7 +130,12 @@ let step st i (ev : Event.t) =
         | Some _ -> violation st i "nested smc_entry without smc_exit"
         | None -> st
       in
-      { st with pending = Some (call, args); svc = None; trans = []; life = [] }
+      let probe _ _ = false in
+      let result =
+        try Ok (Aspec.step_smc st.spec ~probe ~contents:None ~call ~args)
+        with Aspec.Stuck msg -> Error msg
+      in
+      { st with pending = Some (call, args, result); svc = None; trans = []; life = [] }
   | Event.Fault_injected _ -> st
   | Event.Page_transition _ | Event.Enclave_lifecycle _ | Event.Svc_entry _
   | Event.Svc_exit _ | Event.Exception _
@@ -153,37 +143,35 @@ let step st i (ev : Event.t) =
       violation st i (Event.kind_name ev ^ " outside any monitor call")
   | Event.Page_transition { page; from_type; to_type } ->
       let st =
-        if in_enclave_run st && st.svc = None then
+        if enclave_run st <> None && st.svc = None then
           violation st i "page_transition in an enclave run outside any SVC"
         else st
       in
       { st with trans = st.trans @ [ (page, from_type, to_type) ] }
   | Event.Enclave_lifecycle { addrspace; stage } ->
       { st with life = st.life @ [ (addrspace, stage) ] }
-  | Event.Svc_entry { call; _ } ->
-      let st = if in_enclave_run st then st else violation st i "svc_entry outside an enclave run" in
-      { (no_open_svc st i "svc_entry") with svc = Some (call, List.length st.trans) }
+  | Event.Svc_entry { call; args; _ } ->
+      let st =
+        if enclave_run st <> None then st else violation st i "svc_entry outside an enclave run"
+      in
+      { (no_open_svc st i "svc_entry") with svc = Some (call, args, List.length st.trans) }
   | Event.Svc_exit { call; err; _ } -> { (close_svc st i ~call ~err) with svc = None }
   | Event.Exception _ -> st
   | Event.Smc_exit { call; err; retval; _ } -> (
       match st.pending with
       | None -> violation st i "smc_exit without smc_entry"
-      | Some (ecall, args) ->
+      | Some (ecall, args, result) -> (
           let st =
             { (no_open_svc st i "smc_exit") with pending = None; svc = None; calls = st.calls + 1 }
           in
           if ecall <> call then
             violation st i
               (Printf.sprintf "smc_exit call %d does not match entry %d" call ecall)
-          else begin
-            let probe _ _ = false in
-            match Aspec.step_smc st.spec ~probe ~contents:None ~call ~args with
-            | exception Aspec.Stuck msg -> violation st i ("spec stuck: " ^ msg)
-            | Aspec.Done (spec', serr, sret) ->
-                if serr <> err then
-                  violation st i
-                    (Printf.sprintf "error word: spec %s (%d), trace %s (%d)"
-                       (Aspec.err_name serr) serr (Aspec.err_name err) err)
+          else
+            match result with
+            | Error msg -> violation st i ("spec stuck: " ^ msg)
+            | Ok (Aspec.Done (spec', serr, sret)) ->
+                if serr <> err then error_word st i "error word" ~spec:serr ~trace:err
                 else if sret <> retval then
                   violation st i
                     (Printf.sprintf "return value: spec 0x%x, trace 0x%x" sret retval)
@@ -191,7 +179,7 @@ let step st i (ev : Event.t) =
                   let st = check_transitions st i spec' st.trans in
                   let st = check_lifecycle st i (spec_lifecycle st.spec ~call ~args serr) in
                   { st with spec = spec' }
-            | Aspec.Pending p -> (
+            | Ok (Aspec.Pending p) -> (
                 match Aspec.allowed_outcome err with
                 | None ->
                     violation st i
@@ -201,10 +189,7 @@ let step st i (ev : Event.t) =
                 | Some outcome ->
                     let stage = if p.Aspec.resume then Event.Ls_resume else Event.Ls_enter in
                     let st = check_lifecycle st i [ (p.Aspec.asp, stage) ] in
-                    let spec' = Aspec.resolve st.spec p ~outcome in
-                    let st, spec' = apply_enclave_transitions st i p.Aspec.asp spec' in
-                    { st with spec = spec' })
-          end)
+                    { st with spec = Aspec.resolve st.spec p ~outcome })))
 
 (* Fields a trace states twice must agree with Table 1: a call's name
    is its number's, an error's name is its word's, and no event is
@@ -227,7 +212,11 @@ let validate (events : Event.stamped list) =
     else
       match ev with
       | Event.Smc_entry { call; name; _ } -> named "call" call name (Aspec.smc_name call)
-      | Event.Svc_entry { call; name } -> named "call" call name (Aspec.svc_name call)
+      | Event.Svc_entry { call; name; args } ->
+          let* () = named "call" call name (Aspec.svc_name call) in
+          let n = List.length args in
+          if n = 2 then Ok ()
+          else Error (Printf.sprintf "event %d: svc_entry has %d args, not r1 and r2" i n)
       | Event.Smc_exit { call; name; err; err_name; _ } ->
           let* () = named "call" call name (Aspec.smc_name call) in
           named "error" err err_name (Aspec.err_name err)
@@ -255,6 +244,7 @@ let replay ~npages (events : Event.stamped list) =
       trans = [];
       life = [];
       calls = 0;
+      undecided = 0;
       violations = [];
     }
   in
@@ -265,10 +255,16 @@ let replay ~npages (events : Event.stamped list) =
   in
   let st =
     match st.pending with
-    | Some (call, _) -> violation st n ("trace ends inside SMC " ^ Aspec.smc_name call)
+    | Some (call, _, _) -> violation st n ("trace ends inside SMC " ^ Aspec.smc_name call)
     | None -> st
   in
-  { events = n; calls = st.calls; violations = List.rev st.violations; final = st.spec }
+  {
+    events = n;
+    calls = st.calls;
+    undecided = st.undecided;
+    violations = List.rev st.violations;
+    final = st.spec;
+  }
 
 let check ~npages events = Result.map (fun () -> replay ~npages events) (validate events)
 

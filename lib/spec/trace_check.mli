@@ -8,29 +8,29 @@
     [Mopaque]). Within those limits every deterministic fact is
     checked: the error word of every SMC, the return value of every
     call outside Enter/Resume, the legality of every Enter/Resume
-    outcome, the page-type transitions of every deterministic call, and
-    the lifecycle events of every call (init, finalise, stop and the
-    Remove of an address space on success; enter or resume once the
-    spec validates the thread). Retypings observed during opaque
-    enclave execution are applied as an oracle (slot-level page-table
-    state is not recoverable from a trace), each from the type the spec
-    holds. SVC events occur only inside an enclave run, where entries
-    and exits pair up (an exit names the open entry's call, no entry
-    opens inside another, none is open at the SMC exit), every
-    retyping falls inside an SVC,
-    and a successful MapData, InitL2PTable or UnmapData retypes exactly
-    one page (spare to data, spare to l2ptable, data to spare) while
-    every other or failing SVC retypes none. SVC arguments are not
-    traced, so SVC error words are not checked against the spec: a
-    GetRandom returning [Entropy_exhausted] is a legal outcome no trace
-    can refute. Every event but an injected fault must sit inside an
-    SMC, and the trace must not end inside one. Guardian-style
-    orderliness (no Enter before Finalise, nothing after Remove)
-    follows. *)
+    outcome, the page-type transitions of every call, and the lifecycle
+    events of every call (init, finalise, stop and the Remove of an
+    address space on success; enter or resume once the spec validates
+    the thread). An Enter/Resume is validated on the state it entered
+    with. Inside the run it opens, every SVC is stepped through
+    {!Aspec.step_svc} from its traced r0-r2, from the state the run's
+    earlier SVCs left: its error word and its retypes must be the
+    spec's, and every retyping must fall inside an SVC. Exit and
+    ResumeFaulted are control flow: not stepped, and they retype
+    nothing. The run's outcome is resolved on the state its SVCs left.
+    SVC events occur only inside a validated run, where entries and
+    exits pair up (an exit names the open entry's call, no entry opens
+    inside another, none is open at the SMC exit). A GetRandom that
+    reports [Entropy_exhausted] depends on RNG state no trace shows: it
+    is counted in [undecided], never as a pass. Every event but an
+    injected fault must sit inside an SMC, and the trace must not end
+    inside one. Guardian-style orderliness (no Enter before Finalise,
+    nothing after Remove) follows. *)
 
 type report = {
   events : int;  (** events consumed *)
   calls : int;  (** SMC calls replayed through the spec *)
+  undecided : int;  (** SVC outcomes no trace can decide (GetRandom entropy) *)
   violations : (int * string) list;  (** line-ish event index, description *)
   final : Astate.t;  (** the spec state after the last event *)
 }
@@ -44,7 +44,8 @@ val check : npages:int -> Komodo_telemetry.Event.stamped list -> (report, string
 (** Validate, then {!replay}. [Error] is the first event whose fields
     contradict each other or the clock: a negative cycle stamp, a stamp
     below the one before it, an SMC/SVC name that is not Table 1's name
-    for its call number, or an error name that is not its word's. Such
+    for its call number, an error name that is not its word's, or an
+    [svc_entry] without exactly two arguments (r1, r2). Such
     a trace was not written by the monitor. Check [report.violations]
     for refinement failures. *)
 

@@ -37,7 +37,8 @@ type t =
   | Smc_entry of { call : int; name : string; args : int list }
   | Smc_exit of { call : int; name : string; err : int; err_name : string; retval : int; cycles : int }
       (** [cycles] is the handler's cycle cost (exit stamp − entry stamp). *)
-  | Svc_entry of { call : int; name : string }
+  | Svc_entry of { call : int; name : string; args : int list }
+      (** [args] are the enclave's r1 and r2. *)
   | Svc_exit of { call : int; name : string; err : int; err_name : string; cycles : int }
   | Exception of { kind : string }
       (** The exception ending a burst of user execution:
@@ -66,13 +67,15 @@ let kind_name = function
   | Enclave_lifecycle _ -> "enclave_lifecycle"
   | Fault_injected _ -> "fault_injected"
 
+let pp_call fmt what name args =
+  Format.fprintf fmt "%s %s(%s)" what name
+    (String.concat ", " (List.map (Printf.sprintf "0x%x") args))
+
 let pp fmt = function
-  | Smc_entry { name; args; _ } ->
-      Format.fprintf fmt "SMC %s(%s)" name
-        (String.concat ", " (List.map (Printf.sprintf "0x%x") args))
+  | Smc_entry { name; args; _ } -> pp_call fmt "SMC" name args
   | Smc_exit { name; err_name; retval; cycles; _ } ->
       Format.fprintf fmt "SMC %s -> %s, 0x%x (%d cycles)" name err_name retval cycles
-  | Svc_entry { name; _ } -> Format.fprintf fmt "SVC %s" name
+  | Svc_entry { name; args; _ } -> pp_call fmt "SVC" name args
   | Svc_exit { name; err_name; cycles; _ } ->
       Format.fprintf fmt "SVC %s -> %s (%d cycles)" name err_name cycles
   | Exception { kind } -> Format.fprintf fmt "exception %s" kind
@@ -89,14 +92,16 @@ let pp_stamped fmt { at; ev } = Format.fprintf fmt "@[[%8d] %a@]" at pp ev
 
 let to_json { at; ev } =
   let base kind rest = Json.Obj (("at", Json.Int at) :: ("kind", Json.Str kind) :: rest) in
+  let entry kind call name args =
+    base kind
+      [
+        ("call", Json.Int call);
+        ("name", Json.Str name);
+        ("args", Json.List (List.map (fun a -> Json.Int a) args));
+      ]
+  in
   match ev with
-  | Smc_entry { call; name; args } ->
-      base "smc_entry"
-        [
-          ("call", Json.Int call);
-          ("name", Json.Str name);
-          ("args", Json.List (List.map (fun a -> Json.Int a) args));
-        ]
+  | Smc_entry { call; name; args } -> entry "smc_entry" call name args
   | Smc_exit { call; name; err; err_name; retval; cycles } ->
       base "smc_exit"
         [
@@ -107,8 +112,7 @@ let to_json { at; ev } =
           ("retval", Json.Int retval);
           ("cycles", Json.Int cycles);
         ]
-  | Svc_entry { call; name } ->
-      base "svc_entry" [ ("call", Json.Int call); ("name", Json.Str name) ]
+  | Svc_entry { call; name; args } -> entry "svc_entry" call name args
   | Svc_exit { call; name; err; err_name; cycles } ->
       base "svc_exit"
         [
@@ -139,13 +143,15 @@ let of_json j =
   let* at = int "at" in
   let* kind = str "kind" in
   let ok ev = Ok { at; ev } in
+  let entry f =
+    let* call = int "call" in
+    let* name = str "name" in
+    let* args = Option.bind (Json.member "args" j) Json.to_list_opt in
+    let ints = List.filter_map Json.to_int_opt args in
+    if List.compare_lengths ints args = 0 then ok (f call name ints) else Error "malformed event"
+  in
   match kind with
-  | "smc_entry" ->
-      let* call = int "call" in
-      let* name = str "name" in
-      let* args = Option.bind (Json.member "args" j) Json.to_list_opt in
-      let args = List.filter_map Json.to_int_opt args in
-      ok (Smc_entry { call; name; args })
+  | "smc_entry" -> entry (fun call name args -> Smc_entry { call; name; args })
   | "smc_exit" ->
       let* call = int "call" in
       let* name = str "name" in
@@ -154,10 +160,7 @@ let of_json j =
       let* retval = int "retval" in
       let* cycles = int "cycles" in
       ok (Smc_exit { call; name; err; err_name; retval; cycles })
-  | "svc_entry" ->
-      let* call = int "call" in
-      let* name = str "name" in
-      ok (Svc_entry { call; name })
+  | "svc_entry" -> entry (fun call name args -> Svc_entry { call; name; args })
   | "svc_exit" ->
       let* call = int "call" in
       let* name = str "name" in

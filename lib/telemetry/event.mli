@@ -12,7 +12,8 @@ type t =
   | Smc_entry of { call : int; name : string; args : int list }
   | Smc_exit of { call : int; name : string; err : int; err_name : string; retval : int; cycles : int }
       (** [cycles] is the handler's cycle cost (exit stamp − entry stamp). *)
-  | Svc_entry of { call : int; name : string }
+  | Svc_entry of { call : int; name : string; args : int list }
+      (** [args] are the enclave's r1 and r2. *)
   | Svc_exit of { call : int; name : string; err : int; err_name : string; cycles : int }
   | Exception of { kind : string }
       (** The exception ending a burst of user execution:

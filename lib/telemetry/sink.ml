@@ -43,28 +43,6 @@ let collect () =
   let events = ref [] in
   (make (fun ev -> events := ev :: !events), fun () -> List.rev !events)
 
-(** Keep only the last [capacity] events (a flight recorder). *)
-let ring ~capacity =
-  if capacity <= 0 then invalid_arg "Sink.ring: capacity must be positive";
-  let buf = Array.make capacity None in
-  let next = ref 0 in
-  let total = ref 0 in
-  let sink =
-    make (fun ev ->
-        buf.(!next) <- Some ev;
-        next := (!next + 1) mod capacity;
-        incr total)
-  in
-  let contents () =
-    let n = min !total capacity in
-    let start = if !total <= capacity then 0 else !next in
-    List.init n (fun i ->
-        match buf.((start + i) mod capacity) with
-        | Some ev -> ev
-        | None -> assert false)
-  in
-  (sink, contents)
-
 (** Stream events to [oc] as JSONL, one event per line; {!flush}
     drains the channel (the caller still closes it). *)
 let jsonl oc =

@@ -24,10 +24,6 @@ val fanout : t list -> t
 val collect : unit -> t * (unit -> Event.stamped list)
 (** Accumulate every event; the closure returns them in order. *)
 
-val ring : capacity:int -> t * (unit -> Event.stamped list)
-(** Flight recorder: keep only the last [capacity] events.
-    @raise Invalid_argument on a non-positive capacity. *)
-
 val jsonl : out_channel -> t
 (** Stream events as JSONL, one event per line; {!flush} drains the
     channel (caller closes). *)

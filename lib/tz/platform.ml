@@ -1,26 +1,20 @@
 (** Static platform (SoC) configuration.
 
     Collects the boot-time facts the monitor relies on: how many secure
-    pages exist, which physical addresses are isolated from the normal
-    world (the TZASC-style filter of §3.2), and whether the platform is
-    configured to model physical memory attacks as in-scope. *)
+    pages exist and which physical addresses are isolated from the
+    normal world (the TZASC-style filter of §3.2). *)
 
 module Word = Komodo_machine.Word
 
-type t = {
-  npages : int;  (** secure pages available to the monitor *)
-  physical_attacks_in_scope : bool;
-      (** threat-model variant (§3.1): when true, only the isolated
-          region is trusted against bus snooping/cold boot *)
-}
+type t = { npages : int  (** secure pages available to the monitor *) }
 [@@deriving eq, show { with_path = false }]
 
-let default = { npages = Layout.default_npages; physical_attacks_in_scope = false }
+let default = { npages = Layout.default_npages }
 
-let make ?(npages = Layout.default_npages) ?(physical_attacks_in_scope = false) () =
+let make ?(npages = Layout.default_npages) () =
   if npages < 4 then invalid_arg "Platform.make: need at least 4 secure pages";
   if npages > 4096 then invalid_arg "Platform.make: secure region bounded at 16 MB";
-  { npages; physical_attacks_in_scope }
+  { npages }
 
 (** Hardware memory filter: can normal-world software or devices access
     physical address [pa]? Secure pages and the monitor image are

@@ -1,18 +1,12 @@
 (** Static platform (SoC) configuration.
 
     The boot-time facts the monitor relies on: how many secure pages
-    exist, which physical addresses the TZASC-style filter (§3.2)
-    isolates from the normal world, and whether physical memory attacks
-    are in scope for the threat model (§3.1). *)
+    exist and which physical addresses the TZASC-style filter (§3.2)
+    isolates from the normal world. *)
 
 module Word = Komodo_machine.Word
 
-type t = {
-  npages : int;  (** secure pages available to the monitor *)
-  physical_attacks_in_scope : bool;
-      (** threat-model variant: when set, only the isolated region is
-          trusted against bus snooping / cold boot *)
-}
+type t = { npages : int  (** secure pages available to the monitor *) }
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -20,7 +14,7 @@ val show : t -> string
 
 val default : t
 
-val make : ?npages:int -> ?physical_attacks_in_scope:bool -> unit -> t
+val make : ?npages:int -> unit -> t
 (** @raise Invalid_argument outside 4..4096 pages. *)
 
 val normal_world_accessible : t -> Word.t -> bool

@@ -392,32 +392,50 @@ let test_opaque_nothing_to_adopt () =
 (* -- Campaign traces through the spec replay ----------------------------- *)
 
 (* A trial world built fresh with a collecting sink, so its trace holds
-   the prelude and every op; [violations] replays what was collected. *)
+   the prelude and every op. *)
 let traced_world ?bug ~seed () =
   let sink, collected = Sink.collect () in
   let w = Diff.make_world ?bug ~npages:Diff.default.Diff.npages ~sink ~seed () in
-  let violations () =
-    match Trace_check.check ~npages:Diff.default.Diff.npages (collected ()) with
-    | Error e -> [ "malformed: " ^ e ]
-    | Ok r -> List.map snd r.Trace_check.violations
-  in
-  (w, violations)
+  (w, collected)
+
+let replay events = Trace_check.check ~npages:Diff.default.Diff.npages events
+
+let replay_messages = function
+  | Error e -> [ "malformed: " ^ e ]
+  | Ok r -> List.map snd r.Trace_check.violations
 
 let test_replay_campaign_traces () =
+  let stepped = ref 0 in
   for seed = 0 to 19 do
-    let w, violations = traced_world ~seed () in
+    let w, collected = traced_world ~seed () in
     let ran = Diff.run_ops w (Diff.gen_ops w ~seed ~n:Diff.default.Diff.ops_per_trial) in
     Alcotest.(check bool) (Printf.sprintf "check trial %d refines" seed) true (Result.is_ok ran);
+    let events = collected () in
+    let r = replay events in
     Alcotest.(check (list string))
       (Printf.sprintf "check trial %d replays" seed)
-      [] (violations ())
+      [] (replay_messages r);
+    Alcotest.(check int)
+      (Printf.sprintf "check trial %d decides every SVC" seed)
+      0
+      (match r with Ok r -> r.Trace_check.undecided | Error _ -> 0);
+    (* SVCs other than Exit and ResumeFaulted are stepped through the spec. *)
+    List.iter
+      (fun s ->
+        match s.Event.ev with
+        | Event.Svc_entry { call; _ }
+          when call <> Aspec.svc_exit && call <> Aspec.svc_resume_faulted ->
+            incr stepped
+        | _ -> ())
+      events
   done;
+  Alcotest.(check bool) "check trials step SVCs through the spec" true (!stepped > 0);
   let fault ?bug seed =
-    let w, violations = traced_world ?bug ~seed () in
+    let w, collected = traced_world ?bug ~seed () in
     let n = Drive.default.Drive.ops_per_trial in
     let fops = Drive.gen_fops w ~faults:Drive.all_classes ~seed ~n in
     let ran = Drive.run_fops w fops in
-    (ran, violations ())
+    (ran, replay_messages (replay (collected ())))
   in
   for seed = 0 to 29 do
     let ran, violations = fault seed in
@@ -439,20 +457,36 @@ let test_replay_campaign_traces () =
           true
           (List.exists (fun m -> String.starts_with ~prefix:surplus m) violations)
   done;
-  Alcotest.(check bool) "partial_remove fires" true (!caught > 0)
+  Alcotest.(check bool) "partial_remove fires" true (!caught > 0);
+  (* A drained entropy source is in no trace: a GetRandom reporting it
+     is undecided, neither a pass nor a violation. *)
+  let open Testlib in
+  let r =
+    Trace_check.replay ~npages:32
+      (init_addrspace_events 0
+      @ smc_events 1 Aspec.smc_init_thread [ 0; 2; 0 ] [ retype 2 "free" "thread" ]
+      @ smc_events 2 Aspec.smc_finalise [ 0 ] [ lifecycle 0 Event.Ls_finalise ]
+      @ smc_events 3 Aspec.smc_enter [ 2; 0; 0; 0 ]
+          (lifecycle 0 Event.Ls_enter
+          :: svc_events ~err:Aspec.e_entropy_exhausted Aspec.svc_get_random [ 0; 0 ] []))
+  in
+  Alcotest.(check int) "exhausted GetRandom undecided" 1 r.Trace_check.undecided;
+  Alcotest.(check (list string)) "and no violation" [] (replay_messages (Ok r))
 
 (* An enclave may retype its own spare page, but only from the type the
-   spec holds: here the trace claims it was a data page. *)
+   spec holds: here the trace claims it was a data page. MapData(3, VA 0
+   readable) succeeds, through the second-level table at page 4. *)
 let test_replay_enclave_from_type () =
   let open Testlib in
   let trace data_from =
     init_addrspace_events 0
     @ smc_events 1 Aspec.smc_init_thread [ 0; 2; 0 ] [ retype 2 "free" "thread" ]
     @ smc_events 2 Aspec.smc_alloc_spare [ 0; 3 ] [ retype 3 "free" "sparepage" ]
-    @ smc_events 3 Aspec.smc_finalise [ 0 ] [ lifecycle 0 Event.Ls_finalise ]
-    @ smc_events 4 Aspec.smc_enter [ 2; 0; 0; 0 ]
+    @ smc_events 3 Aspec.smc_init_l2ptable [ 0; 4; 0 ] [ retype 4 "free" "l2ptable" ]
+    @ smc_events 4 Aspec.smc_finalise [ 0 ] [ lifecycle 0 Event.Ls_finalise ]
+    @ smc_events 5 Aspec.smc_enter [ 2; 0; 0; 0 ]
         (lifecycle 0 Event.Ls_enter
-        :: svc_events Aspec.svc_map_data [ retype 3 data_from "datapage" ])
+        :: svc_events Aspec.svc_map_data [ 3; 1 ] [ retype 3 data_from "datapage" ])
   in
   let messages events =
     List.map snd (Trace_check.replay ~npages:32 events).Trace_check.violations
@@ -461,22 +495,21 @@ let test_replay_enclave_from_type () =
   Alcotest.(check (list string))
     "from another type"
     [
-      "MapData returned Success and retyped page 3: datapage -> datapage, but must \
-       retype one page sparepage -> datapage";
-      "enclave run retyped page 3 from datapage, but the spec holds it as sparepage";
+      "spec retypes not in trace: page 3: sparepage -> datapage";
+      "trace retypes the spec does not predict: page 3: datapage -> datapage";
     ]
     (messages (trace "datapage"))
 
-(* SVC events pair up and retype only what their call may: a GetRandom
-   run's trace is refused when GetRandom is renamed a MapData (which
-   must retype a page), when its exit names another call, or when its
-   exit is missing. *)
+(* SVC events pair up and step through the spec: a GetRandom run's
+   trace is refused when GetRandom is renamed a MapData (which the spec
+   refuses with GetRandom's r1 and r2), when its exit names another
+   call, or when its exit is missing. *)
 let test_replay_svc_tampered () =
   let events = lifecycle_events ~prog:Komodo_user.Progs.random_word () in
   let rename call s =
     let name = Aspec.svc_name call in
     match s.Event.ev with
-    | Event.Svc_entry _ -> { s with Event.ev = Event.Svc_entry { call; name } }
+    | Event.Svc_entry e -> { s with Event.ev = Event.Svc_entry { e with call; name } }
     | Event.Svc_exit e -> { s with Event.ev = Event.Svc_exit { e with call; name } }
     | _ -> s
   in
@@ -496,8 +529,7 @@ let test_replay_svc_tampered () =
   Alcotest.(check (list string)) "as traced" [] (messages events);
   Alcotest.(check (list string))
     "renamed to MapData"
-    [ "MapData returned Success and retyped nothing, but must retype one page sparepage \
-       -> datapage" ]
+    [ "MapData error word: spec Page_in_use (2), trace Success (0)" ]
     (messages (tamper (fun ~exit:_ s -> Some (rename Aspec.svc_map_data s))));
   Alcotest.(check (list string))
     "exit renamed to InitL2PTable"
@@ -513,7 +545,7 @@ let test_replay_svc_tampered () =
     [ "svc_entry outside an enclave run" ]
     (messages
        (Testlib.smc_events ~retval:32 0 Aspec.smc_get_phys_pages []
-          (Testlib.svc_events Aspec.svc_get_random [])))
+          (Testlib.svc_events Aspec.svc_get_random [ 0; 0 ] [])))
 
 let test_replay_backwards_stamp () =
   let events = lifecycle_events () in
@@ -566,6 +598,22 @@ let test_divergence_golden () =
          addrspace{l1pt=21;ref=2;init;meas=a008f20faed1}"
         (Diff.pp_divergence d)
 
+(* The committed tamper of a [trace --file dynamic.kasm --spares 2]
+   trace: its successful MapData and UnmapData rewritten to fail, with
+   their retypes deleted. Stepping each SVC through the spec refutes
+   both error words. *)
+let test_replay_svc_error_words () =
+  match Trace_check.replay_file ~npages:64 (Testlib.data_file "traces/svc_tampered.jsonl") with
+  | Error e -> Alcotest.failf "committed trace malformed: %s" e
+  | Ok r ->
+      Alcotest.(check (list (pair int string)))
+        "both error words"
+        [
+          (27, "MapData error word: spec Success (0), trace Addr_in_use (7)");
+          (30, "UnmapData error word: spec Invalid_pageno (1), trace Invalid_mapping (6)");
+        ]
+        r.Trace_check.violations
+
 let suite =
   [
     Alcotest.test_case "abstraction: fresh boot is all-free" `Quick test_abs_boot;
@@ -610,4 +658,6 @@ let suite =
       test_diff_contract;
     Alcotest.test_case "divergence text: drop-refcount at seed 7" `Quick
       test_divergence_golden;
+    Alcotest.test_case "replay: tampered SVC outcomes refuted by their error words" `Quick
+      test_replay_svc_error_words;
   ]

@@ -307,15 +307,6 @@ let test_teardown_flushes_sink () =
   close_out oc;
   Sys.remove path
 
-let test_ring_keeps_tail () =
-  let sink, contents = Sink.ring ~capacity:3 in
-  let evs = List.init 5 (fun i -> lc i 0 Event.Ls_init) in
-  List.iter (Sink.emit sink) evs;
-  Alcotest.(check (list stamped))
-    "last three survive"
-    [ lc 2 0 Event.Ls_init; lc 3 0 Event.Ls_init; lc 4 0 Event.Ls_init ]
-    (contents ())
-
 (* -- Spec-replay rejections ---------------------------------------------- *)
 
 let expect_violation name trace needle =
@@ -349,7 +340,7 @@ let test_audit_rejects_disorder () =
     [ stamp 0 (retype 3 "datapage" "free") ]
     "outside any monitor call";
   expect_violation "svc outside smc"
-    [ stamp 0 (Event.Svc_entry { call = 0; name = "Exit" }) ]
+    [ stamp 0 (Event.Svc_entry { call = 0; name = "Exit"; args = [ 0; 0 ] }) ]
     "outside any monitor call";
   expect_violation "time regression"
     [ lc 10 0 Event.Ls_init; lc 5 0 Event.Ls_finalise ]
@@ -380,6 +371,32 @@ let test_audit_rejects_disorder () =
       Alcotest.(check int) "orderly call" 0 (List.length r.Trace_check.violations)
   | Error e -> Alcotest.failf "orderly call malformed: %s" e
 
+(* An svc_entry carries the enclave's r1 and r2 through JSON; one
+   without its args field, or an entry with an argument that is not an
+   integer, does not parse, and an svc_entry without exactly two args
+   is malformed input to the replay. *)
+let test_svc_entry_args () =
+  let entry args = stamp 0 (Event.Svc_entry { call = 5; name = "MapData"; args }) in
+  (match Event.of_jsonl_line (Event.to_jsonl_line (entry [ 5; 0x5003 ])) with
+  | Ok e -> Alcotest.check stamped "args round-trip" (entry [ 5; 0x5003 ]) e
+  | Error e -> Alcotest.failf "parse failed: %s" e);
+  List.iter
+    (fun line ->
+      match Event.of_jsonl_line line with
+      | Ok _ -> Alcotest.failf "parsed: %s" line
+      | Error _ -> ())
+    [
+      {|{"at":0,"kind":"svc_entry","call":5,"name":"MapData"}|};
+      {|{"at":0,"kind":"svc_entry","call":5,"name":"MapData","args":[5,"0x5003"]}|};
+      {|{"at":0,"kind":"smc_entry","call":3,"name":"InitThread","args":[0,4,"0x8000",0]}|};
+    ];
+  List.iter
+    (fun args ->
+      match Trace_check.check ~npages:32 [ entry args ] with
+      | Ok _ -> Alcotest.failf "an svc_entry with %d args validated" (List.length args)
+      | Error _ -> ())
+    [ []; [ 1; 2; 3 ] ]
+
 let suite =
   [
     Alcotest.test_case "counters match invocations" `Quick test_counters_match_invocations;
@@ -399,6 +416,6 @@ let suite =
       test_span_readout_is_deterministic;
     Alcotest.test_case "trace file parses and audits clean" `Quick test_trace_file_is_orderly;
     Alcotest.test_case "teardown flushes the sink" `Quick test_teardown_flushes_sink;
-    Alcotest.test_case "ring buffer keeps the tail" `Quick test_ring_keeps_tail;
     Alcotest.test_case "audit rejects out-of-order traces" `Quick test_audit_rejects_disorder;
+    Alcotest.test_case "svc_entry keeps r1 and r2" `Quick test_svc_entry_args;
   ]

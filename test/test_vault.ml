@@ -264,6 +264,29 @@ let test_committed_trace_replays () =
                  (Vaultdrive.pp_sop v.Vaultdrive.sop)
                  (Vaultdrive.pp_sop Vaultdrive.(A_rollback_blob { depth = 1 }))))
 
+(* A reboot lands in the world the trial first booted, which is sound
+   only while [boot_vault] is a function of its arguments and a run
+   leaves a kept world alone: two boots at one seed give equal worlds,
+   down to the cycle counter, and act alike. *)
+let test_boot_is_a_function_of_the_seed () =
+  let module Monitor = Komodo_core.Monitor in
+  let module State = Komodo_machine.State in
+  let ((os1, th1) as w1) = boot ~seed:11 () and ((os2, th2) as w2) = boot ~seed:11 () in
+  let m1 = os1.Os.mon and m2 = os2.Os.mon in
+  let same what b = Alcotest.(check bool) what true b in
+  Alcotest.(check int) "thread page" th1 th2;
+  same "machine state" (State.equal m1.Monitor.mach m2.Monitor.mach);
+  Alcotest.(check int) "cycles" m1.Monitor.mach.State.cycles m2.Monitor.mach.State.cycles;
+  same "PageDB" (Komodo_core.Pagedb.equal m1.Monitor.pagedb m2.Monitor.pagedb);
+  Alcotest.(check string) "attestation key" m1.Monitor.attest_key m2.Monitor.attest_key;
+  same "RNG" (Komodo_tz.Rng.equal m1.Monitor.rng m2.Monitor.rng);
+  let rec free a = match Komodo_os.Alloc.take a with None -> [] | Some (n, a) -> n :: free a in
+  Alcotest.(check (list int)) "free pages" (free os1.Os.alloc) (free os2.Os.alloc);
+  let _, _, b1 = seal_one w1 and _, _, b2 = seal_one w2 in
+  Alcotest.(check string) "sealed blob" b1 b2;
+  let _, _, again = seal_one w1 in
+  Alcotest.(check string) "a run leaves the kept world as it was" b1 again
+
 let suite =
   [
     Alcotest.test_case "seal/unseal round trip restores state" `Quick
@@ -291,4 +314,6 @@ let suite =
     Alcotest.test_case "trace round-trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "committed rollback trace still reproduces" `Quick
       test_committed_trace_replays;
+    Alcotest.test_case "two boots at one seed give equal worlds" `Quick
+      test_boot_is_a_function_of_the_seed;
   ]

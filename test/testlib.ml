@@ -116,13 +116,13 @@ let smc_events ?(err = Komodo_core.Abi.e_success) ?(retval = 0) at call args inn
            { call; name; err; err_name = Komodo_core.Abi.err_name err; retval; cycles = 0 });
     ]
 
-(** One successful SVC as [Svc.handle] brackets it, with [inner]
-    between its entry and exit: part of the [inner] of an Enter or
-    Resume. *)
-let svc_events call inner =
+(** One SVC with r1/r2 [args] as [Svc.handle] brackets it, with
+    [inner] between its entry and exit: part of the [inner] of an Enter
+    or Resume. *)
+let svc_events ?(err = Komodo_core.Abi.e_success) call args inner =
   let module Event = Komodo_telemetry.Event in
-  let name = Komodo_core.Abi.svc_name call and err = Komodo_core.Abi.e_success in
-  (Event.Svc_entry { call; name } :: inner)
+  let name = Komodo_core.Abi.svc_name call in
+  (Event.Svc_entry { call; name; args } :: inner)
   @ [ Event.Svc_exit { call; name; err; err_name = Komodo_core.Abi.err_name err; cycles = 0 } ]
 
 (** InitAddrspace(0, 1) at [at], reported whole: both retypes and the
