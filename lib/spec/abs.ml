@@ -3,6 +3,7 @@
 module Word = Komodo_machine.Word
 module Ptable = Komodo_machine.Ptable
 module State = Komodo_machine.State
+module Memory = Komodo_machine.Memory
 module Layout = Komodo_tz.Layout
 module Platform = Komodo_tz.Platform
 module Monitor = Komodo_core.Monitor
@@ -22,8 +23,6 @@ let plat ~npages =
     monitor_size = Layout.monitor_image_size;
     va_limit = Word.to_int Ptable.va_limit;
   }
-
-let plat_of (m : Monitor.t) = plat ~npages:m.Monitor.plat.Platform.npages
 
 let abs_meas meas = Mdone (Measure.current_digest meas)
 
@@ -53,47 +52,7 @@ let abs_l2 (m : Monitor.t) pg =
       slots := Imap.add i pte !slots);
   !slots
 
-(* Decoding live page tables is the expensive part of the abstraction
-   function, and the differential checker re-runs [abs] after every
-   operation. The cache keys a table page's decoded slots on the
-   identity of the memory chunk backing it: chunks are never mutated,
-   so identity implies identical contents, and any store to the page
-   replaces its chunk and misses naturally. *)
-type centry = { c_page : Komodo_machine.Memory.page option; c_slots : l1l2 }
-and l1l2 = Cl1 of int Imap.t | Cl2 of apte Imap.t
-
-type cache = (int, centry) Hashtbl.t
-
-let cache () : cache = Hashtbl.create 64
-
-let page_chunk (m : Monitor.t) n =
-  Komodo_machine.Memory.page_at m.Monitor.mach.State.mem
-    (Monitor.page_pa m n)
-
-let cached_slots cache m n decode wrap =
-  match cache with
-  | None -> wrap (decode m n)
-  | Some tbl -> (
-      let chunk = page_chunk m n in
-      match Hashtbl.find_opt tbl n with
-      | Some e when Komodo_machine.Memory.same_page e.c_page chunk ->
-          e.c_slots
-      | _ ->
-          let slots = wrap (decode m n) in
-          Hashtbl.replace tbl n { c_page = chunk; c_slots = slots };
-          slots)
-
-let abs_l1_cached cache m n =
-  match cached_slots cache m n abs_l1 (fun s -> Cl1 s) with
-  | Cl1 s -> s
-  | Cl2 _ -> abs_l1 m n
-
-let abs_l2_cached cache m n =
-  match cached_slots cache m n abs_l2 (fun s -> Cl2 s) with
-  | Cl2 s -> s
-  | Cl1 _ -> abs_l2 m n
-
-let abs_page ?cache:c (m : Monitor.t) n = function
+let abs_page (m : Monitor.t) n = function
   | Pagedb.Free -> Afree
   | Pagedb.Addrspace a ->
       Aaddrspace
@@ -117,19 +76,51 @@ let abs_page ?cache:c (m : Monitor.t) n = function
           dispatcher = Option.map Word.to_int th.Pagedb.dispatcher;
           has_fault_ctx = th.Pagedb.fault_ctx <> None;
         }
-  | Pagedb.L1PTable { addrspace } ->
-      Al1 { asp = addrspace; slots = abs_l1_cached c m n }
-  | Pagedb.L2PTable { addrspace } ->
-      Al2 { asp = addrspace; slots = abs_l2_cached c m n }
+  | Pagedb.L1PTable { addrspace } -> Al1 { asp = addrspace; slots = abs_l1 m n }
+  | Pagedb.L2PTable { addrspace } -> Al2 { asp = addrspace; slots = abs_l2 m n }
   | Pagedb.DataPage { addrspace } -> Adata { asp = addrspace }
   | Pagedb.SparePage { addrspace } -> Aspare { asp = addrspace }
 
-let abs ?cache (m : Monitor.t) =
-  let plat = plat_of m in
-  let rec go i pages =
-    if i >= plat.npages then pages
-    else
-      go (i + 1)
-        (Imap.add i (abs_page ?cache m i (Pagedb.get m.Monitor.pagedb i)) pages)
-  in
-  { plat; pages = go 0 Imap.empty }
+(* The differential checker re-runs [abs] after every operation, and an
+   operation replaces only a few entries and chunks, so the cache keeps
+   the previous abstraction with the entry and table chunk each page
+   was abstracted from (see abs.mli). A cache starts as the all-free
+   state, which is what a PageDB of [Free] entries and no chunks
+   abstracts to, so a first call is the same loop as any other; it
+   starts again at a new page count, which fixes the layout. *)
+type cache = {
+  mutable last : Astate.t;
+  mutable entries : Pagedb.entry array;
+  mutable chunks : Memory.page option array;
+}
+
+let all_free npages =
+  let rec go i pages = if i >= npages then pages else go (i + 1) (Imap.add i Afree pages) in
+  { plat = plat ~npages; pages = go 0 Imap.empty }
+
+let cache () = { last = all_free 0; entries = [||]; chunks = [||] }
+
+let table_chunk (m : Monitor.t) n = function
+  | Pagedb.L1PTable _ | Pagedb.L2PTable _ ->
+      Memory.page_at m.Monitor.mach.State.mem (Monitor.page_pa m n)
+  | _ -> None
+
+let abs ?cache:(c = cache ()) (m : Monitor.t) =
+  let npages = m.Monitor.plat.Platform.npages in
+  if Array.length c.entries <> npages then begin
+    c.last <- all_free npages;
+    c.entries <- Array.make npages Pagedb.Free;
+    c.chunks <- Array.make npages None
+  end;
+  let pages = ref c.last.pages in
+  for n = 0 to npages - 1 do
+    let e = Pagedb.get m.Monitor.pagedb n in
+    let chunk = table_chunk m n e in
+    if not (e == c.entries.(n) && Memory.same_page chunk c.chunks.(n)) then begin
+      c.entries.(n) <- e;
+      c.chunks.(n) <- chunk;
+      pages := Imap.add n (abs_page m n e) !pages
+    end
+  done;
+  if !pages != c.last.pages then c.last <- { c.last with pages = !pages };
+  c.last

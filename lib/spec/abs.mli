@@ -15,14 +15,19 @@ val plat : npages:int -> Astate.plat
 (** The spec's platform-constants record for this build's layout
     (Figure 4), usable without a booted monitor (trace replay). *)
 
-val plat_of : Monitor.t -> Astate.plat
-
 type cache
-(** Memo of decoded page-table slots keyed by page number, validated
-    against the identity of the memory chunk backing each table page
-    (chunks are immutable, so identity implies identical decode). One
-    cache per replayed world; sharing across worlds is safe but
-    pointless. *)
+(** Memo of the previous abstraction, page by page: for each page the
+    PageDB entry it was abstracted from and, for a first- or
+    second-level table page, the memory chunk backing it. [abs ~cache]
+    re-abstracts only the pages whose entry or chunk is no longer
+    physically the same, and returns its previous result itself when
+    none is. Identity validates the memo: [Pagedb.set] replaces one
+    immutable entry at a time, a published chunk is never mutated, and
+    a page's abstraction depends on nothing else but the page count; a
+    cache that meets a different page count starts afresh. So a cache
+    shared across runs and worlds stays sound, but it pays off only
+    when consecutive calls see states a few pages apart, as a run
+    stepping its ops in order does. *)
 
 val cache : unit -> cache
 val abs : ?cache:cache -> Monitor.t -> Astate.t

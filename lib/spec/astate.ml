@@ -57,9 +57,9 @@ let boot plat =
   { plat; pages = fill Imap.empty (plat.npages - 1) }
 
 let get t n =
-  match Imap.find_opt n t.pages with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Astate.get: page %d" n)
+  match Imap.find n t.pages with
+  | p -> p
+  | exception Not_found -> invalid_arg (Printf.sprintf "Astate.get: page %d" n)
 
 let set t n p =
   if n < 0 || n >= t.plat.npages then

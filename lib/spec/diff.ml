@@ -46,8 +46,8 @@ type rstate = {
   spec : Astate.t;
   probe_ok : bool;
   abs_cache : Abs.cache;
-      (** Decoded page-table memo for the post-op abstraction; validated
-          by chunk identity, so replays and shrinks can share it. *)
+      (** The post-op abstraction's per-page memo; validated by the
+          identity of each page's entry and table chunk. *)
 }
 
 let initial_rstate w =

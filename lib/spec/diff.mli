@@ -40,8 +40,9 @@ type rstate = {
       (** latches false permanently once the probe enclave's shape is
           broken; later runs treat the probe as opaque *)
   abs_cache : Abs.cache;
-      (** decoded page-table memo for the post-op abstraction; validated
-          by memory-chunk identity, so any stepping order may share it *)
+      (** the post-op abstraction's per-page memo, keyed on the identity
+          of each page's PageDB entry and table chunk: sound for any
+          stepping order, and cheap when ops step in order *)
 }
 (** One side-by-side lockstep state, exposed so external drivers (the
     fault injector) can step ops with {!apply_op} and interleave their

@@ -26,6 +26,8 @@ module Diff = Komodo_spec.Diff
 module Campaign = Komodo_campaign.Campaign
 module Trace_check = Komodo_spec.Trace_check
 module Drive = Komodo_fault.Drive
+module Inject = Komodo_fault.Inject
+module Ahash = Komodo_spec.Ahash
 module Imap = Map.Make (Int)
 
 let test_abs_boot () =
@@ -614,6 +616,94 @@ let test_replay_svc_error_words () =
         ]
         r.Trace_check.violations
 
+(* -- the abstraction memo ------------------------------------------ *)
+
+(* A fault trial's concrete states, stepped the way [Drive] steps them:
+   each op with its injection plan armed, crash reboots between calls.
+   [f] sees the state after every fop. *)
+let fault_trial_states w ~seed f =
+  let fops = Drive.gen_fops w ~faults:Drive.all_classes ~seed ~n:Drive.default.Drive.ops_per_trial in
+  let os = (Diff.initial_rstate w).Diff.os in
+  let inj = Inject.create ~plat:os.Os.mon.Monitor.plat () in
+  let os =
+    {
+      os with
+      Os.mon = { os.Os.mon with Monitor.inject = Some (Inject.hook inj) };
+      exec = Komodo_user.Verifier.executor ~inject:(Inject.exec_inject inj) ();
+    }
+  in
+  let step (os : Os.t) = function
+    | Drive.Crash { seed } -> Os.crash_reboot ~seed os
+    | Drive.Op { op = Diff.Write_ins { addr; value }; _ } ->
+        Os.write_word os (Word.of_int addr) (Word.of_int value)
+    | Drive.Op { op = Diff.Smc { call; args; budget }; inj = items } ->
+        let mach = { os.Os.mon.Monitor.mach with State.irq_budget = budget } in
+        Inject.arm inj items;
+        let os', _, _ =
+          Os.smc { os with Os.mon = { os.Os.mon with Monitor.mach } } ~call
+            ~args:(List.map Word.of_int args)
+        in
+        Inject.disarm inj;
+        os'
+  in
+  ignore
+    (List.fold_left
+       (fun os fop ->
+         let os' = step os fop in
+         f os'.Os.mon;
+         os')
+       os fops)
+
+(* [Abs.abs ~cache] re-abstracts only the pages whose PageDB entry or
+   table chunk changed since its last call. One cache is carried
+   through every post-op state of a check trial and a fault trial
+   (failed calls and crash reboots included), then into a world with
+   another page count: on each state it must give what a fresh
+   abstraction gives, by [Astate.equal] and by [Ahash.key], and on a
+   state whose PageDB and memory are those of its last call it must
+   return its last result itself. *)
+let prop_abs_memo =
+  QCheck.Test.make ~count:8 ~name:"abstraction memo equals a fresh abstraction"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let cache = Abs.cache () in
+      let last = ref None and states = ref 0 and kept = ref 0 in
+      let agree (mon : Monitor.t) =
+        incr states;
+        let memo = Abs.abs ~cache mon and fresh = Abs.abs mon in
+        if not (Astate.equal memo fresh && Ahash.key memo = Ahash.key fresh) then
+          QCheck.Test.fail_reportf "state %d (%d pages): memo differs on pages %s" !states
+            mon.Monitor.plat.Komodo_tz.Platform.npages
+            (String.concat ", " (List.map string_of_int (Astate.diff memo fresh)));
+        (match !last with
+        | Some ((m : Monitor.t), a)
+          when m.Monitor.pagedb == mon.Monitor.pagedb
+               && m.Monitor.mach.State.mem == mon.Monitor.mach.State.mem ->
+            if memo != a then QCheck.Test.fail_reportf "state %d: unchanged state re-abstracted" !states;
+            incr kept
+        | _ -> ());
+        last := Some (mon, memo)
+      in
+      let check_trial ~npages =
+        let w = Diff.make_world ~npages ~seed () in
+        let rs = Diff.initial_rstate w in
+        agree rs.Diff.os.Os.mon;
+        ignore
+          (List.fold_left
+             (fun (rs, i) op ->
+               match Diff.apply_op rs i op with
+               | Ok rs' ->
+                   agree rs'.Diff.os.Os.mon;
+                   (rs', i + 1)
+               | Error d -> QCheck.Test.fail_report (Diff.pp_divergence d))
+             (rs, 0)
+             (Diff.gen_ops w ~seed ~n:Diff.default.Diff.ops_per_trial))
+      in
+      check_trial ~npages:40;
+      fault_trial_states (Diff.make_world ~npages:40 ~seed ()) ~seed agree;
+      check_trial ~npages:24;
+      !kept > 0)
+
 let suite =
   [
     Alcotest.test_case "abstraction: fresh boot is all-free" `Quick test_abs_boot;
@@ -660,4 +750,5 @@ let suite =
       test_divergence_golden;
     Alcotest.test_case "replay: tampered SVC outcomes refuted by their error words" `Quick
       test_replay_svc_error_words;
+    Testlib.qcheck prop_abs_memo;
   ]
